@@ -39,7 +39,7 @@ def build_dataflow_graph(records: Iterable[DynamicOp]) -> "nx.DiGraph":
         inst = record.inst
         graph.add_node(record.seq, pc=inst.pc,
                        is_branch=inst.is_conditional_branch)
-        for src in inst.sources():
+        for src in inst.srcs:
             producer = last_writer.get(src)
             if producer is not None:
                 graph.add_edge(producer, record.seq)

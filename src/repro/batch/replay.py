@@ -39,20 +39,9 @@ from ..core.pipeline import Pipeline
 from ..core.simulator import SimulationResult, result_from_pipeline
 from ..exec.jobs import SimJob, batch_signature
 from ..isa.executor import DynamicOp
-from ..isa.instruction import INST_BYTES, Program
-from ..trace.format import FLAG_MEM, FLAG_TAKEN, Trace
-from ..trace.replay import TraceExhaustedError, static_decode_table
+from ..trace.format import Trace
+from ..trace.replay import ReplayWindow
 from ..trace.store import REPLAY_MARGIN, TraceStore, shared_store
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
-
-#: Records materialized per structure-of-arrays pass.  Large enough to
-#: amortize the numpy column extraction, small enough that a short run
-#: never materializes far past what it fetches.
-CHUNK = 4096
 
 #: Pipeline attributes snapshot-copied from the first member to the rest
 #: -- the same component set the warm-checkpoint store persists, plus
@@ -61,84 +50,26 @@ _WARM_FIELDS = ("hierarchy", "predictor", "btb", "slice_tracker",
                 "_last_ifetch_line")
 
 
-class SharedReplayWindow:
+class SharedReplayWindow(ReplayWindow):
     """One materialization of a trace span, shared by a whole batch.
 
-    Structure-of-arrays in, array-of-objects out: each chunk converts
-    the trace's parallel typed arrays (pcs, flags, next_pcs) into
-    Python-level columns with numpy, then builds one
-    :class:`DynamicOp` per record.  Records are immutable to the
-    pipeline, so every :class:`BatchCursor` hands out the *same*
+    The chunked decoder of :class:`~repro.trace.replay.ReplayWindow`,
+    decoding each record once for every member: records are immutable
+    to the pipeline, so every :class:`BatchCursor` hands out the *same*
     objects -- the per-record decode cost is paid once per batch, not
     once per member.
 
     Unlike :class:`~repro.trace.replay.TraceReplayFrontEnd`, releases do
     not free records: later members still need the span the first one
     has finished with.  Memory is bounded by the batch's single window
-    (measure + detail + fetch margin), which the caller sized the trace
-    acquisition to.
+    (measure + detail + fetch-ahead), which ``end`` bounds the decoding
+    to.
     """
-
-    def __init__(self, trace: Trace, program: Program, base: int):
-        self._trace = trace
-        self._program = program
-        self._decode = static_decode_table(program)
-        self._ops: List[DynamicOp] = []
-        self._base = base
-
-    @property
-    def trace(self) -> Trace:
-        return self._trace
-
-    @property
-    def base(self) -> int:
-        return self._base
 
     @property
     def high(self) -> int:
-        """Sequence number just past the highest materialized record."""
-        return self._base + len(self._ops)
-
-    def _materialize_chunk(self) -> None:
-        trace = self._trace
-        lo = self._base + len(self._ops)
-        if lo >= len(trace):
-            raise TraceExhaustedError(
-                f"trace exhausted at record {lo} "
-                f"(captured {len(trace)}); acquire a longer trace")
-        hi = min(lo + CHUNK, len(trace))
-        decode = self._decode
-        pcs = trace.pcs
-        flags = trace.flags
-        next_pcs = trace.next_pcs
-        mem_addrs = trace.mem_addrs
-        append = self._ops.append
-        if _np is not None:
-            f = _np.frombuffer(flags, dtype=_np.uint8)[lo:hi]
-            idx = (_np.frombuffer(pcs, dtype=_np.uint32)[lo:hi]
-                   // INST_BYTES).tolist()
-            taken = ((f & FLAG_TAKEN) != 0).tolist()
-            mem = ((f & FLAG_MEM) != 0).tolist()
-            nxt = _np.frombuffer(next_pcs, dtype=_np.uint32)[lo:hi].tolist()
-            for off in range(hi - lo):
-                seq = lo + off
-                append(DynamicOp(
-                    seq, decode[idx[off]], taken[off], nxt[off],
-                    mem_addrs[seq] if mem[off] else None))
-            return
-        for seq in range(lo, hi):
-            f = flags[seq]
-            append(DynamicOp(
-                seq, decode[pcs[seq] // INST_BYTES], bool(f & FLAG_TAKEN),
-                next_pcs[seq], mem_addrs[seq] if f & FLAG_MEM else None))
-
-    def get(self, seq: int) -> DynamicOp:
-        if seq < self._base:
-            raise IndexError(
-                f"record {seq} is before the window base ({self._base})")
-        while seq >= self._base + len(self._ops):
-            self._materialize_chunk()
-        return self._ops[seq - self._base]
+        """Sequence number just past the highest decoded record."""
+        return self.decoded
 
 
 class BatchCursor:
@@ -174,7 +105,7 @@ class BatchCursor:
         if seq > self._low:
             self._low = seq
 
-    def attach(self, trace: Trace) -> None:
+    def attach(self, trace: Trace, end: Optional[int] = None) -> None:
         raise RuntimeError(
             "batch members are single-run: resume the pipeline through "
             "sequential replay instead")
@@ -268,16 +199,16 @@ def run_batch(jobs: Sequence[SimJob],
     lead = jobs[0]
     region = lead.config.replay_region
     if region is not None:
-        needed = region.start + lead.instructions + REPLAY_MARGIN
+        end = region.start + lead.instructions
         base = region.start - region.detail
         skip_hint = 0
     else:
-        needed = lead.skip + lead.instructions + REPLAY_MARGIN
+        end = lead.skip + lead.instructions
         base = lead.skip
         skip_hint = lead.skip
-    trace = store.acquire(program, profile.mem_seed, needed,
+    trace = store.acquire(program, profile.mem_seed, end + REPLAY_MARGIN,
                           skip_hint=skip_hint)
-    window = SharedReplayWindow(trace, program, base)
+    window = SharedReplayWindow(trace, program, base, end)
 
     warm_blob: Optional[bytes] = None
     results: List[SimulationResult] = []
@@ -291,7 +222,6 @@ def run_batch(jobs: Sequence[SimJob],
 
 
 __all__ = [
-    "CHUNK",
     "BatchCursor",
     "SharedReplayWindow",
     "run_batch",

@@ -1316,8 +1316,25 @@ _COMMANDS = {
 }
 
 
+def _unknown_workload(args: argparse.Namespace) -> Optional[str]:
+    """One-line error for the first workload name no profile carries."""
+    names = list(getattr(args, "workloads", None) or [])
+    if getattr(args, "workload", None):
+        names.append(args.workload)
+    profiles = spec2006_profiles()
+    for name in names:
+        if name not in profiles:
+            return (f"unknown workload {name!r}; valid names: "
+                    f"{', '.join(sorted(profiles))}")
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    error = _unknown_workload(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # e.g. `repro list | head`

@@ -47,16 +47,17 @@ class LoadStoreQueue:
 
     def insert(self, uop: Uop) -> None:
         """Dispatch-time entry allocation (in fetch order)."""
-        if self.is_full():
+        entries = self._entries
+        if len(entries) >= self.size:
             raise OverflowError("LSQ overflow")
-        if self._entries and uop.seq <= self._entries[-1].seq:
+        if entries and uop.seq <= entries[-1].seq:
             raise ValueError("LSQ entries must arrive in fetch order")
         if uop.inst.is_load and uop.on_correct_path and uop.mem_addr is not None:
             dep = self._youngest_older_store(uop)
             if dep is not None:
                 uop.store_dep = dep
                 self.forwards += 1
-        self._entries.append(uop)
+        entries.append(uop)
         uop.in_lsq = True
 
     def _youngest_older_store(self, load: Uop) -> Optional[Uop]:

@@ -61,7 +61,6 @@ from ..iq.queue import IssueQueue
 from ..iq.select import SelectLogic
 from ..isa.executor import FunctionalExecutor, TraceCursor
 from ..isa.instruction import INST_BYTES, Program
-from ..isa.opcodes import Opcode, latency as op_latency
 from ..memory.hierarchy import MemoryHierarchy
 from ..pubs.mode_switch import ModeSwitch
 from ..pubs.slice_tracker import SliceTracker
@@ -272,16 +271,10 @@ class Pipeline:
         if self._pending_detail:
             self._run_detail(self._pending_detail)
             self._pending_detail = 0
-        self._commit_limit = self.stats.committed + max_instructions
         limit = max_cycles if max_cycles is not None else 500 * max_instructions + 100_000
-        limit += self.cycle  # detail warmup spent cycles before measurement
-        while self.stats.committed < self._commit_limit:
-            self.step()
-            if self.cycle > limit:
-                raise DeadlockError(
-                    f"no completion after {self.cycle} cycles "
-                    f"({self.stats.committed} committed)"
-                )
+        # Cycles the detail warmup spent come before measurement.
+        self._cycle_loop(self.stats.committed + max_instructions,
+                         self.cycle + limit, "")
         self._finalize_stats()
         if self.verifier is not None:
             self.verifier.on_run_end()
@@ -297,15 +290,9 @@ class Pipeline:
         Their cycles and commits are discarded; only the warm state --
         including the instructions still in flight -- carries over.
         """
-        self._commit_limit = self.stats.committed + detail
-        limit = self.cycle + 500 * detail + 100_000
-        while self.stats.committed < self._commit_limit:
-            self.step()
-            if self.cycle > limit:
-                raise DeadlockError(
-                    f"no completion during detailed warmup after "
-                    f"{self.cycle} cycles ({self.stats.committed} committed)"
-                )
+        self._cycle_loop(self.stats.committed + detail,
+                         self.cycle + 500 * detail + 100_000,
+                         " during detailed warmup")
         # Measurement starts here: fresh counters, and remember the
         # hierarchy's absolute miss counts so _finalize_stats reports
         # only the measured window's misses.
@@ -313,6 +300,38 @@ class Pipeline:
         self._mem_stats_base = (self.hierarchy.stats.l2_misses,
                                 self.hierarchy.stats.l1d_misses,
                                 self.hierarchy.stats.l1i_misses)
+
+    def _cycle_loop(self, commit_limit: int, cycle_limit: int,
+                    phase: str) -> None:
+        """Advance cycles until ``commit_limit`` instructions committed.
+
+        The body of :meth:`step` with its lookups hoisted out of the
+        loop; a run past ``cycle_limit`` raises :class:`DeadlockError`.
+        """
+        self._commit_limit = commit_limit
+        stats = self.stats
+        iq = self.iq
+        verifier = self.verifier
+        commit, writeback, issue, dispatch, fetch = (
+            self._commit, self._writeback, self._issue, self._dispatch,
+            self._fetch)
+        cycle = self.cycle
+        while stats.committed < commit_limit:
+            cycle += 1
+            self.cycle = cycle
+            stats.cycles += 1
+            commit()
+            writeback()
+            issue()
+            dispatch()
+            fetch()
+            stats.iq_occupancy_sum += iq.occupancy
+            if verifier is not None:
+                verifier.on_cycle()
+            if cycle > cycle_limit:
+                raise DeadlockError(
+                    f"no completion{phase} after {cycle} cycles "
+                    f"({stats.committed} committed)")
 
     def _prewarm_regions(self) -> None:
         """Install the program's cacheable data regions into the L2.
@@ -386,9 +405,10 @@ class Pipeline:
                     "replay_region and skip_instructions are mutually "
                     "exclusive: the region's warmup already positions "
                     "the timed window")
-            needed = region.start + max_instructions + REPLAY_MARGIN
-            trace = store.acquire(self.program, self.mem_seed, needed)
-            self.cursor = TraceReplayFrontEnd(trace, self.program)
+            end = region.start + max_instructions
+            trace = store.acquire(self.program, self.mem_seed,
+                                  end + REPLAY_MARGIN)
+            self.cursor = TraceReplayFrontEnd(trace, self.program, end)
             # Timing (the discarded detail window first) starts at
             # ``seat``; warm microarchitectural state fast-forwards only
             # over the warmup residue before it, and the differential
@@ -413,13 +433,14 @@ class Pipeline:
             self.cursor.release(seat)
             return
         start = 0 if fresh else self.cursor.high
-        needed = start + skip_instructions + max_instructions + REPLAY_MARGIN
-        trace = store.acquire(self.program, self.mem_seed, needed,
+        end = start + skip_instructions + max_instructions
+        trace = store.acquire(self.program, self.mem_seed,
+                              end + REPLAY_MARGIN,
                               skip_hint=skip_instructions if fresh else 0)
         if self.cursor is None:
-            self.cursor = TraceReplayFrontEnd(trace, self.program)
-        elif trace is not self.cursor.trace:
-            self.cursor.attach(trace)
+            self.cursor = TraceReplayFrontEnd(trace, self.program, end)
+        else:
+            self.cursor.attach(trace, end)
         if fresh and skip_instructions:
             self._restore_or_train_warm(store, trace, skip_instructions)
             self._next_trace_seq = skip_instructions
@@ -564,42 +585,54 @@ class Pipeline:
     # ==================================================================
 
     def _commit(self) -> None:
-        cycle = self.cycle
-        rob = self.rob
-        renamer = self.renamer
+        rob = self.rob._entries  # oldest first
         stats = self.stats
-        limit = self._commit_limit
-        verifier = self.verifier
-        smt = self._smt
-        for _ in range(self.config.commit_width):
-            if limit is not None and stats.committed >= limit:
-                break
-            uop = rob.head()
-            if uop is None or not uop.completed:
-                break
-            rob.pop_head()
-            renamer.release_committed(uop)
-            if uop.in_lsq:
-                self.lsq.remove_committed(uop)
-                if uop.inst.is_store and uop.mem_addr is not None:
-                    self.hierarchy.store(cycle, uop.mem_addr)
-            if uop.inst.is_conditional_branch:
-                stats.cond_branches += 1
-                if uop.mispredicted:
-                    stats.mispredictions += 1
-                self.slice_tracker.on_branch_resolved(
-                    uop.inst.pc, correct=not uop.mispredicted
-                )
-            stats.committed += 1
-            if smt is not None:
-                smt.on_commit(self)
-            if verifier is not None:
-                verifier.on_commit(uop)
-            if self.commit_hook is not None:
-                self.commit_hook(uop)
-            if uop.trace_seq >= 0:
-                self.cursor.release(uop.trace_seq)
-        self.mode_switch.observe(stats.committed, self.hierarchy.stats.l2_misses)
+        if rob and rob[0].completed:
+            cycle = self.cycle
+            renamer = self.renamer
+            limit = self._commit_limit
+            verifier = self.verifier
+            smt = self._smt
+            released = -1
+            for _ in range(self.config.commit_width):
+                if limit is not None and stats.committed >= limit:
+                    break
+                if not rob:
+                    break
+                uop = rob[0]
+                if not uop.completed:
+                    break
+                rob.popleft()
+                renamer.release_committed(uop)
+                inst = uop.inst
+                if uop.in_lsq:
+                    self.lsq.remove_committed(uop)
+                    if inst.is_store and uop.mem_addr is not None:
+                        self.hierarchy.store(cycle, uop.mem_addr)
+                if inst.is_conditional_branch:
+                    stats.cond_branches += 1
+                    if uop.mispredicted:
+                        stats.mispredictions += 1
+                    self.slice_tracker.on_branch_resolved(
+                        inst.pc, correct=not uop.mispredicted
+                    )
+                stats.committed += 1
+                if smt is not None:
+                    smt.on_commit(self)
+                if verifier is not None:
+                    verifier.on_commit(uop)
+                if self.commit_hook is not None:
+                    self.commit_hook(uop)
+                if uop.trace_seq >= 0:
+                    released = uop.trace_seq
+            # Committed trace records leave in order: one release per
+            # cycle moves the low-water mark as far as per-commit ones.
+            if released >= 0:
+                self.cursor.release(released)
+        mode_switch = self.mode_switch
+        if mode_switch.enabled:
+            mode_switch.observe(stats.committed,
+                                self.hierarchy.stats.l2_misses)
 
     # ==================================================================
     # Writeback / branch resolution
@@ -660,82 +693,31 @@ class Pipeline:
     # ==================================================================
 
     def _issue(self) -> None:
-        if self._incremental_issue:
-            self._issue_incremental()
-        else:
-            self._issue_scan()
-
-    def _schedule_dispatched(self, uop: Uop) -> None:
-        """Register a freshly-dispatched uop with the ready-set machinery.
-
-        Sources with a known ready cycle contribute to ``uop.ready_at``;
-        each source whose producer has not yet issued adds a pending count
-        and a wakeup registration (duplicate source registers register --
-        and are later decremented -- once per occurrence).
-        """
-        ready_cycle = self.renamer.ready_cycle
-        ready_at = 0
-        pending = 0
-        for phys in uop.src_phys:
-            rc = ready_cycle[phys]
-            if rc == NEVER:
-                pending += 1
-                waiters = self._wakeup.get(phys)
-                if waiters is None:
-                    self._wakeup[phys] = [uop]
-                else:
-                    waiters.append(uop)
-            elif rc > ready_at:
-                ready_at = rc
-        uop.ready_at = ready_at  # partial max while sources are pending
-        uop.pending_srcs = pending
-        if pending:
-            return
-        if ready_at <= self.cycle:
-            self._ready_now.append(uop)
-        else:
-            bucket = self._ready_buckets.get(ready_at)
-            if bucket is None:
-                self._ready_buckets[ready_at] = [uop]
-            else:
-                bucket.append(uop)
-
-    def _wake_consumers(self, phys: int, when: int) -> None:
-        """A producer issued: schedule its register's waiting consumers.
-
-        ``when`` is at least ``cycle + 1`` (execution latencies are >= 1),
-        so a fully-woken consumer always lands in a future bucket, never in
-        the current cycle's already-drained one -- exactly matching the
-        scan loop, which could not have seen the value ready this cycle
-        either.  Waiters squashed since registering are dropped lazily.
-        """
-        waiters = self._wakeup.pop(phys, None)
-        if waiters is None:
-            return
-        buckets = self._ready_buckets
-        for uop in waiters:
-            if when > uop.ready_at:
-                uop.ready_at = when
-            uop.pending_srcs -= 1
-            if uop.pending_srcs == 0 and not uop.squashed:
-                bucket = buckets.get(uop.ready_at)
-                if bucket is None:
-                    buckets[uop.ready_at] = [uop]
-                else:
-                    bucket.append(uop)
-
-    def _issue_incremental(self) -> None:
         """Issue from the incrementally-maintained ready set.
 
         Equivalent to :meth:`_issue_scan` (validated by the golden-stats
         tests) without touching the uops that cannot issue this cycle:
-        per-cycle work is O(ready + granted), not O(IQ occupancy).
+        per-cycle work is O(ready + granted), not O(IQ occupancy).  A
+        granted producer wakes its register's waiters (registered at
+        dispatch): its ready cycle is at least ``cycle + 1`` (latencies
+        are >= 1), so a fully-woken consumer always lands in a future
+        bucket, never in the current cycle's already-drained one --
+        exactly matching the scan loop, which could not have seen the
+        value ready this cycle either.  Waiters squashed since
+        registering are dropped lazily.
         """
+        if not self._incremental_issue:
+            self._issue_scan()
+            return
         cycle = self.cycle
         ready = self._ready_now
-        bucket = self._ready_buckets.pop(cycle, None)
+        buckets = self._ready_buckets
+        bucket = buckets.pop(cycle, None)
         if bucket is not None:
             ready.extend(bucket)
+        elif not ready:
+            self.select_logic.stats.cycles += 1
+            return
         live: List[Uop] = []
         requests = []
         for uop in ready:
@@ -757,27 +739,41 @@ class Pipeline:
         granted = self.select_logic.select(requests)
         iq_release = self.iq.release
         age_matrix = self.age_matrix
-        for slot, _ in sorted(granted, reverse=True):
+        for slot, _ in reversed(granted):  # grants come in slot order
             iq_release(slot)
             if age_matrix is not None:
                 age_matrix.remove(slot)
-        renamer = self.renamer
+        ready_cycle = self.renamer.ready_cycle
+        wakeup = self._wakeup
         events = self._events
         for slot, uop in granted:
             uop.issue_cycle = cycle
             uop.iq_slot = -1
-            lat = self._execution_latency(uop)
-            done = cycle + lat
+            inst = uop.inst
+            done = cycle + (self._execution_latency(uop) if inst.is_load
+                            else inst.latency)
             dest = uop.dest_phys
             if dest >= 0:
-                renamer.set_ready(dest, done)
-                self._wake_consumers(dest, done)
+                ready_cycle[dest] = done
+                waiters = wakeup.pop(dest, None)
+                if waiters is not None:
+                    for waiter in waiters:
+                        if done > waiter.ready_at:
+                            waiter.ready_at = done
+                        waiter.pending_srcs -= 1
+                        if waiter.pending_srcs == 0 and not waiter.squashed:
+                            bucket = buckets.get(waiter.ready_at)
+                            if bucket is None:
+                                buckets[waiter.ready_at] = [waiter]
+                            else:
+                                bucket.append(waiter)
             bucket = events.get(done)
             if bucket is None:
                 events[done] = [uop]
             else:
                 bucket.append(uop)
-        self._ready_now = [u for u in live if u.issue_cycle < 0]
+        self._ready_now = [] if len(granted) == len(live) \
+            else [u for u in live if u.issue_cycle < 0]
 
     def _issue_scan(self) -> None:
         """Legacy full-IQ scan, kept for the compacting organizations."""
@@ -810,6 +806,7 @@ class Pipeline:
             self._events.setdefault(cycle + lat, []).append(uop)
 
     def _execution_latency(self, uop: Uop) -> int:
+        """Cycles from issue to writeback (loads access the hierarchy)."""
         inst = uop.inst
         if inst.is_load:
             dep = uop.store_dep
@@ -827,9 +824,8 @@ class Pipeline:
                 return 1 + self.hierarchy.load(self.cycle, addr)
             # Wrong-path loads ("idle"): L1-hit time, no cache side effects.
             return 1 + self.hierarchy.l1d.config.hit_latency
-        if inst.is_store:
-            return 1  # address/data capture; memory written at commit
-        return op_latency(inst.opcode)
+        # Stores take 1 (address/data capture; memory written at commit).
+        return inst.latency
 
     # ==================================================================
     # Dispatch (decode + rename + IQ/ROB/LSQ allocation)
@@ -839,44 +835,55 @@ class Pipeline:
         cfg = self.config
         cycle = self.cycle
         earliest = cycle - cfg.frontend_depth
+        width = cfg.decode_width
         pubs_on = cfg.pubs.enabled
         frontend = self._frontend
         rob = self.rob
         lsq = self.lsq
+        # Capacity checks read the structures directly: the ROB and LSQ
+        # entry lists and the per-logical-register free lists.
+        rob_entries, rob_size = rob._entries, rob.size
+        lsq_entries, lsq_size = lsq._entries, lsq.size
         renamer = self.renamer
+        free_lists = renamer.free_lists
         stats = self.stats
         age_matrix = self.age_matrix
+        iq_dispatch = self.iq.dispatch
         incremental = self._incremental_issue
-        dispatched = 0
+        ready_cycle = renamer.ready_cycle
+        wakeup = self._wakeup
+        dispatched = retired = 0
         # Topdown slot accounting (DESIGN.md §15): every loop exit books
         # the cycle's unfilled decode slots into exactly one bucket, so
         # the td_* counters sum to decode_width * cycles by construction.
         stall_bucket = None
-        while dispatched < cfg.decode_width and frontend:
+        while dispatched < width and frontend:
             uop = frontend[0]
             if uop.fetch_cycle > earliest:
                 break
+            inst = uop.inst
             if not uop.decoded:
                 # The decode stage proper: PUBS slice tracking.
                 uop.decoded = True
                 if pubs_on:
-                    uop.unconfident = self.slice_tracker.on_decode(uop.inst)
-            if rob.is_full():
+                    uop.unconfident = self.slice_tracker.on_decode(inst)
+            if len(rob_entries) >= rob_size:
                 stats.dispatch_stall_cycles += 1
                 stats.rob_full_stall_cycles += 1
                 stall_bucket = "rob"
                 break
-            if uop.inst.is_mem and lsq.is_full():
+            if inst.is_mem and len(lsq_entries) >= lsq_size:
                 stats.dispatch_stall_cycles += 1
                 stats.lsq_full_stall_cycles += 1
                 stall_bucket = "lsq"
                 break
-            if not renamer.can_rename(uop):
+            if inst.dest is not None and not free_lists[inst.dest]:
                 stats.dispatch_stall_cycles += 1
                 stats.regs_full_stall_cycles += 1
                 stall_bucket = "regs"
                 break
-            slot = self._allocate_iq_slot(uop)
+            slot = self._allocate_iq_slot(uop) if pubs_on \
+                else iq_dispatch(uop, False)
             if slot is None:
                 stats.dispatch_stall_cycles += 1
                 if self._priority_blocked:
@@ -898,20 +905,47 @@ class Pipeline:
             uop.dispatch_cycle = cycle
             uop.iq_slot = slot
             rob.append(uop)
-            if uop.inst.is_mem:
+            if inst.is_mem:
                 lsq.insert(uop)
             if age_matrix is not None:
                 age_matrix.insert(slot)
             if incremental:
-                self._schedule_dispatched(uop)
+                # Register with the ready set: sources with a known ready
+                # cycle contribute to ``ready_at``; each source whose
+                # producer has not issued yet adds a pending count and a
+                # wakeup registration (duplicate source registers count
+                # -- and are later woken -- once per occurrence).
+                ready_at = pending = 0
+                for phys in uop.src_phys:
+                    rc = ready_cycle[phys]
+                    if rc == NEVER:
+                        pending += 1
+                        waiters = wakeup.get(phys)
+                        if waiters is None:
+                            wakeup[phys] = [uop]
+                        else:
+                            waiters.append(uop)
+                    elif rc > ready_at:
+                        ready_at = rc
+                uop.ready_at = ready_at  # partial max while pending
+                uop.pending_srcs = pending
+                if not pending:
+                    if ready_at <= cycle:
+                        self._ready_now.append(uop)
+                    else:
+                        bucket = self._ready_buckets.get(ready_at)
+                        if bucket is None:
+                            self._ready_buckets[ready_at] = [uop]
+                        else:
+                            bucket.append(uop)
             if uop.on_correct_path:
-                stats.td_retire_slots += 1
-            else:
-                stats.td_wrongpath_slots += 1
+                retired += 1
             dispatched += 1
         if dispatched:
             self._bubble_reason = "fetch"
-        leftover = cfg.decode_width - dispatched
+            stats.td_retire_slots += retired
+            stats.td_wrongpath_slots += dispatched - retired
+        leftover = width - dispatched
         if not leftover:
             return
         if stall_bucket is None:
@@ -962,87 +996,114 @@ class Pipeline:
     # ==================================================================
 
     def _fetch(self) -> None:
+        """Fetch one group, predicting branches as they are fetched.
+
+        A group is either all correct-path (trace records, up to and
+        including a mispredicted branch, which redirects fetch) or all
+        wrong-path (the static code along the predicted path): the path
+        only switches back at a recovery, between fetch groups.
+        """
         cycle = self.cycle
         if cycle < self._fetch_resume_cycle:
             return
-        cfg = self.config
+        frontend = self._frontend
+        width = self._frontend_capacity - len(frontend)
+        if width <= 0:
+            return
+        if width > self.config.fetch_width:
+            width = self.config.fetch_width
+        program = self.program
+        insts = program.insts  # the instruction at pc is insts[pc // 4]
+        end_pc = len(insts) * INST_BYTES
+        entry_pc = program.entry_pc
+        hierarchy = self.hierarchy
+        l1i_hit = hierarchy.l1i.config.hit_latency
+        predictor = self.predictor
+        btb = self.btb
+        get = self.cursor.get if self.cursor is not None else None
+        stats = self.stats
+        wrong_pc = self._wrong_path_pc
+        on_trace = wrong_pc is None
+        trace_seq = self._next_trace_seq
+        seq = self._next_seq
+        last_line = self._last_ifetch_line
         fetched = 0
-        while fetched < cfg.fetch_width:
-            if len(self._frontend) >= self._frontend_capacity:
-                break
-            on_trace = self._wrong_path_pc is None
+        while fetched < width:
             if on_trace:
-                record = self.cursor.get(self._next_trace_seq)
+                record = get(trace_seq)
                 inst = record.inst
             else:
-                record = None
-                inst = self.program.at(self._wrong_path_pc)
+                inst = insts[wrong_pc // INST_BYTES]
+            pc = inst.pc
             # Instruction cache: one access per new line.
-            line = inst.pc >> 6
-            if line != self._last_ifetch_line:
-                lat = self.hierarchy.ifetch(cycle, inst.pc)
-                self._last_ifetch_line = line
-                if lat > self.hierarchy.l1i.config.hit_latency:
+            line = pc >> 6
+            if line != last_line:
+                lat = hierarchy.ifetch(cycle, pc)
+                last_line = line
+                if lat > l1i_hit:
                     self._fetch_resume_cycle = cycle + lat
                     self._fetch_stall_reason = "l1i"
                     self._bubble_reason = "l1i"
-                    self._last_ifetch_line = -1  # re-check after the fill
+                    last_line = -1  # re-check after the fill
                     break
-            uop = Uop(self._next_seq, inst, cycle, on_trace,
-                      record.seq if on_trace else -1)
-            self._next_seq += 1
-            next_pc = self._next_fetch_pc(uop, record)
-            self._frontend.append(uop)
-            self.stats.fetched += 1
-            if not on_trace:
-                self.stats.wrong_path_fetched += 1
+            uop = Uop(seq, inst, cycle, on_trace,
+                      trace_seq if on_trace else -1)
+            seq += 1
+            frontend.append(uop)
             fetched += 1
-            if on_trace and uop.mispredicted:
-                self._wrong_path_pc = next_pc
-                self._next_trace_seq += 1
-                break  # the front end redirects; stop this fetch group
-            if on_trace:
-                self._next_trace_seq += 1
+            fall = pc + INST_BYTES
+            # Branch prediction at fetch: next_pc is where fetch goes on.
+            if inst.is_conditional_branch:
+                predicted_taken = predictor.predict(pc)
+                target = None
+                if predicted_taken:
+                    target = btb.lookup(pc)
+                    if target is None:
+                        predicted_taken = False  # BTB miss: cannot redirect
+                        stats.btb_misses_taken += 1
+                predicted_next = target if predicted_taken else fall
+                if predicted_next == fall and fall >= end_pc:
+                    predicted_next = entry_pc
+                uop.predicted_taken = predicted_taken
+                uop.predicted_next_pc = predicted_next
+                if on_trace:  # correct path: train with the truth
+                    next_pc = record.next_pc
+                    predictor.update(pc, record.taken, predicted_taken)
+                    if record.taken:
+                        btb.install(pc, next_pc)
+                    uop.actual_taken = record.taken
+                    uop.actual_next_pc = next_pc
+                    if predicted_next != next_pc:
+                        # The front end redirects down the predicted
+                        # path; stop this fetch group.
+                        uop.mispredicted = True
+                        trace_seq += 1
+                        wrong_pc = predicted_next
+                        break
+                else:
+                    next_pc = predicted_next
+            elif inst.is_branch:  # JUMP: direct, always taken
+                uop.predicted_taken = True
+                uop.predicted_next_pc = next_pc = inst.target
+                if on_trace:
+                    uop.actual_taken = True
+                    uop.actual_next_pc = record.next_pc
+            elif on_trace:
+                if inst.is_mem:
+                    uop.mem_addr = record.mem_addr
+                next_pc = record.next_pc
             else:
-                self._wrong_path_pc = next_pc
-            if next_pc != inst.pc + INST_BYTES:
+                next_pc = fall if fall < end_pc else entry_pc
+            if on_trace:
+                trace_seq += 1
+            else:
+                wrong_pc = next_pc
+            if next_pc != fall:
                 break  # taken-transfer fetch break
-
-    def _next_fetch_pc(self, uop: Uop, record) -> int:
-        """Branch prediction at fetch; returns the PC fetch continues at."""
-        inst = uop.inst
-        pc = inst.pc
-        if inst.is_conditional_branch:
-            predicted_taken = self.predictor.predict(pc)
-            target = None
-            if predicted_taken:
-                target = self.btb.lookup(pc)
-                if target is None:
-                    predicted_taken = False  # BTB miss: cannot redirect
-                    self.stats.btb_misses_taken += 1
-            predicted_next = target if predicted_taken else pc + INST_BYTES
-            if predicted_next == pc + INST_BYTES and not self.program.contains(predicted_next):
-                predicted_next = self.program.entry_pc
-            uop.predicted_taken = predicted_taken
-            uop.predicted_next_pc = predicted_next
-            if record is not None:  # correct path: train with the truth
-                self.predictor.update(pc, record.taken, predicted_taken)
-                if record.taken:
-                    self.btb.install(pc, record.next_pc)
-                uop.actual_taken = record.taken
-                uop.actual_next_pc = record.next_pc
-                uop.mispredicted = predicted_next != record.next_pc
-                return record.next_pc if not uop.mispredicted else predicted_next
-            return predicted_next
-        if inst.opcode is Opcode.JUMP:
-            uop.predicted_taken = True
-            uop.predicted_next_pc = inst.target
-            if record is not None:
-                uop.actual_taken = True
-                uop.actual_next_pc = record.next_pc
-            return inst.target
-        if uop.inst.is_mem and record is not None:
-            uop.mem_addr = record.mem_addr
-        if record is not None:
-            return record.next_pc
-        return self.program.next_pc(pc)
+        self._next_seq = seq
+        self._next_trace_seq = trace_seq
+        self._wrong_path_pc = wrong_pc
+        self._last_ifetch_line = last_line
+        stats.fetched += fetched
+        if not on_trace:
+            stats.wrong_path_fetched += fetched

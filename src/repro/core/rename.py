@@ -47,19 +47,20 @@ class Renamer:
         self.ready_cycle: List[int] = [0] * self.num_phys
         self._free_int: Deque[int] = deque(range(32, int_phys))
         self._free_fp: Deque[int] = deque(range(self._fp_base + 32, self.num_phys))
+        #: The free list each logical register renames from, indexed by
+        #: logical register (dispatch checks capacity through it).
+        self.free_lists: List[Deque[int]] = [
+            self._free_fp if r >= FP_BASE else self._free_int
+            for r in range(NUM_LOGICAL_REGS)
+        ]
 
     # ------------------------------------------------------------------
     # Capacity
     # ------------------------------------------------------------------
 
-    def _free_list_for(self, logical: int) -> Deque[int]:
-        return self._free_fp if logical >= FP_BASE else self._free_int
-
     def can_rename(self, uop: Uop) -> bool:
         dest = uop.inst.dest
-        if dest is None:
-            return True
-        return bool(self._free_list_for(dest))
+        return dest is None or bool(self.free_lists[dest])
 
     @property
     def free_int_count(self) -> int:
@@ -76,17 +77,22 @@ class Renamer:
     def rename(self, uop: Uop) -> None:
         """Rename ``uop`` in program order (caller checked capacity)."""
         inst = uop.inst
-        uop.src_phys = tuple(self.map[src] for src in inst.sources())
+        mapping = self.map
+        srcs = inst.srcs  # at most two
+        if len(srcs) == 2:
+            uop.src_phys = (mapping[srcs[0]], mapping[srcs[1]])
+        elif srcs:
+            uop.src_phys = (mapping[srcs[0]],)
         dest = inst.dest
         if dest is None:
             return
-        free = self._free_list_for(dest)
+        free = self.free_lists[dest]
         if not free:
             raise RenameError("rename called without a free physical register")
         phys = free.popleft()
-        uop.prev_phys = self.map[dest]
+        uop.prev_phys = mapping[dest]
         uop.dest_phys = phys
-        self.map[dest] = phys
+        mapping[dest] = phys
         self.ready_cycle[phys] = NEVER
 
     def checkpoint(self) -> Tuple[int, ...]:

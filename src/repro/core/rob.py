@@ -31,11 +31,12 @@ class ReorderBuffer:
         return self.size - len(self._entries)
 
     def append(self, uop: Uop) -> None:
-        if self.is_full():
+        entries = self._entries
+        if len(entries) >= self.size:
             raise OverflowError("ROB overflow")
-        if self._entries and uop.seq <= self._entries[-1].seq:
+        if entries and uop.seq <= entries[-1].seq:
             raise ValueError("ROB entries must arrive in fetch order")
-        self._entries.append(uop)
+        entries.append(uop)
 
     def head(self) -> Optional[Uop]:
         return self._entries[0] if self._entries else None

@@ -96,7 +96,7 @@ class SelectLogic:
 
         if self.age_matrix is None:
             # Common case: a single priority-ordered pass; no pre-grant
-            # means no duplicate to track.
+            # means no duplicate to track, and grants keep slot order.
             for slot, uop in requests:
                 fu = uop.fu
                 if avail[fu] > 0:
@@ -125,8 +125,8 @@ class SelectLogic:
                     avail[uop.fu] -= 1
                     granted.append((slot, uop))
                     granted_slots.add(slot)
+            granted.sort(key=lambda pair: pair[0])
 
         stats.grants += len(granted)
         stats.conflict_denials += len(requests) - len(granted)
-        granted.sort(key=lambda pair: pair[0])
         return granted

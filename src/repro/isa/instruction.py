@@ -10,11 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .opcodes import Opcode, is_branch, is_conditional_branch, is_load, is_mem, is_store
+from . import opcodes
+from .opcodes import Opcode
 from .registers import NUM_LOGICAL_REGS, reg_name
 
 #: Byte distance between consecutive instructions.
 INST_BYTES = 4
+
+#: Per-opcode decode attributes, installed on every :class:`StaticInst`.
+_DECODE = {
+    op: {
+        "is_branch": opcodes.is_branch(op),
+        "is_conditional_branch": opcodes.is_conditional_branch(op),
+        "is_load": opcodes.is_load(op),
+        "is_store": opcodes.is_store(op),
+        "is_mem": opcodes.is_mem(op),
+        "fu": opcodes.fu_class(op),
+        "latency": opcodes.latency(op),
+    }
+    for op in Opcode
+}
 
 
 @dataclass(frozen=True)
@@ -24,6 +39,15 @@ class StaticInst:
     ``dest`` and the sources are flat logical register indices (0..63) or
     ``None``.  ``imm`` is the immediate operand (also the address offset of
     loads/stores).  ``target`` is the taken-path PC of branches.
+
+    Construction also installs the decode attributes the timing model
+    reads on every dynamic instance -- ``is_branch``,
+    ``is_conditional_branch``, ``is_load``, ``is_store``, ``is_mem``,
+    ``fu`` (the :class:`~repro.isa.opcodes.FuClass`), ``latency`` and
+    ``srcs`` (the source registers in operand order) -- as plain
+    instance attributes.  They are not dataclass fields, so equality,
+    hashing and every content key (which canonicalize fields only) are
+    unaffected by them.
     """
 
     pc: int
@@ -38,45 +62,20 @@ class StaticInst:
         for r in (self.dest, self.src1, self.src2):
             if r is not None and not 0 <= r < NUM_LOGICAL_REGS:
                 raise ValueError(f"register index out of range: {r}")
-        if is_branch(self.opcode) and self.target is None:
+        attrs = self.__dict__  # frozen: bypass __setattr__
+        attrs.update(_DECODE[self.opcode])
+        if self.is_branch and self.target is None:
             raise ValueError(f"branch at pc={self.pc:#x} lacks a target")
-        if self.target is not None and not is_branch(self.opcode):
+        if self.target is not None and not self.is_branch:
             raise ValueError(f"non-branch at pc={self.pc:#x} has a target")
-
-    @property
-    def is_branch(self) -> bool:
-        return is_branch(self.opcode)
-
-    @property
-    def is_conditional_branch(self) -> bool:
-        return is_conditional_branch(self.opcode)
-
-    @property
-    def is_load(self) -> bool:
-        return is_load(self.opcode)
-
-    @property
-    def is_store(self) -> bool:
-        return is_store(self.opcode)
-
-    @property
-    def is_mem(self) -> bool:
-        return is_mem(self.opcode)
-
-    def sources(self) -> Tuple[int, ...]:
-        """The logical source registers, in operand order."""
-        srcs = []
-        if self.src1 is not None:
-            srcs.append(self.src1)
-        if self.src2 is not None:
-            srcs.append(self.src2)
-        return tuple(srcs)
+        attrs["srcs"] = tuple([r for r in (self.src1, self.src2)
+                               if r is not None])
 
     def __str__(self) -> str:
         parts = [f"{self.pc:#06x}: {self.opcode.name.lower()}"]
         if self.dest is not None:
             parts.append(reg_name(self.dest))
-        for s in self.sources():
+        for s in self.srcs:
             parts.append(reg_name(s))
         if self.imm:
             parts.append(f"#{self.imm}")

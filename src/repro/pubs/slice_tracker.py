@@ -72,7 +72,7 @@ class SliceTracker:
         if inst.is_conditional_branch:
             self.stats.branch_decodes += 1
             conf_ptr = self.conf_tab.pointer(inst.pc)
-            for src in inst.sources():
+            for src in inst.srcs:
                 slot = self.def_tab.writer_of(src)
                 if slot is not None:
                     self.brslice_tab.link(slot, conf_ptr)
@@ -86,7 +86,7 @@ class SliceTracker:
             conf_ptr = self.brslice_tab.lookup(inst.pc)
             if conf_ptr is not None:
                 self.stats.slice_hits += 1
-                for src in inst.sources():
+                for src in inst.srcs:
                     slot = self.def_tab.writer_of(src)
                     if slot is not None:
                         self.brslice_tab.link(slot, conf_ptr)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+import weakref
 from typing import Any, Dict, Optional, Tuple
 
 from ..exec.cache import ResultCache, cache_enabled_by_env, default_cache_dir
@@ -59,15 +60,34 @@ CLAIM_TIMEOUT = 120.0
 CLAIM_POLL = 0.02
 
 
+#: Per-program fingerprint memo, keyed by ``mem_seed`` (weak so programs
+#: are not kept alive by it).
+_FINGERPRINTS: "weakref.WeakKeyDictionary[Program, Dict[int, str]]" \
+    = weakref.WeakKeyDictionary()
+
+
 def program_fingerprint(program: Program, mem_seed: int) -> str:
-    """Content hash identifying ``program``'s dynamic stream."""
-    return fingerprint({
-        "kind": "trace",
-        "format": TRACE_FORMAT_VERSION,
-        "insts": list(program.insts),
-        "warm_regions": [list(r) for r in program.warm_regions],
-        "mem_seed": mem_seed,
-    })
+    """Content hash identifying ``program``'s dynamic stream.
+
+    Memoized per ``(program, mem_seed)``: canonicalizing every static
+    instruction costs about half a millisecond, and each replay run
+    needs the key three times (trace, memory and front-end warm state).
+    A program's instructions and warm regions must not change once it
+    has been fingerprinted, or the memo goes stale.
+    """
+    memo = _FINGERPRINTS.get(program)
+    if memo is None:
+        memo = _FINGERPRINTS[program] = {}
+    key = memo.get(mem_seed)
+    if key is None:
+        key = memo[mem_seed] = fingerprint({
+            "kind": "trace",
+            "format": TRACE_FORMAT_VERSION,
+            "insts": list(program.insts),
+            "warm_regions": [list(r) for r in program.warm_regions],
+            "mem_seed": mem_seed,
+        })
+    return key
 
 
 class TraceStore:
@@ -100,7 +120,11 @@ class TraceStore:
 
     def _load_trace(self, key: str, refresh: bool = False
                     ) -> Optional[Trace]:
-        if not refresh:
+        # ``refresh`` re-reads what another process may have published;
+        # a memory-only store has no such source -- its memo *is* its
+        # storage, so a longer need extends the memoized trace instead
+        # of re-recording it from the start.
+        if not refresh or self._traces is None:
             trace = self._trace_memo.get(key)
             if trace is not None:
                 return trace

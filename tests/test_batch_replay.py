@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.batch.replay as batch_replay
+import repro.trace.replay as trace_replay
 from repro.batch import BatchCursor, SharedReplayWindow, run_batch
 from repro.core.config import ProcessorConfig
 from repro.core.simulator import simulate
@@ -151,10 +151,11 @@ def test_member_order_never_affects_results(store, perm):
 
 
 def test_python_fallback_matches_numpy(store, monkeypatch):
-    """The no-numpy record materialization is semantically identical."""
+    """The no-numpy record materialization (in the chunk decoder both
+    replay paths share) is semantically identical."""
     jobs = _jobs("mcf", FAMILIES["pubs"][:2])
     with_numpy = run_batch(jobs, trace_source=store)
-    monkeypatch.setattr(batch_replay, "_np", None)
+    monkeypatch.setattr(trace_replay, "_np", None)
     without = run_batch(jobs, trace_source=store)
     for a, b in zip(with_numpy, without):
         assert dataclasses.asdict(a) == dataclasses.asdict(b)

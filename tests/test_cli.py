@@ -130,9 +130,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "GM" in out and "sjeng" in out
 
-    def test_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "wrf", "-n", "100"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "wrf", "-n", "100"],
+        ["compare", "wrf"],
+        ["disasm", "wrf"],
+        ["suite", "--workloads", "sjeng", "wrf"],
+        ["verify", "--workload", "wrf"],
+        ["sample", "wrf"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_workload_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1  # one line, no traceback
+        assert "unknown workload 'wrf'" in err
+        assert "sjeng" in err and "mcf" in err  # the valid names
 
 
 class TestVerifyCommand:

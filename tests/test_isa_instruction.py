@@ -1,7 +1,10 @@
 """Unit tests for static instructions, programs, and the builder."""
 
+import dataclasses
+
 import pytest
 
+from repro.isa import opcodes
 from repro.isa import (
     INST_BYTES,
     Opcode,
@@ -33,12 +36,12 @@ class TestStaticInst:
 
     def test_sources_in_operand_order(self):
         inst = StaticInst(0, Opcode.ADD, dest=3, src1=7, src2=9)
-        assert inst.sources() == (7, 9)
+        assert inst.srcs == (7, 9)
 
     def test_sources_skips_missing(self):
         inst = StaticInst(0, Opcode.BEQZ, src1=5, target=0)
-        assert inst.sources() == (5,)
-        assert _mov(0, 1).sources() == ()
+        assert inst.srcs == (5,)
+        assert _mov(0, 1).srcs == ()
 
     def test_predicates(self):
         br = StaticInst(0, Opcode.BNE, src1=1, src2=2, target=0)
@@ -50,6 +53,43 @@ class TestStaticInst:
         inst = StaticInst(0, Opcode.ADD, dest=3, src1=33, src2=9)
         text = str(inst)
         assert "add" in text and "r3" in text and "f1" in text and "r9" in text
+
+
+class TestDecodeAttributes:
+    """Construction installs per-opcode decode attributes that mirror the
+    opcode tables, without becoming dataclass fields (content keys
+    canonicalize fields only, so they must not see them)."""
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+    def test_attributes_match_opcode_tables(self, op):
+        target = 0 if opcodes.is_branch(op) else None
+        inst = StaticInst(0, op, dest=3, src1=1, src2=2, target=target)
+        assert inst.is_branch == opcodes.is_branch(op)
+        assert inst.is_conditional_branch == opcodes.is_conditional_branch(op)
+        assert inst.is_load == opcodes.is_load(op)
+        assert inst.is_store == opcodes.is_store(op)
+        assert inst.is_mem == opcodes.is_mem(op)
+        assert inst.fu == opcodes.fu_class(op)
+        assert inst.latency == opcodes.latency(op)
+        assert inst.srcs == (1, 2)
+
+    def test_fields_unchanged(self):
+        assert [f.name for f in dataclasses.fields(StaticInst)] == [
+            "pc", "opcode", "dest", "src1", "src2", "imm", "target"]
+
+    def test_equality_and_replace_see_fields_only(self):
+        inst = StaticInst(0, Opcode.ADD, dest=3, src1=7, src2=9)
+        assert inst == StaticInst(0, Opcode.ADD, dest=3, src1=7, src2=9)
+        assert dataclasses.asdict(inst) == {
+            "pc": 0, "opcode": Opcode.ADD, "dest": 3, "src1": 7, "src2": 9,
+            "imm": 0, "target": None}
+        load = dataclasses.replace(inst, opcode=Opcode.LOAD, src2=None)
+        assert load.is_load and load.srcs == (7,)
+
+    def test_attributes_are_frozen(self):
+        inst = StaticInst(0, Opcode.ADD, dest=3, src1=7, src2=9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.is_mem = True
 
 
 class TestProgram:

@@ -173,6 +173,10 @@ def test_store_memory_only_when_not_persistent(tmp_path):
     # Still memoized in-process.
     assert store.acquire(PROGRAM, PROFILE.mem_seed, 1000) is not None
     assert store.captures == 1
+    # A longer need extends the memoized trace instead of re-recording.
+    longer = store.acquire(PROGRAM, PROFILE.mem_seed, 2 * REPLAY_MARGIN + 1)
+    assert len(longer) == 3 * REPLAY_MARGIN
+    assert store.captures == 1 and store.extensions == 1
 
 
 @pytest.mark.parametrize("damage", [
@@ -209,6 +213,30 @@ def test_store_warm_round_trip(tmp_path):
 
 def test_program_fingerprint_sensitive_to_seed():
     assert program_fingerprint(PROGRAM, 0) != program_fingerprint(PROGRAM, 1)
+
+
+def test_program_fingerprint_pinned():
+    """Trace and warm keys are content hashes of the program's fields.
+
+    Pinned on a fixed hand-built program: anything that leaks into the
+    canonical form -- say a decode attribute turned dataclass field --
+    changes every stored key, so it must fail here, loudly.
+    """
+    from repro.isa import Opcode, Program, StaticInst
+    program = Program("pinned", [
+        StaticInst(0, Opcode.MOVI, dest=1, imm=5),
+        StaticInst(4, Opcode.LOAD, dest=2, src1=1, imm=8),
+        StaticInst(8, Opcode.FADD, dest=33, src1=32, src2=34),
+        StaticInst(12, Opcode.STORE, src1=2, src2=1),
+        StaticInst(16, Opcode.BNEZ, src1=2, target=0),
+        StaticInst(20, Opcode.JUMP, target=4),
+    ], warm_regions=[(1 << 20, 4096)])
+    assert program_fingerprint(program, 7) == (
+        "f0cf4d019874f75e6c407d151b10e19dc232ac208eb8ec209d6dd276c0191458")
+    # Memoized per (program, mem_seed): equal programs share a key.
+    twin = Program("pinned", list(program.insts), program.warm_regions)
+    assert program_fingerprint(twin, 7) == program_fingerprint(program, 7)
+    assert program_fingerprint(program, 8) != program_fingerprint(program, 7)
 
 
 def _race_acquire(root):

@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import ProcessorConfig
 from repro.core.simulator import simulate
 from repro.trace import TraceExhaustedError, TraceReplayFrontEnd, capture_trace
+from repro.trace.replay import CHUNK, TAIL
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
@@ -113,24 +114,82 @@ def test_replay_resume_matches_live(store):
     assert dataclasses.asdict(replay.stats) == dataclasses.asdict(live.stats)
 
 
+@pytest.mark.parametrize("workload", ["sjeng", "astar"])
+def test_replay_resume_with_skip_matches_live(workload, store):
+    """run(n, skip) twice on one pipeline: replay == live.
+
+    The second run's warm span starts where the first run's fetch
+    stopped -- the cursor's ``high`` -- in both modes; how far the
+    chunked decoder has run ahead of fetch must not move it.  (These
+    workloads end the first run with no mispredicted branch in flight,
+    so the skip releases nothing an in-flight branch can rewind to.)
+    """
+    from repro.core.pipeline import Pipeline
+
+    profile = get_profile(workload)
+    program = build_program(profile)
+    live = Pipeline(program, BASE, mem_seed=profile.mem_seed)
+    replay = Pipeline(program, BASE.with_frontend("replay"),
+                      mem_seed=profile.mem_seed, trace_source=store)
+    for pipe in (live, replay):
+        pipe.run(800, skip_instructions=600)
+        pipe.run(800, skip_instructions=600)
+    assert dataclasses.asdict(replay.stats) == dataclasses.asdict(live.stats)
+
+
 def test_replay_frontend_cursor_semantics():
+    """Chunked decoding bounded by the window end; ``high`` is the fetch
+    position, not the decode position; released records stay released
+    and are freed."""
     profile = get_profile("sjeng")
     program = build_program(profile)
-    trace = capture_trace(program, profile.mem_seed, 50)
-    cursor = TraceReplayFrontEnd(trace, program)
+    trace = capture_trace(program, profile.mem_seed, 3 * CHUNK)
+    end = CHUNK + 100
+    cursor = TraceReplayFrontEnd(trace, program, end)
     first = cursor.get(0)
     assert first.seq == 0 and first.inst.pc == trace.pcs[0]
     assert cursor.get(10).seq == 10
-    assert cursor.retained == 11
+    assert cursor.decoded == CHUNK  # one whole chunk below the end...
+    assert cursor.high == 11  # ...but only what was fetched counts
     cursor.release(5)
-    assert cursor.retained == 6
     with pytest.raises(IndexError):
         cursor.get(4)  # below the low-water mark
-    cursor.release(40)  # jump past the materialized window
-    assert cursor.retained == 0 and cursor.high == 40
-    assert cursor.get(40).seq == 40
+    assert cursor.get(5) is not None
+    # A chunk never crosses the window end; past it, decoding advances
+    # TAIL records at a time.
+    assert cursor.get(end + 3).seq == end + 3
+    assert cursor.decoded == end + 4
+    cursor.get(end + 4)
+    assert cursor.decoded == end + 4 + TAIL and cursor.high == end + 5
+    # Releases free the records below the mark.
+    cursor.release(end)
+    assert cursor.retained == cursor.decoded - end
+    with pytest.raises(IndexError):
+        cursor.get(end - 1)
+    cursor.release(2 * CHUNK)  # jump past the decoded window
+    assert cursor.retained == 0 and cursor.high == 2 * CHUNK
+    assert cursor.get(2 * CHUNK).seq == 2 * CHUNK
     with pytest.raises(TraceExhaustedError):
-        cursor.get(50)  # past the captured stream
+        cursor.get(3 * CHUNK)  # past the captured stream
+
+
+def test_region_decoding_stays_within_acquired_need(store):
+    """A short sampled region decodes no further than its acquired need
+    (``end`` plus the fetch-ahead margin) -- and in fact no more than
+    one tail chunk past the furthest record it fetched."""
+    from repro.core.pipeline import Pipeline
+    from repro.trace.store import REPLAY_MARGIN
+
+    profile = get_profile("gcc")
+    start, measure = 6000, 500
+    pipe = Pipeline(build_program(profile),
+                    BASE.with_region(start, warmup=2000, detail=300),
+                    mem_seed=profile.mem_seed, trace_source=store)
+    pipe.run(measure)
+    cursor = pipe.cursor
+    assert cursor.high > start + measure  # fetch ran ahead of commit
+    assert cursor.decoded <= cursor.high + TAIL
+    assert cursor.decoded <= start + measure + REPLAY_MARGIN
 
 
 def test_replay_frontend_attach_requires_extension():
