@@ -21,14 +21,10 @@ Commands:
   expected-bottleneck contracts (§13)
 * ``worker``                    -- lease and execute jobs from a shared
   queue directory (the fabric's execution side, DESIGN.md §16)
-* ``serve``                     -- line-JSON sweep server: concurrent
-  clients submit ``RunRequest`` sweeps, cells stream back as they
-  finish, overlapping submissions dedup across clients
-* ``submit``                    -- run a suite *through the fabric*
-  (``--queue-dir`` pushes onto the shared queue, ``--host`` talks to a
-  ``repro serve``); renders the same table as ``suite``
-* ``status``                    -- fabric status: queue counts or serve
-  counters, plus recent cells with their top-down movers
+* ``submit``                    -- run a suite *through the shared
+  queue* (``--queue-dir``); renders the same table as ``suite``
+* ``status``                    -- queue counts plus recent cells with
+  their top-down movers
 
 Simulations run through the sweep executor: ``--jobs N`` (or ``REPRO_JOBS``)
 fans independent runs across worker processes, and results persist in the
@@ -50,6 +46,10 @@ JSON, DESIGN.md §16) as the baseline the flags override.  These shared
 flags are declared once per *flag family* (:func:`add_flag_families`)
 and follow one precedence everywhere: explicit flag > request file >
 environment > default.
+
+Input errors -- an unknown workload, an unreadable or malformed
+``--request-file``, a ``--queue-dir`` that cannot be created -- exit 2
+with one ``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ from .exec import (
     DEFAULT_LEASE_TTL,
     DEFAULT_MAX_ATTEMPTS,
     JobQueue,
-    ProcessPoolBackend,
     QueueBackend,
+    QueueDirError,
     ResultCache,
     SweepExecutor,
     WireError,
@@ -145,19 +145,19 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for fractions that must be > 0 (e.g. --ci-target).
+    """argparse type for quantities that must be > 0 (--ci-target,
+    submit's --timeout).
 
     Raising :class:`argparse.ArgumentTypeError` makes argparse exit
     with status 2 and the flag's own usage message, instead of a deep
-    ``ValueError`` traceback from the sampling layer.
+    traceback from the layer that would trip over the value.
     """
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive fraction, got {text}")
+    if not value > 0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -364,7 +364,13 @@ def _request_from_args(args) -> RunRequest:
     )
     request_file = getattr(args, "request_file", None)
     if request_file:
-        base = RunRequest.from_json(Path(request_file).read_text())
+        try:
+            text = Path(request_file).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise WireError(f"cannot read --request-file {request_file}: "
+                            f"{getattr(exc, 'strerror', None) or exc}"
+                            ) from exc
+        base = RunRequest.from_json(text)
         flags = base.with_overrides(**{
             field.name: getattr(flags, field.name)
             for field in dataclasses.fields(RunRequest)})
@@ -554,14 +560,12 @@ def _suite_configs(args) -> "tuple[ProcessorConfig, ProcessorConfig]":
 
 
 def _render_suite_table(names, results, use_paired: bool,
-                        executor: Optional[SweepExecutor] = None,
-                        summary_line: Optional[str] = None) -> int:
+                        executor: SweepExecutor) -> int:
     """Render a base-vs-variant suite result table (suite *and* submit).
 
-    One rendering path for every transport: results computed locally,
-    via the queue, or streamed from a serve all land here, which is
-    what makes "the submit table is bit-identical to the suite table"
-    checkable with a plain diff.
+    One rendering path for both transports: results computed locally
+    or via the queue land here, which is what makes "the submit table
+    is bit-identical to the suite table" checkable with a plain diff.
     """
     sampled_mode = any(isinstance(cell, WorkloadRun)
                        for cell in results["base"].values())
@@ -589,16 +593,13 @@ def _render_suite_table(names, results, use_paired: bool,
             row.append(ci_txt)
         rows.append(row)
         print(f"  {name}: {(speedup - 1.0) * 100.0:+.2f}%", file=sys.stderr)
-    if summary_line is None and executor is not None:
-        summary_line = executor.summary()
-    if summary_line:
-        print(f"  [{summary_line}]", file=sys.stderr)
+    print(f"  [{executor.summary()}]", file=sys.stderr)
     rows.sort(key=lambda r: (r[1], -r[2]))
     header = ["workload", "set", "branch MPKI", "LLC MPKI", "speedup %"]
     if sampled_mode:
         header.append("95% CI")
     print(render_table(header, rows))
-    if sampled_mode and executor is not None:
+    if sampled_mode:
         _print_spend([cell for row in results.values()
                       for cell in row.values()], executor)
     if dbp_ratios:
@@ -945,92 +946,32 @@ def _cmd_worker(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from .serve import SweepServer, serve_forever
-    if args.backend is not None or args.queue_dir is not None:
-        backend = create_backend(
-            args.backend if args.backend is not None else "queue",
-            jobs=args.jobs, queue_dir=args.queue_dir)
-    else:
-        # A persistent pool: serve submits many small unit lists over
-        # its lifetime, so per-call pool setup would dominate.
-        backend = ProcessPoolBackend(args.jobs, keep_pool=True)
-    server = SweepServer(backend=backend, cache=_cache_flag(args),
-                         jobs=args.jobs)
-
-    def ready(port: int) -> None:
-        print(f"repro serve: listening on {args.host}:{port} "
-              f"[backend {server.backend.describe()}]", file=sys.stderr)
-
-    try:
-        asyncio.run(serve_forever(server, args.host, args.port, ready=ready))
-    except KeyboardInterrupt:
-        print("serve interrupted", file=sys.stderr)
-    return 0
-
-
 def _cmd_submit(args) -> int:
     if _reject_sampling(args, "submit",
-                        "streams full per-cell results; run sampled "
+                        "runs full per-cell simulations; run sampled "
                         "estimation locally (e.g. suite --sampling) "
                         "over the queue backend"):
         return 2
     base, variant = _suite_configs(args)
     names = args.workloads or sorted(spec2006_profiles())
     req = _request_from_args(args)
-    if args.host:
-        from .serve import DEFAULT_PORT, submit_sweep
-
-        def on_cell(cell) -> None:
-            metrics = cell["metrics"]
-            how = "cached" if cell["cached"] else (
-                "deduped" if cell["deduped"] else "simulated")
-            print(f"  {cell['config']}/{cell['workload']}: "
-                  f"cpi {metrics['cpi']:.4f} "
-                  f"mover {cell['topdown']['mover']} [{how}]",
-                  file=sys.stderr)
-
-        port = args.port if args.port is not None else DEFAULT_PORT
-        reply = submit_sweep(args.host, port, req.resolved(),
-                             {"base": base, "variant": variant}, names,
-                             on_cell=on_cell)
-        counters = reply.summary.get("counters", {})
-        summary_line = " ".join(
-            f"{key}={value}" for key, value in counters.items())
-        return _render_suite_table(names, reply.results(), use_paired=True,
-                                   summary_line=summary_line)
     backend = QueueBackend(root=args.queue_dir,
                            local_workers=args.local_workers,
                            timeout=args.timeout)
     executor = SweepExecutor(jobs=args.jobs, cache=_cache_flag(args),
                              batch=args.batch, backend=backend)
-    results = run_suite({"base": base, "variant": variant}, names,
-                        request=req, executor=executor)
+    try:
+        results = run_suite({"base": base, "variant": variant}, names,
+                            request=req, executor=executor)
+    except TimeoutError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return _render_suite_table(names, results,
                                use_paired=req.resolved().paired is not False,
                                executor=executor)
 
 
 def _cmd_status(args) -> int:
-    from .serve import mover_text, topdown_summary
-    if args.host:
-        from .serve import DEFAULT_PORT, fetch_status
-        port = args.port if args.port is not None else DEFAULT_PORT
-        status = fetch_status(args.host, port)
-        recent = status.pop("recent", None) or []
-        print(render_table(["property", "value"],
-                           [[key, str(value)]
-                            for key, value in status.items()]))
-        if recent:
-            print()
-            print(render_table(
-                ["config", "workload", "CPI", "top mover"],
-                [[cell["config"], cell["workload"], f"{cell['cpi']:.4f}",
-                  f"{cell['mover']} {cell['mover_cpi']:.3f} CPI"]
-                 for cell in recent[-args.cells:]]))
-        return 0
     queue = JobQueue(args.queue_dir)
     counts = queue.counts()
     results = ResultCache(queue.root)
@@ -1045,11 +986,13 @@ def _cmd_status(args) -> int:
             result = results.get(key)
             if result is None:
                 continue
-            stats = result.stats
+            # The top mover: the dominant non-retiring top-down bucket.
+            breakdown = breakdown_of(result)
+            mover = breakdown.dominant_bucket
             cell_rows.append([
-                job.profile.name,
-                f"{stats.cycles / stats.committed:.4f}",
-                mover_text(topdown_summary(result))])
+                job.profile.name, f"{breakdown.cpi:.4f}",
+                "none" if mover is None else
+                f"{mover} {breakdown.cpi_contribution(mover):.3f} CPI"])
     if cell_rows:
         print()
         print(render_table(["workload", "CPI", "top mover"],
@@ -1245,49 +1188,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_wk.add_argument("--quiet", action="store_true",
                       help="no per-lease progress on stderr")
 
-    p_srv = sub.add_parser(
-        "serve",
-        help="serve sweep submissions over a line-JSON socket "
-             "(DESIGN.md §16)")
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=0,
-                       help="TCP port (default: an ephemeral port, "
-                            "printed on startup; the protocol default "
-                            "is 8723)")
-    add_flag_families(p_srv, "exec", "backend")
-
     p_sm = sub.add_parser(
-        "submit",
-        help="run a suite through the fabric (shared queue or a serve)",
+        "submit", help="run a suite through the shared queue",
         parents=shared)
     p_sm.add_argument("--workloads", nargs="*", default=None)
-    p_sm.add_argument("--host", default=None,
-                      help="submit to a repro serve at this host instead "
-                           "of the shared queue")
-    p_sm.add_argument("--port", type=int, default=None,
-                      help="serve port (default 8723)")
     p_sm.add_argument("--local-workers", type=_non_negative_int, default=0,
                       metavar="N",
-                      help="queue transport: also spawn N local drain "
-                           "workers (0 relies on external repro worker "
-                           "processes)")
-    p_sm.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                      help="queue transport: give up after this long "
+                      help="also spawn N local drain workers (0 relies on "
+                           "external repro worker processes)")
+    p_sm.add_argument("--timeout", type=_positive_float, default=None,
+                      metavar="SEC",
+                      help="give up after this many seconds "
                            "(default: wait forever)")
     _add_machine_args(p_sm)
     _add_budget_args(p_sm)
 
     p_stat = sub.add_parser(
-        "status", help="fabric status: queue counts or serve counters")
+        "status", help="queue counts and recent cells' top-down movers")
     p_stat.add_argument("--queue-dir", default=None, metavar="DIR",
                         help="inspect this queue directory (default: "
                              "REPRO_QUEUE_DIR or the cache's queue "
                              "namespace)")
-    p_stat.add_argument("--host", default=None,
-                        help="ask a repro serve instead of a queue "
-                             "directory")
-    p_stat.add_argument("--port", type=int, default=None,
-                        help="serve port (default 8723)")
     p_stat.add_argument("--cells", type=_positive_int, default=8,
                         metavar="N",
                         help="recent cells to summarize (default 8)")
@@ -1310,7 +1231,6 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "stress": _cmd_stress,
     "worker": _cmd_worker,
-    "serve": _cmd_serve,
     "submit": _cmd_submit,
     "status": _cmd_status,
 }
@@ -1339,6 +1259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
-    except WireError as exc:  # bad --request-file / fabric payload
+    except (WireError, QueueDirError) as exc:
+        # A bad --request-file or queue payload, or an unusable --queue-dir.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -358,7 +358,7 @@ class RunRequest:
 
     # ------------------------------------------------------------------
     # Wire codec (DESIGN.md §16): the canonical serialization for queue
-    # payloads, the serve protocol and the CLI --request-file flag.
+    # payloads and the CLI --request-file flag.
     # ------------------------------------------------------------------
 
     def to_wire(self) -> dict:

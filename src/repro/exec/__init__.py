@@ -61,6 +61,7 @@ from .queue import (
     JobQueue,
     LeasedJob,
     QueueBackend,
+    QueueDirError,
     default_queue_dir,
     run_worker,
     spawn_worker,
@@ -94,6 +95,7 @@ __all__ = [
     "LeasedJob",
     "ProcessPoolBackend",
     "QueueBackend",
+    "QueueDirError",
     "ResultCache",
     "SimJob",
     "SweepExecutor",

@@ -63,9 +63,6 @@ class ExecutionBackend(ABC):
         the sweep level, the queue owns retries at the lease level.
         """
 
-    def close(self) -> None:
-        """Release held resources (pools, connections).  Idempotent."""
-
     def describe(self) -> str:
         """One token for executor summaries (default: the name)."""
         return self.name
@@ -83,46 +80,25 @@ class InlineBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Fan units across local worker processes.
 
-    ``keep_pool=False`` (the default) reproduces the historical
-    executor behavior exactly: a pool sized ``min(jobs, len(units))``
-    is created per call and torn down after it, and a call that needs
-    at most one worker runs inline -- no pool, no pickling.
-
-    ``keep_pool=True`` holds one ``jobs``-wide pool across calls for
-    callers that submit many small unit lists over time (the serve
-    front end); :meth:`close` shuts it down.
+    Reproduces the historical executor behavior exactly: a pool sized
+    ``min(jobs, len(units))`` is created per call and torn down after
+    it, and a call that needs at most one worker runs inline -- no
+    pool, no pickling.
     """
 
     name = "process"
 
-    def __init__(self, jobs: Optional[int] = None,
-                 keep_pool: bool = False) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         from .executor import default_jobs  # late: executor imports us
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
-        self.keep_pool = keep_pool
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
 
     def run_units(self, units: Sequence[Unit]) -> List[UnitResults]:
         units = list(units)
-        if self.keep_pool:
-            futures = [self._ensure_pool().submit(execute_unit, unit)
-                       for unit in units]
-            return [future.result() for future in futures]
         workers = min(self.jobs, len(units))
         if workers <= 1:
             return [execute_unit(unit) for unit in units]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(execute_unit, units))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 # ----------------------------------------------------------------------

@@ -220,10 +220,6 @@ class SweepExecutor:
         """Run a single job (inline; still deduped against the cache)."""
         return self.run([job])[0]
 
-    def close(self) -> None:
-        """Release the backend's held resources (pools, connections)."""
-        self.backend.close()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

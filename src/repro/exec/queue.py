@@ -89,6 +89,10 @@ def default_queue_dir() -> Path:
     return default_cache_dir() / "queue"
 
 
+class QueueDirError(OSError):
+    """A queue directory that cannot be created."""
+
+
 @dataclass(frozen=True)
 class LeasedJob:
     """One leased unit: execute, heartbeat while long, then complete."""
@@ -129,7 +133,12 @@ class JobQueue:
         if max_attempts < 1:
             raise ValueError("max_attempts must be positive")
         self.root = Path(root) if root is not None else default_queue_dir()
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise QueueDirError(
+                f"cannot create queue directory {self.root}: "
+                f"{exc.strerror or exc}") from exc
         self.lease_ttl = float(lease_ttl)
         self.max_attempts = int(max_attempts)
         self._db = self.root / QUEUE_DB
@@ -487,6 +496,7 @@ __all__ = [
     "JobQueue",
     "LeasedJob",
     "QueueBackend",
+    "QueueDirError",
     "default_queue_dir",
     "run_worker",
     "spawn_worker",

@@ -1,10 +1,9 @@
 """Versioned JSON wire codec for run requests, jobs and fabric payloads.
 
-The distributed sweep fabric moves three kinds of values between
+The distributed sweep fabric moves two kinds of values between
 processes that do not share memory: queue payloads (``SimJob`` units a
-``repro worker`` leases), serve-protocol messages (``RunRequest`` plus
-machine configurations submitted by remote clients), and the CLI's
-``--request-file`` input.  All three share one canonical serialization,
+``repro worker`` leases) and the CLI's ``--request-file`` input
+(a ``RunRequest``).  Both share one canonical serialization,
 defined here, so a request round-trips bit-identically no matter which
 transport carried it.
 

@@ -44,13 +44,20 @@ class TestParser:
         worker = parser.parse_args(["worker", "--queue-dir", "/tmp/q",
                                     "--drain", "--max-jobs", "3"])
         assert worker.drain and worker.max_jobs == 3
-        serve = parser.parse_args(["serve"])
-        assert serve.host == "127.0.0.1" and serve.port == 0
         submit = parser.parse_args(["submit", "--workloads", "mcf",
-                                    "--host", "127.0.0.1"])
-        assert submit.host == "127.0.0.1" and submit.workloads == ["mcf"]
+                                    "--timeout", "30"])
+        assert submit.workloads == ["mcf"] and submit.timeout == 30.0
         status = parser.parse_args(["status", "--queue-dir", "/tmp/q"])
-        assert status.queue_dir == "/tmp/q" and status.host is None
+        assert status.queue_dir == "/tmp/q"
+        # The queue is the only cross-client path (no server, no --host),
+        # and a submit wait must be able to end.
+        for argv in (["serve"], ["submit", "--host", "127.0.0.1"],
+                     ["status", "--port", "8723"],
+                     ["submit", "--timeout", "0"],
+                     ["submit", "--timeout", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
 
 
 class TestRequestFile:
@@ -77,11 +84,75 @@ class TestRequestFile:
         assert request.instructions == 1500  # flag wins
         assert request.jobs == 4             # file fills the rest
 
-    def test_malformed_request_file_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("contents", ["{not json", None],
+                             ids=["malformed", "missing"])
+    def test_malformed_request_file_exits_two(self, contents, tmp_path,
+                                              capsys):
         path = tmp_path / "req.json"
-        path.write_text("{not json")
+        if contents is not None:
+            path.write_text(contents)
         assert main(["run", "sjeng", "--request-file", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1  # one line, no traceback
+
+
+def _table_cells(out: str) -> "list[list[str]]":
+    """The stripped cells of every row of the rendered tables in ``out``."""
+    return [[cell.strip() for cell in line.split("|")]
+            for line in out.splitlines() if "|" in line]
+
+
+class TestFabricCommands:
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--drain"],
+        ["submit", "--workloads", "mcf"],
+        ["status"],
+    ], ids=lambda argv: argv[0])
+    def test_unusable_queue_dir_exits_two(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        queue_dir = blocker / "q"  # cannot exist: its parent is a file
+        assert main(argv + ["--queue-dir", str(queue_dir)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1  # one line, no traceback
+        assert str(queue_dir) in err
+
+    def test_submit_timeout_is_one_error_line(self, tmp_path, capsys):
+        # No worker is attached, so the wait must give up cleanly.
+        assert main(["submit", "--queue-dir", str(tmp_path / "q"),
+                     "--timeout", "0.2", "--workloads", "mcf",
+                     "-n", "300", "--skip", "100", "--no-cache"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1  # one line, no traceback
+        assert "are any workers attached" in err
+
+    def test_status_reports_done_cells_and_their_top_mover(self, tmp_path,
+                                                           capsys):
+        from repro import ProcessorConfig
+        from repro.analysis import breakdown_of
+        from repro.exec import (JobQueue, ResultCache, SimJob, job_key,
+                                run_worker)
+
+        job = SimJob.make("sjeng", ProcessorConfig.cortex_a72_like(),
+                          300, 200)
+        key = job_key(job)
+        JobQueue(tmp_path).submit([(key, job)])
+        assert run_worker(tmp_path, drain=True) == 1
+
+        assert main(["status", "--queue-dir", str(tmp_path)]) == 0
+        rows = _table_cells(capsys.readouterr().out)
+        assert ["done", "1"] in rows
+        header = ["workload", "CPI", "top mover"]
+        assert header in rows
+        (cell,) = [row for row in rows if row[0] == "sjeng"]
+        breakdown = breakdown_of(ResultCache(tmp_path).get(key))
+        bucket = breakdown.dominant_bucket
+        assert cell[2] == (f"{bucket} "
+                           f"{breakdown.cpi_contribution(bucket):.3f} CPI")
+        assert cell[1] == f"{breakdown.cpi:.4f}"
 
 
 class TestCommands:
