@@ -1,7 +1,7 @@
-"""Harness throughput: parallel sweep scaling, simulator speed, trace replay.
+"""Harness throughput: parallel sweep scaling, sampling, batched replay.
 
 Not a paper figure -- this measures the reproduction's own performance.
-Three experiments share ``benchmarks/artifacts/perf_throughput.json``:
+These experiments share ``benchmarks/artifacts/perf_throughput.json``:
 
 ``sweep``
     A 4-workload x 2-config sweep (cache disabled, so every job simulates)
@@ -12,16 +12,6 @@ Three experiments share ``benchmarks/artifacts/perf_throughput.json``:
     parallel leg is *skipped* and the artifact says so
     (``parallel_skipped``) -- a 1-worker "parallel" run would only
     measure process-pool overhead and report a meaningless ~1x number.
-
-``frontend``
-    Replay vs live at a warmup-heavy budget (the regime the trace
-    front end exists for): 2 workloads x 4 warm-sharing PUBS configs,
-    sequentially on one core.  The live leg pays the functional warmup
-    per run; the replay leg captures each workload once, trains the warm
-    checkpoints once, and restores them for the other three configs.
-    End-to-end replay must take at least 1.5x less CPU time -- this is
-    the CI perf-regression gate -- and be bit-identical (asserted per
-    run).
 
 ``sampling``
     SimPoint-style sampled simulation vs the full run it estimates, on
@@ -95,17 +85,6 @@ from repro.workloads.profiles import get_profile
 WORKLOADS = ["sjeng", "gobmk", "gcc", "mcf"]
 ARTIFACT = Path(__file__).parent / "artifacts" / "perf_throughput.json"
 
-#: Frontend comparison budget: long warmup, short timed region -- the
-#: shape of a convergence-checked sweep point, where live mode spends
-#: most of its wall time in the functional skip loop.
-FRONTEND_WORKLOADS = ["sjeng", "gcc"]
-FRONTEND_INSTRUCTIONS = int(
-    os.environ.get("REPRO_BENCH_FRONTEND_INSTRUCTIONS", "2000"))
-FRONTEND_SKIP = int(os.environ.get("REPRO_BENCH_FRONTEND_SKIP", "40000"))
-#: Replay end-to-end (capture + warm + timed) must beat live by this much
-#: in CPU time.
-FRONTEND_MIN_SPEEDUP = 1.5
-
 #: Sampling comparison: the three smallest static programs in the bench
 #: set, at a span long enough for the per-window variance to matter.
 SAMPLING_WORKLOADS = ["mcf", "sjeng", "gcc"]
@@ -144,8 +123,7 @@ def _update_artifact(section, payload):
     # Drop anything that is not a current section (e.g. the pre-section
     # flat layout) so the artifact never accumulates stale keys.
     data = {k: v for k, v in data.items()
-            if k in ("sweep", "frontend", "sampling", "adaptive", "batched",
-                     "paired")}
+            if k in ("sweep", "sampling", "adaptive", "batched", "paired")}
     data[section] = payload
     ARTIFACT.write_text(json.dumps(data, indent=2) + "\n")
 
@@ -227,91 +205,6 @@ def test_perf_throughput(report):
 
 
 # ----------------------------------------------------------------------
-# Trace replay vs live front end
-# ----------------------------------------------------------------------
-
-def _frontend_configs():
-    """Four PUBS configs differing only in warm-excluded knobs, so every
-    run after the first restores the shared warm checkpoints."""
-    base = ProcessorConfig.cortex_a72_like()
-    pubs = base.pubs.with_overrides(enabled=True)
-    return [base.with_pubs(pubs.with_overrides(priority_entries=entries))
-            for entries in (4, 6, 8, 10)]
-
-
-def _timed_frontend_leg(frontend, programs, store):
-    start = _clock()
-    results = []
-    for workload, (program, mem_seed) in programs.items():
-        for cfg in _frontend_configs():
-            results.append(simulate(
-                program, cfg.with_frontend(frontend),
-                max_instructions=FRONTEND_INSTRUCTIONS,
-                skip_instructions=FRONTEND_SKIP,
-                mem_seed=mem_seed,
-                trace_source=store if frontend == "replay" else None))
-    cpu, wall = _since(start)
-    cycles = sum(r.stats.cycles for r in results)
-    return {
-        "cpu_seconds": cpu,
-        "wall_seconds": wall,
-        "runs": len(results),
-        "simulated_cycles": cycles,
-        "cycles_per_cpu_second": cycles / cpu if cpu > 0 else 0.0,
-    }, results
-
-
-def test_frontend_replay_speedup(report):
-    programs = {}
-    for workload in FRONTEND_WORKLOADS:
-        profile = get_profile(workload)
-        programs[workload] = (build_program(profile), profile.mem_seed)
-    store = TraceStore(persistent=False)  # capture cost counts as replay's
-
-    live, live_results = _timed_frontend_leg("live", programs, None)
-    replay, replay_results = _timed_frontend_leg("replay", programs, store)
-
-    for lv, rp in zip(live_results, replay_results):
-        assert dataclasses.asdict(rp.stats) == dataclasses.asdict(lv.stats), \
-            "replay must stay bit-identical to live"
-    speedup = live["cpu_seconds"] / replay["cpu_seconds"] \
-        if replay["cpu_seconds"] > 0 else 0.0
-
-    artifact = {
-        "workloads": FRONTEND_WORKLOADS,
-        "configs": len(_frontend_configs()),
-        "instructions": FRONTEND_INSTRUCTIONS,
-        "skip": FRONTEND_SKIP,
-        "live": live,
-        "replay": replay,
-        "trace_store": store.summary(),
-        "speedup": speedup,
-        "min_speedup": FRONTEND_MIN_SPEEDUP,
-    }
-    _update_artifact("frontend", artifact)
-
-    rows = [
-        ["runs per leg", str(live["runs"])],
-        ["budget (skip + timed)",
-         f"{FRONTEND_SKIP:,} + {FRONTEND_INSTRUCTIONS:,}"],
-        ["live CPU s (wall s)",
-         f"{live['cpu_seconds']:.2f} ({live['wall_seconds']:.2f})"],
-        ["replay CPU s (wall s)",
-         f"{replay['cpu_seconds']:.2f} ({replay['wall_seconds']:.2f})"],
-        ["replay cycles/CPU s", f"{replay['cycles_per_cpu_second']:,.0f}"],
-        ["CPU-time speedup",
-         f"{speedup:.2f}x (gate: {FRONTEND_MIN_SPEEDUP}x)"],
-        ["trace store", store.summary()],
-    ]
-    report(f"Trace replay vs live front end (artifact: {ARTIFACT.name})",
-           render_table(["metric", "value"], rows))
-
-    assert speedup >= FRONTEND_MIN_SPEEDUP, \
-        f"replay sweep must take >= {FRONTEND_MIN_SPEEDUP}x less CPU " \
-        f"time than live end to end, measured {speedup:.2f}x"
-
-
-# ----------------------------------------------------------------------
 # Sampled simulation vs full run
 # ----------------------------------------------------------------------
 
@@ -358,7 +251,7 @@ def test_sampling_accuracy_speedup(report):
             decode = _decode_throughput(program, trace)
 
         start = _clock()
-        full = simulate(program, cfg.with_frontend("replay"),
+        full = simulate(program, cfg,
                         max_instructions=SAMPLING_INSTRUCTIONS,
                         skip_instructions=SAMPLING_SKIP,
                         mem_seed=profile.mem_seed, trace_source=store)
@@ -471,7 +364,7 @@ def test_adaptive_sampling_honesty(report):
                       SAMPLING_SKIP + SAMPLING_INSTRUCTIONS + REPLAY_MARGIN)
         cells = {}
         for config_name, cfg in configs.items():
-            full = simulate(program, cfg.with_frontend("replay"),
+            full = simulate(program, cfg,
                             max_instructions=SAMPLING_INSTRUCTIONS,
                             skip_instructions=SAMPLING_SKIP,
                             mem_seed=profile.mem_seed, trace_source=store)
@@ -706,7 +599,7 @@ def test_paired_budget_reduction(report):
                       SAMPLING_SKIP + SAMPLING_INSTRUCTIONS + REPLAY_MARGIN)
         full_cpi = {}
         for config_name, cfg in configs.items():
-            full = simulate(program, cfg.with_frontend("replay"),
+            full = simulate(program, cfg,
                             max_instructions=SAMPLING_INSTRUCTIONS,
                             skip_instructions=SAMPLING_SKIP,
                             mem_seed=profile.mem_seed, trace_source=store)

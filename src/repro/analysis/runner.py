@@ -96,25 +96,6 @@ def _executor_for(jobs: Optional[int], cache: "Optional[bool]",
                          backend=backend)
 
 
-def _resolve_config(config: Optional[ProcessorConfig],
-                    frontend: Optional[str]) -> Optional[ProcessorConfig]:
-    """Fold the selected frontend mode into ``config``.
-
-    ``frontend`` wins when given; otherwise the ``REPRO_FRONTEND``
-    environment variable applies (read per call, so tests and benches can
-    flip it); otherwise the config passes through untouched.  An unknown
-    mode fails ``ProcessorConfig`` validation, not silently.
-    """
-    mode = frontend if frontend is not None \
-        else os.environ.get("REPRO_FRONTEND")
-    if not mode:
-        return config
-    cfg = config if config is not None else ProcessorConfig.cortex_a72_like()
-    if cfg.frontend_mode == mode:
-        return cfg
-    return cfg.with_frontend(mode)
-
-
 def _merge_request(request: Optional[RunRequest], **explicit) -> RunRequest:
     """Fold explicit keyword values over ``request`` and resolve the env.
 
@@ -207,7 +188,6 @@ def run_workload(
     instructions: Optional[int] = None,
     skip: Optional[int] = None,
     cache: Optional[bool] = None,
-    frontend: Optional[str] = None,
     jobs: Optional[int] = None,
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
@@ -219,8 +199,6 @@ def run_workload(
 
     ``cache=None`` follows the environment policy (persistent cache on
     unless ``REPRO_CACHE=0``); ``cache=False`` forces a fresh simulation.
-    ``frontend`` overrides the config's ``frontend_mode`` ("live" /
-    "replay"); None defers to ``REPRO_FRONTEND``, then to the config.
     ``sampling`` (None defers to ``REPRO_SAMPLING``, then "off") keeps
     the classic full-span :class:`SimulationResult` when off; the
     sampled modes return a :class:`WorkloadRun` estimate instead.
@@ -232,7 +210,7 @@ def run_workload(
     :class:`~repro.core.config.RunRequest`; explicit keywords win.
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
-                         jobs=jobs, cache=cache, frontend=frontend,
+                         jobs=jobs, cache=cache,
                          sampling=sampling, ci_target=ci_target, batch=batch,
                          backend=backend)
     if req.sampling != "off":
@@ -240,7 +218,6 @@ def run_workload(
                              _executor_for(req.jobs, req.cache, req.batch,
                                            req.backend))
     instructions, skip = _budget(req)
-    config = _resolve_config(config, req.frontend)
     job = SimJob.make(workload, config, instructions, skip)
     if req.cache is False:
         # Uncached fast path: no hashing, no disk.
@@ -272,11 +249,10 @@ def _sampled_row(workload: "str | WorkloadProfile",
     """
     from ..sampling.run import sample_workload_many  # runner <-> sampling
     profile = get_profile(workload) if isinstance(workload, str) else workload
-    cfgs = [_resolve_config(config, req.frontend) for config in configs]
     instructions, skip = _budget(req)
     try:
         sampled = sample_workload_many(
-            profile, cfgs, instructions=instructions, skip=skip,
+            profile, configs, instructions=instructions, skip=skip,
             strategy="adaptive" if req.sampling == "adaptive"
             else "simpoint",
             measure=req.measure, warmup=req.warmup, detail=req.detail,
@@ -286,8 +262,8 @@ def _sampled_row(workload: "str | WorkloadProfile",
             executor=executor)
         return [WorkloadRun(profile.name, sampled=run) for run in sampled]
     except (OSError, TraceFormatError) as exc:
-        fulls = executor.run([SimJob(profile, cfg, instructions, skip)
-                              for cfg in cfgs])
+        fulls = executor.run([SimJob.make(profile, cfg, instructions, skip)
+                              for cfg in configs])
         reason = f"{type(exc).__name__}: {exc}"
         return [WorkloadRun(profile.name, full=full, fallback_reason=reason)
                 for full in fulls]
@@ -322,8 +298,7 @@ def _sampled_table(profiles: "list[WorkloadProfile]",
     ci_target = DEFAULT_CI_TARGET if req.ci_target is None else req.ci_target
     controller = TableController(ci_target,
                                  paired=req.paired is not False)
-    cfgs = [_resolve_config(config, req.frontend)
-            for config in configs.values()]
+    cfgs = list(configs.values())
     fallback: "Dict[str, list[WorkloadRun]]" = {}
     for profile in profiles:
         try:
@@ -458,7 +433,6 @@ def run_pair(
     skip: Optional[int] = None,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
-    frontend: Optional[str] = None,
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     batch: Optional[int] = None,
@@ -475,12 +449,11 @@ def run_pair(
     carries over to the sampled one -- and the speedup CI is the paired
     jackknife over those shared windows unless ``paired`` resolves off.
     Either way both sides go through the executor in one submission, so
-    replay-mode pairs that share a warm class run as one batched trace
-    walk.  ``executor`` overrides the executor (e.g. to read its cache
+    pairs that share a warm class run as one batched trace walk.  ``executor`` overrides the executor (e.g. to read its cache
     stats afterwards).
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
-                         jobs=jobs, cache=cache, frontend=frontend,
+                         jobs=jobs, cache=cache,
                          sampling=sampling, ci_target=ci_target, batch=batch,
                          backend=backend, paired=paired)
     profile = get_profile(workload) if isinstance(workload, str) else workload
@@ -493,10 +466,8 @@ def run_pair(
                          use_paired=req.paired is not False)
     instructions, skip = _budget(req)
     base, variant = runner.run([
-        SimJob(profile, _resolve_config(base_config, req.frontend),
-               instructions, skip),
-        SimJob(profile, _resolve_config(variant_config, req.frontend),
-               instructions, skip),
+        SimJob(profile, base_config, instructions, skip),
+        SimJob(profile, variant_config, instructions, skip),
     ])
     return PairedRun(profile.name,
                      WorkloadRun(profile.name, full=base),
@@ -510,7 +481,6 @@ def run_suite(
     skip: Optional[int] = None,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
-    frontend: Optional[str] = None,
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     batch: Optional[int] = None,
@@ -526,7 +496,7 @@ def run_suite(
     the values are plain :class:`SimulationResult`\\ s and the whole
     cross product is submitted as one batch, so with ``jobs > 1`` (or
     ``REPRO_JOBS``) independent simulations run in parallel and
-    replay-mode configs sharing a warm class walk each trace once
+    configs sharing a warm class walk each trace once
     (:mod:`repro.batch`).  The sampled modes return
     :class:`WorkloadRun` cells instead -- each workload's configs
     sample the same windows and submit together, so every config of one
@@ -538,7 +508,7 @@ def run_suite(
     way (e.g. to read its cache stats afterwards).
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
-                         jobs=jobs, cache=cache, frontend=frontend,
+                         jobs=jobs, cache=cache,
                          sampling=sampling, ci_target=ci_target, batch=batch,
                          backend=backend, paired=paired,
                          table_budget=table_budget)
@@ -558,8 +528,7 @@ def run_suite(
         return results_by_config
     instructions, skip = _budget(req)
     batch = [
-        SimJob(profile, _resolve_config(config, req.frontend),
-               instructions, skip)
+        SimJob(profile, config, instructions, skip)
         for config in configs.values()
         for profile in profiles
     ]

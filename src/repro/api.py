@@ -10,9 +10,6 @@ keyword vocabulary:
     parallel worker processes (None -> ``REPRO_JOBS`` -> serial);
 ``cache``
     persistent result cache (None -> ``REPRO_CACHE`` policy);
-``frontend``
-    correct-path supply, ``"live"`` / ``"replay"``
-    (None -> ``REPRO_FRONTEND`` -> the config's own mode);
 ``sampling``
     ``"off"`` / ``"fixed"`` / ``"adaptive"``
     (None -> ``REPRO_SAMPLING`` -> off);

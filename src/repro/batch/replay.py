@@ -184,8 +184,6 @@ def run_batch(jobs: Sequence[SimJob],
     if not jobs:
         return []
     signature = batch_signature(jobs[0])
-    if signature is None:
-        raise ValueError("batched replay requires frontend_mode='replay'")
     for job in jobs[1:]:
         if batch_signature(job) != signature:
             raise ValueError(

@@ -31,10 +31,10 @@ fans independent runs across worker processes, and results persist in the
 on-disk cache (``REPRO_CACHE_DIR``; ``--no-cache`` or ``REPRO_CACHE=0``
 disables it).  ``--backend inline|process|queue`` (or ``REPRO_BACKEND``)
 picks where planned units execute, and ``--queue-dir`` points the queue
-backend at a shared directory (or ``REPRO_QUEUE_DIR``).  ``--frontend
-replay`` (or ``REPRO_FRONTEND=replay``) feeds
-the timing model from recorded traces instead of live functional execution
--- bit-identical results, much faster sweeps.  ``--sampling fixed|adaptive``
+backend at a shared directory (or ``REPRO_QUEUE_DIR``).  The timing model
+always replays recorded traces (DESIGN.md §9); ``--no-cache`` bypasses
+only the result cache, so traces and warm checkpoints still persist unless
+``REPRO_CACHE=0``.  ``--sampling fixed|adaptive``
 (or ``REPRO_SAMPLING``) estimates whole-span metrics from sampled regions
 instead of simulating everything, annotating every figure with its ~95% CI;
 ``--sampling adaptive`` keeps adding regions until the CI half-width falls
@@ -47,9 +47,11 @@ flags are declared once per *flag family* (:func:`add_flag_families`)
 and follow one precedence everywhere: explicit flag > request file >
 environment > default.
 
-Input errors -- an unknown workload, an unreadable or malformed
-``--request-file``, a ``--queue-dir`` that cannot be created -- exit 2
-with one ``error:`` line on stderr, never a traceback.
+Input errors -- an unknown workload, a non-positive ``-n`` or negative
+``--skip``, an unreadable or malformed ``--request-file``, a bad
+``REPRO_SAMPLING`` / ``REPRO_CI_TARGET`` value, a ``--queue-dir`` that
+cannot be created -- exit 2 with one ``error:`` line on stderr, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .api import (
     sample_workload,
 )
 from .core import ProcessorConfig
+from .core.config import EnvValueError
 from .core.stats import D_BP_BRANCH_MPKI_THRESHOLD
 from .exec import (
     CACHE_SCHEMA_VERSION,
@@ -114,10 +117,6 @@ def _machine_from_args(args) -> ProcessorConfig:
         ))
     if args.smt:
         cfg = cfg.with_smt(interleave=args.smt_interleave)
-    # Machine knobs only: --frontend is applied by each command (via the
-    # runner's frontend= parameter or an explicit with_frontend) so that
-    # compare/suite's "no machine flags -> default to PUBS" equality check
-    # is not defeated by a frontend-only difference.
     return cfg
 
 
@@ -239,15 +238,6 @@ def _backend_flags(parser: argparse.ArgumentParser) -> None:
                              "queue namespace)")
 
 
-@_flag_family("frontend")
-def _frontend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--frontend", default=None,
-                        choices=["live", "replay"],
-                        help="correct-path supply: live functional "
-                             "execution or trace replay (default: "
-                             "REPRO_FRONTEND, else live)")
-
-
 @_flag_family("sampling")
 def _sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampling", default=None,
@@ -289,8 +279,8 @@ def _shared_parent() -> argparse.ArgumentParser:
     :func:`_request_from_args` + ``RunRequest``.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    return add_flag_families(parent, "exec", "backend", "frontend",
-                             "sampling", "request")
+    return add_flag_families(parent, "exec", "backend", "sampling",
+                             "request")
 
 
 #: Budget the simulating subcommands apply when neither a flag nor a
@@ -302,10 +292,11 @@ CLI_SKIP = 10_000
 def _add_budget_args(parser: argparse.ArgumentParser) -> None:
     # default=None so a request file can supply the budget; the CLI
     # default applies last, in _request_from_args.
-    parser.add_argument("-n", "--instructions", type=int, default=None,
+    parser.add_argument("-n", "--instructions", type=_positive_int,
+                        default=None,
                         help="committed instructions to simulate "
                              f"(default {CLI_INSTRUCTIONS})")
-    parser.add_argument("--skip", type=int, default=None,
+    parser.add_argument("--skip", type=_non_negative_int, default=None,
                         help="instructions fast-forwarded for warm-up "
                              f"(default {CLI_SKIP})")
 
@@ -350,7 +341,6 @@ def _request_from_args(args) -> RunRequest:
         cache=False if getattr(args, "no_cache", False) else None,
         batch=getattr(args, "batch", None),
         backend=getattr(args, "backend", None),
-        frontend=getattr(args, "frontend", None),
         sampling=getattr(args, "sampling", None),
         ci_target=getattr(args, "ci_target", None),
         regions=getattr(args, "regions", None),
@@ -730,8 +720,7 @@ def _cmd_verify(args) -> int:
         try:
             # Always a fresh simulation: a cached result proves nothing.
             result = run_workload(name, config, args.instructions, args.skip,
-                                  cache=False, frontend=args.frontend,
-                                  sampling="off")
+                                  cache=False, sampling="off")
         except InvariantViolation as exc:
             failures += 1
             print(f"FAIL {name}")
@@ -842,8 +831,7 @@ def _cmd_sample(args) -> int:
                f"{run.misspec_penalty.point:.1f}"]
         if args.check_full:
             full = run_workload(name, config, args.instructions, args.skip,
-                                cache=_cache_flag(args), frontend="replay",
-                                sampling="off")
+                                cache=_cache_flag(args), sampling="off")
             error = sampled_vs_full_error(run, full)
             ok = error <= CPI_ERROR_GATE
             failures += not ok
@@ -879,8 +867,7 @@ def _cmd_profile(args) -> int:
         else args.instructions
     skip = CLI_SKIP if args.skip is None else args.skip
     result = run_workload(args.workload, config, instructions,
-                          skip, cache=False, frontend=args.frontend,
-                          sampling="off")
+                          skip, cache=False, sampling="off")
     profiler.disable()
     print(result.summary())
     print(f"\nTop {args.top} functions by cumulative time:")
@@ -1098,9 +1085,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=shared)
     p_smp.add_argument("workloads", nargs="*", default=None,
                        help="workloads to sample (default: all of them)")
-    p_smp.add_argument("-n", "--instructions", type=int, default=60_000,
+    p_smp.add_argument("-n", "--instructions", type=_positive_int,
+                       default=60_000,
                        help="timed span of the full run being estimated")
-    p_smp.add_argument("--skip", type=int, default=2_000,
+    p_smp.add_argument("--skip", type=_non_negative_int, default=2_000,
                        help="instructions before the timed span")
     p_smp.add_argument("--strategy", default="simpoint",
                        choices=["simpoint", "systematic", "adaptive"],
@@ -1259,7 +1247,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
-    except (WireError, QueueDirError) as exc:
-        # A bad --request-file or queue payload, or an unusable --queue-dir.
+    except (WireError, QueueDirError, EnvValueError) as exc:
+        # A bad --request-file or queue payload, an unusable --queue-dir,
+        # or an unusable REPRO_SAMPLING / REPRO_CI_TARGET value.
         print(f"error: {exc}", file=sys.stderr)
         return 2

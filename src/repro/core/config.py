@@ -15,6 +15,7 @@ processor size.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
@@ -110,18 +111,10 @@ class ProcessorConfig:
     #: "pollute" synthesizes near-recent-data addresses and really accesses
     #: the hierarchy, modelling wrong-path cache pollution/prefetch effects.
     wrong_path_memory: str = "idle"
-    #: Correct-path instruction supply: "live" steps a
-    #: :class:`~repro.isa.executor.FunctionalExecutor` alongside the timing
-    #: model; "replay" feeds the pipeline from a recorded trace with cached
-    #: post-warmup checkpoints (bit-identical results, much faster sweeps;
-    #: see DESIGN.md §9).  Part of the configuration hash, so the two modes
-    #: never share a cached result even though their stats are identical.
-    frontend_mode: str = "live"
     #: Replay a single sampled (warmup, measure) window instead of the
     #: trace prefix: timing starts at ``replay_region.start`` after
-    #: fast-forwarding warm state over the warmup residue.  Requires
-    #: ``frontend_mode="replay"`` (a live executor cannot jump).  None
-    #: replays from the beginning as usual.
+    #: fast-forwarding warm state over the warmup residue.  None replays
+    #: from the beginning as usual.
     replay_region: Optional[ReplayRegion] = None
     pubs: PubsConfig = field(default_factory=PubsConfig.disabled)
     seed: int = 1
@@ -165,13 +158,6 @@ class ProcessorConfig:
         if self.wrong_path_memory not in ("idle", "pollute"):
             raise ValueError(
                 f"unknown wrong-path memory policy: {self.wrong_path_memory}")
-        if self.frontend_mode not in ("live", "replay"):
-            raise ValueError(
-                f"unknown frontend mode: {self.frontend_mode}")
-        if self.replay_region is not None and self.frontend_mode != "replay":
-            raise ValueError(
-                "replay_region requires frontend_mode='replay' (a live "
-                "functional executor cannot start mid-stream)")
         if self.verify_level == "commit":  # accepted spelling of commit-only
             object.__setattr__(self, "verify_level", "commit-only")
         if self.verify_level not in ("off", "commit-only", "full"):
@@ -206,8 +192,17 @@ class ProcessorConfig:
         return replace(self, **kwargs)
 
     def with_frontend(self, mode: str) -> "ProcessorConfig":
-        """This machine with the given correct-path instruction supply."""
-        return replace(self, frontend_mode=mode)
+        """This machine, fed by the trace-replay front end.
+
+        Replay is the only timed front end, so ``"replay"`` returns this
+        config unchanged; kept so callers that name the front end still
+        work.
+        """
+        if mode != "replay":
+            raise ValueError(
+                f"unknown frontend mode: {mode!r} (the live front end was "
+                "removed; trace replay is the only timed front end)")
+        return self
 
     def with_smt(self, smt: SmtConfig = None, **knobs) -> "ProcessorConfig":
         """This machine with SMT interference enabled.
@@ -219,8 +214,8 @@ class ProcessorConfig:
 
     def with_region(self, start: int, warmup: int,
                     detail: int = 0) -> "ProcessorConfig":
-        """This machine replaying one sampled region (implies replay)."""
-        return replace(self, frontend_mode="replay",
+        """This machine replaying one sampled region."""
+        return replace(self,
                        replay_region=ReplayRegion(start, warmup, detail))
 
     def with_overrides(self, **kwargs) -> "ProcessorConfig":
@@ -233,13 +228,18 @@ class ProcessorConfig:
 SAMPLING_MODES = ("off", "fixed", "adaptive")
 
 
+class EnvValueError(ValueError):
+    """An environment variable :meth:`RunRequest.resolved` reads holds an
+    unusable value (the message names the variable and the value)."""
+
+
 @dataclass(frozen=True)
 class RunRequest:
     """How to run an experiment, separate from *what machine* runs it.
 
     :class:`ProcessorConfig` describes the simulated processor;
     ``RunRequest`` carries everything about the run itself -- budgets,
-    execution policy (worker count, result cache, frontend) and the
+    execution policy (worker count, result cache, backend) and the
     sampling mode -- so the high-level entry points
     (:mod:`repro.api`) share one plan object instead of re-growing the
     same keyword list.
@@ -269,8 +269,6 @@ class RunRequest:
     #: executor layer resolves the name; an unknown spec fails there
     #: with the registered names listed.
     backend: Optional[str] = None
-    #: Correct-path supply, "live"/"replay" (None -> ``REPRO_FRONTEND``).
-    frontend: Optional[str] = None
     #: One of :data:`SAMPLING_MODES` (None -> ``REPRO_SAMPLING`` -> off).
     sampling: Optional[str] = None
     #: Relative CI half-width adaptive sampling drives toward
@@ -301,9 +299,6 @@ class RunRequest:
             raise ValueError(
                 f"unknown sampling mode: {self.sampling!r} "
                 f"(expected one of {', '.join(SAMPLING_MODES)})")
-        if self.frontend is not None and self.frontend not in ("live",
-                                                               "replay"):
-            raise ValueError(f"unknown frontend mode: {self.frontend!r}")
         if self.backend is not None and not isinstance(self.backend, str):
             raise ValueError("backend must be a registered spec name")
         if self.ci_target is not None:
@@ -333,15 +328,28 @@ class RunRequest:
         tests and benches can flip them); explicit field values always
         win.  The returned request re-validates, so e.g. an environment
         sampling mode of ``off`` combined with an explicit ``ci_target``
-        fails here instead of being silently ignored.
+        fails here instead of being silently ignored.  An unusable
+        environment value raises :class:`EnvValueError`.
         """
         updates = {}
         if self.sampling is None:
-            updates["sampling"] = os.environ.get("REPRO_SAMPLING") or "off"
+            raw = os.environ.get("REPRO_SAMPLING") or "off"
+            if raw not in SAMPLING_MODES:
+                raise EnvValueError(
+                    f"REPRO_SAMPLING={raw!r} is not a sampling mode "
+                    f"(expected one of {', '.join(SAMPLING_MODES)})")
+            updates["sampling"] = raw
         if self.ci_target is None:
             raw = os.environ.get("REPRO_CI_TARGET")
             if raw:
-                updates["ci_target"] = float(raw)
+                try:
+                    value = float(raw)
+                except ValueError:
+                    value = math.nan
+                if not value > 0:  # also rejects NaN
+                    raise EnvValueError(
+                        f"REPRO_CI_TARGET={raw!r} is not a positive number")
+                updates["ci_target"] = value
         for name, env in (("paired", "REPRO_PAIRED"),
                           ("table_budget", "REPRO_TABLE_BUDGET")):
             if getattr(self, name) is None:

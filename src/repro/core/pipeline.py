@@ -7,23 +7,18 @@ function-unit mix, a reorder buffer committing in order, a load/store queue
 with store-to-load forwarding, checkpointed misprediction recovery, and the
 two-level cache hierarchy with a stream prefetcher.
 
-Execution is oracle-assisted trace-driven: a :class:`~repro.isa.executor.
-TraceCursor` supplies the architecturally-correct instruction stream; on a
-branch misprediction the front end walks the *static* code along the
-predicted path, injecting wrong-path uops that occupy rename registers, IQ
-entries, LSQ entries and function units until recovery -- the resource
-contention that makes issue priority matter.  Wrong-path branches never
-redirect fetch themselves and wrong-path memory ops do not touch the cache
-(standard trace-driven simplifications; see DESIGN.md).
-
-With ``config.frontend_mode == "replay"`` the live functional executor is
-replaced by a :class:`~repro.trace.replay.TraceReplayFrontEnd` over a
-recorded trace (DESIGN.md §9): correct-path records come from typed
-arrays, warmup restores cached post-skip checkpoints of the memory
-hierarchy and the predictor complex instead of re-training them, and only
-wrong-path fetch stays live (it is config-dependent, so it can never be
-part of a shared trace).  Replay is bit-identical to live execution --
-the golden-stats tests run both modes against the same expected stats.
+Execution is trace-driven: a :class:`~repro.trace.replay.
+TraceReplayFrontEnd` over a recorded trace (DESIGN.md §9) supplies the
+architecturally-correct instruction stream from typed arrays, and warmup
+restores cached post-skip checkpoints of the memory hierarchy and the
+predictor complex instead of re-training them.  On a branch misprediction
+the front end walks the *static* code along the predicted path, injecting
+wrong-path uops that occupy rename registers, IQ entries, LSQ entries and
+function units until recovery -- the resource contention that makes issue
+priority matter.  Wrong-path fetch is config-dependent, so it can never be
+part of a shared trace.  Wrong-path branches never redirect fetch
+themselves and wrong-path memory ops do not touch the cache (standard
+trace-driven simplifications; see DESIGN.md).
 
 Per-cycle processing order is commit, writeback, issue, dispatch, fetch, so
 results written back in cycle ``c`` can feed an issue in cycle ``c`` only
@@ -59,7 +54,6 @@ from ..iq.distributed import DistributedIssueQueue, DistributedSelectLogic
 from ..iq.ordered import CircularQueue, ShiftingQueue
 from ..iq.queue import IssueQueue
 from ..iq.select import SelectLogic
-from ..isa.executor import FunctionalExecutor, TraceCursor
 from ..isa.instruction import INST_BYTES, Program
 from ..memory.hierarchy import MemoryHierarchy
 from ..pubs.mode_switch import ModeSwitch
@@ -131,18 +125,13 @@ class Pipeline:
         cfg = self.config
         self.program = program
         self.mem_seed = mem_seed
-        #: Optional :class:`~repro.trace.store.TraceStore` override for
-        #: replay mode (tests inject a temp-dir store; None => the shared
-        #: environment-selected store).  Ignored in live mode.
+        #: Optional :class:`~repro.trace.store.TraceStore` override (tests
+        #: inject a temp-dir store; None => the shared environment-selected
+        #: store).
         self._trace_source = trace_source
-        if cfg.frontend_mode == "replay":
-            # No live executor: the cursor is built in run(), once the
-            # required trace length (skip + sample + margin) is known.
-            self.executor = None
-            self.cursor = None
-        else:
-            self.executor = FunctionalExecutor(program, mem_seed=mem_seed)
-            self.cursor = TraceCursor(self.executor)
+        #: The replay front end, built in run() once the required trace
+        #: length (skip + sample + margin) is known.
+        self.cursor = None
         self.predictor = build_predictor(cfg)
         self.btb = BranchTargetBuffer(cfg.predictor.btb_sets, cfg.predictor.btb_assoc)
         self.hierarchy = MemoryHierarchy(cfg.memory)
@@ -234,7 +223,7 @@ class Pipeline:
         #: SMT-interference co-runner (repro.core.smt): None when disabled
         #: -- the uncontended hot path pays one attribute check per commit.
         #: Injects only during timed commits (never the warm phase), so
-        #: live and replay runs see identical injection points.
+        #: injection points depend on the commit stream alone.
         self._smt = None
         if cfg.smt.enabled:
             from .smt import SmtInterference
@@ -248,24 +237,24 @@ class Pipeline:
             max_cycles: Optional[int] = None) -> SimStats:
         """Simulate until ``max_instructions`` commit.
 
-        ``skip_instructions`` fast-forwards the functional executor before
-        timing starts (the paper skips 16G instructions before its 100M
-        sample).  ``max_cycles`` bounds runaway simulations; a run that
-        exhausts it raises :class:`DeadlockError`.
+        ``skip_instructions`` fast-forwards warm state over the trace
+        before timing starts (the paper skips 16G instructions before its
+        100M sample).  ``max_cycles`` bounds runaway simulations; a run
+        that exhausts it raises :class:`DeadlockError`.  It also bounds
+        the trace: fetch takes at most ``fetch_width`` correct-path
+        records per cycle, so no more than that many records per cycle
+        are ever acquired.
         """
         if max_instructions < 1:
             raise ValueError("max_instructions must be positive")
-        if self.config.frontend_mode == "replay":
-            if self._replay_prepared:
-                self._replay_prepared = False
-            else:
-                self._prepare_replay(max_instructions, skip_instructions)
+        if self._replay_prepared:
+            self._replay_prepared = False
         else:
-            self._prewarm_regions()
-            for _ in range(skip_instructions):
-                self._warm(self.executor.step())
-                self._next_trace_seq += 1
-            self.cursor.release(self._next_trace_seq)
+            reach = max_instructions
+            if max_cycles is not None:
+                reach = min(reach,
+                            self.config.fetch_width * (max_cycles + 1))
+            self._prepare_replay(reach, skip_instructions)
         if self.verifier is not None:
             self.verifier.on_skip(skip_instructions)
         if self._pending_detail:
@@ -305,8 +294,9 @@ class Pipeline:
                     phase: str) -> None:
         """Advance cycles until ``commit_limit`` instructions committed.
 
-        The body of :meth:`step` with its lookups hoisted out of the
-        loop; a run past ``cycle_limit`` raises :class:`DeadlockError`.
+        Each cycle runs the five stages in order (see the module
+        docstring); a run past ``cycle_limit`` raises
+        :class:`DeadlockError`.
         """
         self._commit_limit = commit_limit
         stats = self.stats
@@ -352,45 +342,26 @@ class Pipeline:
             for addr in range(start, start + size, line):
                 l2.install(addr)
 
-    def _warm(self, record) -> None:
-        """Train warm-state structures with one skipped instruction.
-
-        The skip phase models fast-forwarding from a checkpoint: caches,
-        the branch predictor, the BTB and the confidence table see the
-        skipped stream (functionally, without timing), so timing starts
-        from a representative microarchitectural state.
-        """
-        inst = record.inst
-        line = inst.pc >> 6
-        if line != self._last_ifetch_line:
-            self.hierarchy.warm_ifetch(inst.pc)
-            self._last_ifetch_line = line
-        if record.mem_addr is not None:
-            self.hierarchy.warm_data(record.mem_addr)
-        elif inst.is_conditional_branch:
-            predicted = self.predictor.predict(inst.pc)
-            self.predictor.update(inst.pc, record.taken, predicted)
-            if record.taken:
-                self.btb.install(inst.pc, record.next_pc)
-            if self.config.pubs.enabled:
-                self.slice_tracker.on_branch_resolved(
-                    inst.pc, correct=predicted == record.taken
-                )
-
     # ------------------------------------------------------------------
-    # Replay front end (frontend_mode == "replay")
+    # Replay front end
     # ------------------------------------------------------------------
 
     def _prepare_replay(self, max_instructions: int,
                         skip_instructions: int) -> None:
-        """Acquire the trace and fast-forward warmup for a replay run.
+        """Acquire the trace and fast-forward warmup for a run.
 
-        Mirrors the live skip phase exactly.  On a fresh run the trained
-        post-skip state of the memory hierarchy and of the predictor
-        complex is restored from (or recorded into) the warm-checkpoint
-        store, so a sweep trains each component once, not once per config.
-        On a resumed run (``run`` called again) warm training continues
-        from the replay position on the live structures, as in live mode.
+        The skip phase models fast-forwarding from a checkpoint: caches,
+        the branch predictor, the BTB and the confidence table see the
+        skipped stream (functionally, without timing), so timing starts
+        from a representative microarchitectural state.  On a fresh run
+        the trained post-skip state of the memory hierarchy and of the
+        predictor complex is restored from (or recorded into) the
+        warm-checkpoint store, so a sweep trains each component once, not
+        once per config.  On a resumed run (``run`` called again) warm
+        training continues from the replay position on the machine's own
+        structures.  ``max_instructions`` is how far past the skip the
+        run can fetch; the trace is acquired that far plus the
+        fetch-ahead margin.
         """
         from ..trace.replay import TraceReplayFrontEnd  # deferred: import cycle
         from ..trace.store import REPLAY_MARGIN, shared_store
@@ -478,13 +449,14 @@ class Pipeline:
         self._last_ifetch_line = trace.pcs[skip - 1] >> 6
 
     def _warm_mem_span(self, trace, start: int, end: int) -> None:
-        """:meth:`_warm`'s memory-hierarchy half over trace records.
+        """Warm the memory hierarchy over trace records ``[start, end)``.
 
-        Most records are neither an I-line change nor a memory access;
-        when numpy is available the warm events are extracted
-        vectorized, so the Python loop only visits records that touch
-        the hierarchy -- same calls in the same order, so the resulting
-        warm state is bit-identical to the per-record walk.
+        Each new I-line is an instruction fetch and each memory record a
+        data access.  Most records are neither; when numpy is available
+        the warm events are extracted vectorized, so the Python loop only
+        visits records that touch the hierarchy -- same calls in the same
+        order, so the resulting warm state is bit-identical to the
+        per-record walk.
         """
         from ..trace.format import FLAG_MEM  # deferred: import cycle
         if end <= start:
@@ -524,11 +496,12 @@ class Pipeline:
         self._last_ifetch_line = last_line
 
     def _warm_front_span(self, trace, start: int, end: int) -> None:
-        """:meth:`_warm`'s predictor-complex half over trace records.
+        """Train the predictor complex over trace records ``[start, end)``.
 
         Vectorizes the branch-record scan like :meth:`_warm_mem_span`:
-        only conditional branches train the predictor complex, so the
-        Python loop skips straight to them.
+        only conditional branches train the predictor, the BTB and (with
+        PUBS) the confidence table, so the Python loop skips straight to
+        them.
         """
         from ..trace.format import FLAG_COND_BRANCH, FLAG_TAKEN  # deferred
         pcs = trace.pcs
@@ -560,19 +533,6 @@ class Pipeline:
             if pubs_on:
                 tracker.on_branch_resolved(pc,
                                            correct=predicted == taken)
-
-    def step(self) -> None:
-        """Advance one clock cycle."""
-        self.cycle += 1
-        self.stats.cycles += 1
-        self._commit()
-        self._writeback()
-        self._issue()
-        self._dispatch()
-        self._fetch()
-        self.stats.iq_occupancy_sum += self.iq.occupancy
-        if self.verifier is not None:
-            self.verifier.on_cycle()
 
     def _finalize_stats(self) -> None:
         base_llc, base_l1d, base_l1i = self._mem_stats_base
@@ -1020,7 +980,7 @@ class Pipeline:
         l1i_hit = hierarchy.l1i.config.hit_latency
         predictor = self.predictor
         btb = self.btb
-        get = self.cursor.get if self.cursor is not None else None
+        get = self.cursor.get
         stats = self.stats
         wrong_pc = self._wrong_path_pc
         on_trace = wrong_pc is None

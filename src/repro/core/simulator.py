@@ -38,9 +38,6 @@ class SimulationResult:
     verified_commits: int = 0
     #: Invariant sweeps performed (verify_level="full" only).
     invariant_sweeps: int = 0
-    #: How the correct path was supplied: "live" functional execution or
-    #: trace "replay" (bit-identical stats; recorded for provenance).
-    frontend_mode: str = "live"
 
     @property
     def ipc(self) -> float:
@@ -84,7 +81,6 @@ def result_from_pipeline(pipeline: Pipeline, stats) -> SimulationResult:
         verify_level=pipeline.config.verify_level,
         verified_commits=verifier.commits_checked if verifier else 0,
         invariant_sweeps=verifier.invariant_sweeps if verifier else 0,
-        frontend_mode=pipeline.config.frontend_mode,
     )
 
 
@@ -99,9 +95,9 @@ def simulate(
 ) -> SimulationResult:
     """Run one program on one machine configuration.
 
-    ``trace_source`` optionally injects a :class:`~repro.trace.store.
-    TraceStore` for ``frontend_mode="replay"`` runs (tests point it at a
-    temporary directory); None uses the shared environment-selected store.
+    ``trace_source`` optionally injects the :class:`~repro.trace.store.
+    TraceStore` the run replays from (tests point it at a temporary
+    directory); None uses the shared environment-selected store.
     """
     pipeline = Pipeline(program, config, mem_seed=mem_seed,
                         trace_source=trace_source)

@@ -15,9 +15,8 @@ structures -- a predictor lookup + update, a BTB install on taken, and a
 confidence-table training event when PUBS is on -- exactly the calls the
 pipeline's own warm path makes for a real branch.  Outcomes come from a
 private deterministic LCG, so a run with interference is exactly as
-reproducible as one without; the commit stream is identical in live and
-replay mode, so injection points (and therefore all stats) are
-bit-identical across front ends.
+reproducible as one without; injection points depend on the commit
+stream alone, so they (and therefore all stats) are deterministic.
 
 Co-runner branch PCs sit far above any generated program (programs start
 at 0 and span a few hundred KB at most) but alias into the same

@@ -10,7 +10,7 @@ deterministic (workload, config, budget) simulations.
    several sampled cells is simulated once even on a cold cache;
 2. serves what it can from the **persistent result cache**
    (:mod:`repro.exec.cache`);
-3. **groups** the remaining replay-mode misses by
+3. **groups** the remaining misses by
    :func:`~repro.exec.jobs.batch_signature` into :class:`~repro.exec.jobs.
    BatchJob` units (``--batch`` / ``REPRO_BATCH``; see :mod:`repro.batch`),
    so N same-window configs walk their trace once instead of N times;
@@ -152,9 +152,9 @@ class SweepExecutor:
     def _plan_units(self, misses: List[_Entry]) -> List[List[_Entry]]:
         """Group cache misses into execution units, request order kept.
 
-        Replay jobs sharing a :func:`batch_signature` form one unit (up
-        to ``self.batch`` members; larger groups split); live-mode jobs
-        and singletons stay individual units.
+        Jobs sharing a :func:`batch_signature` form one unit (up to
+        ``self.batch`` members; larger groups split); singletons stay
+        individual units.
         """
         if self.batch < 2:
             return [[entry] for entry in misses]
@@ -162,9 +162,6 @@ class SweepExecutor:
         buckets: Dict[str, List[_Entry]] = {}
         for entry in misses:
             signature = batch_signature(entry[1])
-            if signature is None:
-                sequence.append([entry])
-                continue
             bucket = buckets.get(signature)
             if bucket is None:
                 bucket = buckets[signature] = [entry]

@@ -14,12 +14,12 @@ builder, same ``mem_seed``) so a job result is bit-identical to a direct
 call -- the determinism contract the parallel path is tested against.
 
 The key hashes the *entire* ``ProcessorConfig``, so knobs that change how
-a result is produced without changing its value -- ``verify_level``,
-``frontend_mode`` -- still produce distinct keys: a cache hit always tells
-the truth about the run's provenance.  Replay-mode jobs reach the shared
-:class:`~repro.trace.store.TraceStore` through the same ``REPRO_CACHE_DIR``
-root in every worker process, so the capture pass runs once per workload,
-not once per worker.
+a result is produced without changing its value -- ``verify_level`` --
+still produce distinct keys: a cache hit always tells the truth about the
+run's provenance.  Every job replays a recorded trace and reaches the
+shared :class:`~repro.trace.store.TraceStore` through the same
+``REPRO_CACHE_DIR`` root in every worker process, so the capture pass runs
+once per workload, not once per worker.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def execute_job(job: SimJob) -> SimulationResult:
     )
 
 
-def batch_signature(job: SimJob) -> Optional[str]:
-    """Content hash of the state a batched replay run may share, or None.
+def batch_signature(job: SimJob) -> str:
+    """Content hash of the state a batched replay run may share.
 
     Two jobs may ride in one batch exactly when this signature matches:
     same workload, budget and replay window, same memory configuration
@@ -88,12 +88,9 @@ def batch_signature(job: SimJob) -> Optional[str]:
     *outside* the signature only steers per-member timing state
     (priority entries, stall policy, mode switching, IQ organization,
     window sizes, verification level), which each batch member keeps
-    privately.  Live-mode jobs return None: they have no shared trace
-    to walk.
+    privately.
     """
     cfg = job.config
-    if cfg.frontend_mode != "replay":
-        return None
     return fingerprint({
         "batch": CACHE_SCHEMA_VERSION,
         "profile": job.profile,
@@ -121,8 +118,6 @@ class BatchJob:
         if not self.jobs:
             raise ValueError("a batch needs at least one job")
         signatures = {batch_signature(job) for job in self.jobs}
-        if None in signatures:
-            raise ValueError("batched execution requires replay-mode jobs")
         if len(signatures) > 1:
             raise ValueError(
                 "batch members must share workload, budget, replay window, "

@@ -50,7 +50,9 @@ from typing import Any
 #: counters became disjoint (priority stalls no longer double-count into
 #: iq_full_stall_cycles) -- cached v5 stats would fail the new
 #: topdown-cycle-accounting invariant, so every key rolls over.
-CACHE_SCHEMA_VERSION = 6
+#: v7: trace replay became the only timed front end -- ProcessorConfig
+#: and SimulationResult lost frontend_mode, so every key rolls over.
+CACHE_SCHEMA_VERSION = 7
 
 
 def canonicalize(obj: Any) -> Any:

@@ -9,7 +9,6 @@ from .executor import (
     DynamicOp,
     FunctionalExecutor,
     SparseMemory,
-    TraceCursor,
     mix64,
     to_signed,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "DynamicOp",
     "FunctionalExecutor",
     "SparseMemory",
-    "TraceCursor",
     "mix64",
     "to_signed",
     "INST_BYTES",

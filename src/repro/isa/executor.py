@@ -3,7 +3,8 @@
 The timing simulator in :mod:`repro.core` is trace-driven on the correct
 path: a :class:`FunctionalExecutor` runs the program architecturally and
 produces the true dynamic instruction stream (branch outcomes, memory
-addresses).  Wrong-path instructions are fetched from the static code by the
+addresses), which trace capture records for replay and the verification
+oracle re-executes independently.  Wrong-path instructions are fetched from the static code by the
 timing model itself and never touch architectural state, exactly as in a
 conventional oracle-assisted simulator.
 
@@ -202,49 +203,3 @@ class FunctionalExecutor:
         while True:
             yield self.step()
 
-
-class TraceCursor:
-    """Random-access window over a functional trace.
-
-    The timing model consumes trace records mostly sequentially but must
-    *rewind* after a branch misprediction (re-fetching the squashed
-    correct-path instructions).  The cursor materializes records on demand
-    and retains them until :meth:`release` advances the low-water mark
-    (called at commit), bounding memory to the in-flight window.
-    """
-
-    def __init__(self, executor: FunctionalExecutor):
-        self._executor = executor
-        self._buffer: List[DynamicOp] = []
-        self._base = 0  # seq number of _buffer[0]
-
-    def get(self, seq: int) -> DynamicOp:
-        """The trace record with dynamic sequence number ``seq``."""
-        if seq < self._base:
-            raise IndexError(
-                f"trace record {seq} already released (base={self._base})"
-            )
-        while seq >= self._base + len(self._buffer):
-            self._buffer.append(self._executor.step())
-        return self._buffer[seq - self._base]
-
-    def release(self, seq: int) -> None:
-        """Discard records with sequence numbers below ``seq``.
-
-        ``seq`` may run ahead of what has been materialized (the skip-phase
-        steps the executor directly); the low-water mark then simply jumps
-        forward to match the executor's position.
-        """
-        if seq <= self._base:
-            return
-        drop = seq - self._base
-        if drop >= len(self._buffer):
-            self._buffer.clear()
-        else:
-            del self._buffer[:drop]
-        self._base = seq
-
-    @property
-    def retained(self) -> int:
-        """Number of records currently buffered (for tests)."""
-        return len(self._buffer)

@@ -9,8 +9,9 @@ See DESIGN.md §9.  Public surface:
   ArchCheckpoint` and the encode/decode pair -- the versioned,
   checksummed on-disk format;
 * :class:`~repro.trace.replay.TraceReplayFrontEnd` -- the cursor the
-  pipeline fetches correct-path records from in ``frontend_mode=
-  "replay"``;
+  pipeline fetches correct-path records from (replay is the only timed
+  front end; the functional executor feeds capture and the verification
+  oracle);
 * :class:`~repro.trace.store.TraceStore` / :func:`~repro.trace.store.
   shared_store` -- content-addressed persistence for traces and warm
   microarchitectural checkpoints.

@@ -1,17 +1,16 @@
 """The trace-replay front end: feeds the pipeline from a recorded trace.
 
-:class:`TraceReplayFrontEnd` is a drop-in replacement for
-:class:`~repro.isa.executor.TraceCursor`: the pipeline's fetch stage asks
-for correct-path records by dynamic sequence number (rewinding after
+:class:`TraceReplayFrontEnd` is the pipeline's correct-path supply: the
+fetch stage asks for records by dynamic sequence number (rewinding after
 mispredictions), and commit advances a low-water mark through
-:meth:`release`.  Instead of stepping a live functional executor, records
-are decoded from the trace's typed arrays by :class:`ReplayWindow`, the
+:meth:`release`.  Records are decoded from the trace's typed arrays by
+:class:`ReplayWindow`, the
 chunked materializer this front end shares with the batched replay path
 (:mod:`repro.batch`): a numpy structure-of-arrays pass per chunk, with no
 architectural execution on the hot path.
 
 Wrong-path fetch is *not* served here: the pipeline keeps walking the
-static code itself, exactly as in live mode, because wrong-path behaviour
+static code itself, because wrong-path behaviour
 depends on the machine configuration (predictor state, BTB contents) and
 therefore cannot be part of a config-independent trace.
 """
@@ -156,11 +155,10 @@ class ReplayWindow:
 
 
 class TraceReplayFrontEnd(ReplayWindow):
-    """Cursor-compatible window over a recorded trace.
+    """Random-access cursor over a recorded trace.
 
-    Mirrors :class:`~repro.isa.executor.TraceCursor`: random access below
-    the low-water mark :meth:`release` advances is an error, and records
-    below it are freed (in amortized batches: once they are at least
+    Random access below the low-water mark :meth:`release` advances is an
+    error, and records below it are freed (in amortized batches: once they are at least
     half the buffer), bounding memory to the in-flight window plus the
     decoded chunk ahead of it.
     """
@@ -184,10 +182,9 @@ class TraceReplayFrontEnd(ReplayWindow):
     def high(self) -> int:
         """Sequence number just past the highest record fetched.
 
-        The replay analogue of the live executor's position, which is
-        what a resumed run's warmup starts from -- *not* how far the
-        chunked decoder has run ahead.  A release past every fetched
-        record moves it to the release mark, as in live mode.
+        The stream position a resumed run's warmup starts from -- *not*
+        how far the chunked decoder has run ahead.  A release past every
+        fetched record moves it to the release mark.
         """
         return max(self._low, self._fetched)
 
@@ -207,9 +204,9 @@ class TraceReplayFrontEnd(ReplayWindow):
     def release(self, seq: int) -> None:
         """Discard records with sequence numbers below ``seq``.
 
-        As with the live cursor, ``seq`` may run ahead of what has been
-        decoded (the warmup fast-forward skips whole prefixes); decoding
-        then resumes from the new mark.
+        ``seq`` may run ahead of what has been decoded (the warmup
+        fast-forward skips whole prefixes); decoding then resumes from
+        the new mark.
         """
         if seq <= self._low:
             return

@@ -97,17 +97,12 @@ class PipelineVerifier:
             self.check_invariants()
 
     def on_run_end(self) -> None:
-        if self.pipeline.executor is not None:
-            self.oracle.finish(self.pipeline.executor,
-                               cycle=self.pipeline.cycle)
-        else:
-            # Replay mode has no live executor; the trace's end checkpoint
-            # is the reference architectural state instead (it sits at or
-            # past every committed record, and functional execution is
-            # deterministic).
-            self.oracle.finish_against_checkpoint(
-                self.pipeline.cursor.trace.end_checkpoint,
-                cycle=self.pipeline.cycle)
+        # The trace's end checkpoint is the reference architectural state:
+        # it sits at or past every committed record, and functional
+        # execution is deterministic.
+        self.oracle.finish_against_checkpoint(
+            self.pipeline.cursor.trace.end_checkpoint,
+            cycle=self.pipeline.cycle)
         if self.level == "full":
             self.check_invariants()
 

@@ -11,13 +11,14 @@ flag -- against what in-order execution actually produces.  Sequence
 numbers are checked for gaplessness, so a dropped, duplicated or reordered
 commit is caught on the spot.
 
-At the end of a run, :meth:`finish` advances a *clone* of the oracle state
-to the main executor's position and diffs the full architectural state
-(registers, PC, every memory word ever written).  Any corruption of the
-shared functional state by the timing model -- the failure mode that turns
-into silently wrong IPC numbers -- shows up as a concrete register or word
-mismatch.  The clone keeps ``finish`` non-destructive, so a pipeline can be
-resumed (``run`` called again) after a checked run.
+At the end of a run, :meth:`finish_against_checkpoint` advances a *clone*
+of the oracle state to the trace's end checkpoint and diffs the full
+architectural state (registers, PC, every memory word ever written);
+:meth:`finish` does the same against any functional executor.  A capture
+that disagrees with independent in-order execution -- the failure mode
+that turns into silently wrong IPC numbers -- shows up as a concrete
+register or word mismatch.  The clone keeps the diff non-destructive, so a
+pipeline can be resumed (``run`` called again) after a checked run.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class CommitOracle:
                              "pipeline executor", cycle)
 
     def finish_against_checkpoint(self, checkpoint, cycle: int = None) -> None:
-        """End-of-run state check for replay runs (no live executor).
+        """End-of-run state check against the recorded trace.
 
         ``checkpoint`` is the trace's end
         :class:`~repro.trace.format.ArchCheckpoint`; the oracle clone is

@@ -8,9 +8,9 @@ default-knob run plus the knob sweep through the ordinary
 :func:`~repro.core.simulator.simulate` entry point and returns a
 :class:`~repro.workloads.stress.assertions.FamilyReport`.
 
-Families run *live* and uncached by design: they are bottleneck probes for
-the timing model itself, a few thousand instructions each, and must keep
-working when the cache/trace machinery is what's being debugged.
+Families bypass the result cache by design: they are bottleneck probes for
+the timing model itself, a few thousand instructions each, so every run
+re-simulates (replaying its kernel's recorded trace, like any run).
 """
 
 from __future__ import annotations

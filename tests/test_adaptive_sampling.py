@@ -38,16 +38,6 @@ def _result(cycles, committed, penalty=0, mispredictions=0):
         missspec_penalty_cycles=penalty, mispredictions=mispredictions))
 
 
-@pytest.fixture
-def isolated_store(monkeypatch, tmp_path):
-    from repro.trace import store as store_module
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    store_module.reset_shared_stores()
-    yield
-    store_module.reset_shared_stores()
-
-
 # ----------------------------------------------------------------------
 # Error model: jackknife, CI floor, zero-point honesty
 # ----------------------------------------------------------------------
@@ -177,8 +167,8 @@ class TestRunRequest:
     def test_validation(self):
         with pytest.raises(ValueError):
             RunRequest(sampling="psychic")
-        with pytest.raises(ValueError):
-            RunRequest(frontend="psychic")
+        with pytest.raises(TypeError):  # replay is the only front end
+            RunRequest(frontend="replay")
         with pytest.raises(ValueError):
             RunRequest(ci_target=-1.0)
         with pytest.raises(ValueError):
@@ -219,12 +209,12 @@ class TestRunRequest:
         from repro.cli import _request_from_args, build_parser
         args = build_parser().parse_args(
             ["run", "sjeng", "-n", "5000", "--skip", "700", "--jobs", "2",
-             "--no-cache", "--frontend", "replay",
+             "--no-cache",
              "--sampling", "adaptive", "--ci-target", "0.02"])
         req = _request_from_args(args)
         assert req.instructions == 5000 and req.skip == 700
         assert req.jobs == 2 and req.cache is False
-        assert req.frontend == "replay"
+        assert not hasattr(req, "frontend")
         assert req.sampling == "adaptive"
         assert req.ci_target == pytest.approx(0.02)
 

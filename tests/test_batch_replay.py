@@ -29,7 +29,7 @@ from tests.test_pipeline_golden import GOLDEN_STATS
 from tests.test_pipeline_golden import INSTRUCTIONS as GOLDEN_INSTRUCTIONS
 from tests.test_pipeline_golden import SKIP as GOLDEN_SKIP
 
-BASE = ProcessorConfig.cortex_a72_like().with_frontend("replay")
+BASE = ProcessorConfig.cortex_a72_like()
 INSTRUCTIONS = 1500
 SKIP = 1500
 
@@ -107,7 +107,7 @@ def test_batch_matches_sequential_region_full_prefix(store):
 
 def test_batch_reproduces_seed_goldens(store):
     """Batched members reproduce the pre-optimization golden counters."""
-    base = ProcessorConfig.cortex_a72_like().with_frontend("replay")
+    base = ProcessorConfig.cortex_a72_like()
     pubs_jobs = _jobs("sjeng",
                       [base.with_pubs(),
                        base.with_pubs(PubsConfig(priority_entries=4)),
@@ -164,12 +164,6 @@ def test_python_fallback_matches_numpy(store, monkeypatch):
 # ----------------------------------------------------------------------
 # Batch admission rules
 # ----------------------------------------------------------------------
-
-def test_live_jobs_have_no_signature():
-    job = SimJob(get_profile("sjeng"), ProcessorConfig.cortex_a72_like(),
-                 100, 0)
-    assert batch_signature(job) is None
-
 
 def test_mixed_signatures_rejected(store):
     mixed = _jobs("sjeng", [BASE]) + _jobs("mcf", [BASE])
@@ -278,19 +272,3 @@ def test_executor_drops_cached_members_from_batch(tmp_path, monkeypatch):
     sequential = SweepExecutor(jobs=1, cache=False, batch=0).run(jobs)
     for a, b in zip(results, sequential):
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-
-def test_executor_mixes_live_and_replay_units(tmp_path, monkeypatch):
-    """Live jobs become singleton units next to the replay batch."""
-    from repro.trace.store import reset_shared_stores
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    reset_shared_stores()
-    live = SimJob(get_profile("mcf"), ProcessorConfig.cortex_a72_like(),
-                  INSTRUCTIONS, SKIP)
-    jobs = _jobs("sjeng", FAMILIES["pubs"][:2]) + [live]
-    executor = SweepExecutor(jobs=1, cache=False, batch=8)
-    results = executor.run(jobs)
-    assert executor.batches_run == 1
-    assert executor.batched_jobs == 2
-    assert results[2].frontend_mode == "live"
-    assert "batched=2" in executor.summary()

@@ -1,6 +1,6 @@
 """Property test: the batch signature partitions jobs exactly right.
 
-Two replay jobs may share one batched trace walk iff they agree on the
+Two jobs may share one batched trace walk iff they agree on the
 warm-class state -- workload, budget, replay window, memory configuration
 and the warmup-trained front-end slice.  Everything else is a
 timing-steering knob each member keeps privately.  The property, over
@@ -25,7 +25,7 @@ from repro.exec.jobs import SimJob, batch_signature
 from repro.pubs import PubsConfig
 from repro.workloads import get_profile
 
-BASE = ProcessorConfig.cortex_a72_like().with_frontend("replay")
+BASE = ProcessorConfig.cortex_a72_like()
 PROFILE = get_profile("sjeng")
 INSTRUCTIONS, SKIP = 3000, 2000
 
@@ -107,12 +107,7 @@ def test_any_warm_class_difference_splits_the_signature(split):
     assert batch_signature(left()) != batch_signature(right())
 
 
-def test_live_jobs_have_no_signature():
-    live = _job(ProcessorConfig.cortex_a72_like())
-    assert batch_signature(live) is None
-
-
 def test_signature_is_stable_across_equal_builds():
-    a = _job(ProcessorConfig.cortex_a72_like().with_frontend("replay"))
-    b = _job(ProcessorConfig.cortex_a72_like().with_frontend("replay"))
+    a = _job(ProcessorConfig.cortex_a72_like())
+    b = _job(ProcessorConfig.cortex_a72_like())
     assert batch_signature(a) == batch_signature(b)

@@ -216,6 +216,37 @@ class TestCommands:
         assert "unknown workload 'wrf'" in err
         assert "sjeng" in err and "mcf" in err  # the valid names
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "sjeng"],
+        ["suite", "--workloads", "sjeng"],
+        ["compare", "sjeng"],
+        ["profile", "sjeng"],
+        ["sample", "sjeng"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_budget_flags_exit_two(self, argv, capsys):
+        for bad in (["-n", "0"], ["-n", "-5"], ["--skip", "-1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + bad)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert bad[0].lstrip("-") in err  # names the offending flag
+
+    @pytest.mark.parametrize("variable,value", [
+        ("REPRO_SAMPLING", "bogus"),
+        ("REPRO_CI_TARGET", "abc"),
+    ])
+    def test_bad_environment_value_exits_two(self, variable, value,
+                                             monkeypatch, capsys):
+        if variable == "REPRO_CI_TARGET":
+            monkeypatch.setenv("REPRO_SAMPLING", "adaptive")
+        monkeypatch.setenv(variable, value)
+        assert main(["run", "sjeng", "-n", "500", "--skip", "100"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1  # one line, no traceback
+        assert err.startswith("error:")
+        assert f"{variable}={value!r}" in err
+
 
 class TestVerifyCommand:
     def test_verify_single_workload_full(self, capsys):
@@ -260,15 +291,6 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sample", "--strategy", "psychic"])
 
-    @pytest.fixture
-    def isolated_store(self, monkeypatch, tmp_path):
-        from repro.trace import store as store_module
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store_module.reset_shared_stores()
-        yield
-        store_module.reset_shared_stores()
-
     def test_sample_estimates(self, capsys, isolated_store):
         assert main(["sample", "mcf", "-n", "6000", "--skip", "1000",
                      "--no-cache"]) == 0
@@ -305,19 +327,21 @@ class TestVerifyCommand:
                      "--skip", "500", "--interval", "0"]) == 0
 
     def test_suite_replay_matches_live(self, capsys, isolated_store):
-        # Regression: --frontend used to leak into _machine_from_args,
-        # defeating the "no machine flags -> compare against PUBS"
-        # default, so a replay suite compared base against itself and
-        # reported +0.00% everywhere.  Replay must print the exact same
-        # table as live.
+        # Regression: a front-end flag once leaked into
+        # _machine_from_args, defeating the "no machine flags -> compare
+        # against PUBS" default, so a replay suite compared base against
+        # itself and reported +0.00% everywhere.
         argv = ["suite", "--workloads", "sjeng", "-n", "1500",
                 "--skip", "500", "--no-cache"]
         assert main(argv) == 0
-        live = capsys.readouterr().out
-        assert main(argv + ["--frontend", "replay"]) == 0
-        replay = capsys.readouterr().out
-        assert "+0.00%" not in live
-        assert replay == live
+        assert "+0.00%" not in capsys.readouterr().out
+
+    def test_frontend_flag_removed(self, capsys):
+        # Replay is the only timed front end: the selector flag is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "sjeng", "--frontend", "replay"])
+        assert excinfo.value.code == 2
+        assert "--frontend" in capsys.readouterr().err
 
 
 class TestStressCommand:

@@ -215,7 +215,6 @@ _REQUESTS = st.builds(
     cache=st.none() | st.booleans(),
     batch=st.none() | st.integers(min_value=0, max_value=64),
     backend=st.none() | st.sampled_from(["inline", "process", "queue"]),
-    frontend=st.none() | st.sampled_from(["live", "replay"]),
     sampling=st.none() | st.sampled_from(["off", "fixed"]),
     ci_target=st.none(),
     regions=st.none() | st.integers(min_value=1, max_value=4096),
@@ -238,6 +237,14 @@ class TestWireCodec:
     def test_request_json_rejects_garbage(self):
         with pytest.raises(WireError):
             RunRequest.from_json("not json at all")
+
+    def test_request_with_removed_frontend_field_rejected(self):
+        # A payload written before replay became the only front end still
+        # carries the removed ``frontend`` field: decoding fails loudly.
+        data = RunRequest(jobs=2).to_wire()
+        data["payload"]["fields"]["frontend"] = "replay"
+        with pytest.raises(WireError):
+            RunRequest.from_wire(data)
         with pytest.raises(WireError):
             RunRequest.from_json('{"wire": 999, "kind": "RunRequest"}')
 

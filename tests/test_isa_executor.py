@@ -1,4 +1,5 @@
-"""Unit and property tests for the functional executor and trace cursor."""
+"""Unit and property tests for the functional executor and the trace
+cursor the timing model reads its captured stream through."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,11 @@ from repro.isa import (
     ProgramBuilder,
     SparseMemory,
     StaticInst,
-    TraceCursor,
     int_reg,
     mix64,
     to_signed,
 )
+from repro.trace import TraceReplayFrontEnd, capture_trace
 
 
 def _prog(*insts):
@@ -182,26 +183,29 @@ class TestExecution:
 
 
 class TestTraceCursor:
-    def _looping_executor(self):
+    """The fetch stage's cursor contract, on the replay front end: random
+    access above the release mark, rewind within the retained window."""
+
+    def _looping_cursor(self, end=None):
         prog = _prog(
             StaticInst(0, Opcode.ADDI, dest=1, src1=1, imm=1),
             StaticInst(4, Opcode.JUMP, target=0),
         )
-        return FunctionalExecutor(prog)
+        return TraceReplayFrontEnd(capture_trace(prog, 0, 200), prog, end)
 
     def test_sequential_get(self):
-        cursor = TraceCursor(self._looping_executor())
+        cursor = self._looping_cursor()
         assert cursor.get(0).seq == 0
         assert cursor.get(3).seq == 3
 
     def test_rewind_within_window(self):
-        cursor = TraceCursor(self._looping_executor())
+        cursor = self._looping_cursor()
         first = cursor.get(0)
         cursor.get(10)
-        assert cursor.get(0) is first  # same record object, no re-execution
+        assert cursor.get(0) is first  # same record object, no re-decode
 
     def test_release_frees_records(self):
-        cursor = TraceCursor(self._looping_executor())
+        cursor = self._looping_cursor(end=10)
         cursor.get(9)
         assert cursor.retained == 10
         cursor.release(5)
@@ -210,15 +214,12 @@ class TestTraceCursor:
             cursor.get(4)
 
     def test_release_past_buffer_jumps_base(self):
-        ex = self._looping_executor()
-        cursor = TraceCursor(ex)
-        for _ in range(100):  # external skip
-            ex.step()
-        cursor.release(100)
+        cursor = self._looping_cursor()
+        cursor.release(100)  # warmup fast-forward past everything decoded
         assert cursor.get(100).seq == 100
 
     def test_release_is_idempotent(self):
-        cursor = TraceCursor(self._looping_executor())
+        cursor = self._looping_cursor()
         cursor.get(5)
         cursor.release(3)
         cursor.release(3)
@@ -229,6 +230,15 @@ class TestTraceCursor:
     def test_random_access_monotone_release(self, seqs):
         """Any access pattern above the release point returns consistent
         records (seq matches the request)."""
-        cursor = TraceCursor(self._looping_executor())
+        cursor = self._looping_cursor()
         for seq in seqs:
             assert cursor.get(seq).seq == seq
+
+    def test_live_cursor_removed(self):
+        """Replay is the only timed front end: the executor-stepping
+        cursor is gone from the ISA package."""
+        import repro.isa
+        import repro.isa.executor
+
+        assert not hasattr(repro.isa.executor, "TraceCursor")
+        assert "TraceCursor" not in repro.isa.__all__

@@ -462,16 +462,6 @@ class TestCliFlags:
         assert defaults.table_budget is None
 
 
-@pytest.fixture
-def isolated_store(monkeypatch, tmp_path):
-    from repro.trace import store as store_module
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    store_module.reset_shared_stores()
-    yield
-    store_module.reset_shared_stores()
-
-
 class TestCliSpendSummary:
     def test_sampled_suite_prints_spend(self, isolated_store, capsys):
         assert main(["suite", "--workloads", "mcf", "--sampling",

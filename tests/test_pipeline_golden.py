@@ -171,8 +171,9 @@ def test_stats_match_seed_golden(tag):
 
 @pytest.fixture(scope="module")
 def trace_store(tmp_path_factory):
-    """A private trace store shared by the replay goldens (one capture
-    per workload, exercising warm-checkpoint reuse across configs)."""
+    """A private trace store shared by the store-reuse goldens (one
+    capture per workload, exercising warm-checkpoint reuse across
+    configs)."""
     from repro.trace.store import TraceStore
     return TraceStore(root=tmp_path_factory.mktemp("traces"),
                       persistent=True)
@@ -180,8 +181,9 @@ def trace_store(tmp_path_factory):
 
 @pytest.mark.parametrize("tag", sorted(CONFIGS))
 def test_stats_match_seed_golden_replay(tag, trace_store):
-    """Trace replay is bit-identical: the same goldens, frontend_mode
-    ``"replay"`` -- every scheduling path fed from recorded traces."""
+    """The same goldens straight from ``simulate`` over one private store
+    shared by every config: later configs of a workload replay its
+    capture and restore its warm checkpoints instead of training them."""
     from repro.core.simulator import simulate
     from repro.workloads.generator import build_program
     from repro.workloads.profiles import get_profile
@@ -189,8 +191,7 @@ def test_stats_match_seed_golden_replay(tag, trace_store):
     workload, config = CONFIGS[tag]
     profile = get_profile(workload)
     result = simulate(
-        build_program(profile), config.with_frontend("replay"),
+        build_program(profile), config,
         max_instructions=INSTRUCTIONS, skip_instructions=SKIP,
         mem_seed=profile.mem_seed, trace_source=trace_store)
-    assert result.frontend_mode == "replay"
     _check_against_golden(result, tag)

@@ -64,7 +64,7 @@ class TestRegion:
         assert region.end == 110
 
     def test_region_changes_job_key(self):
-        plain = BASE.with_frontend("replay")
+        plain = BASE
         a = plain.with_region(1000, 500, 100)
         b = plain.with_region(2000, 500, 100)
         from repro.exec.jobs import SimJob
@@ -229,12 +229,11 @@ class TestSampleWorkload:
         profile = get_profile("sjeng")
         program = build_program(profile)
         store = TraceStore(persistent=False)
-        full = simulate(program, BASE.with_frontend("replay"),
+        full = simulate(program, BASE,
                         max_instructions=1500, skip_instructions=1000,
                         mem_seed=profile.mem_seed, trace_source=store)
         region = simulate(program,
-                          BASE.with_frontend("replay")
-                          .with_region(start=1000, warmup=1000),
+                          BASE.with_region(start=1000, warmup=1000),
                           max_instructions=1500,
                           mem_seed=profile.mem_seed, trace_source=store)
         assert region.stats.cycles == full.stats.cycles
@@ -259,7 +258,7 @@ class TestSampleWorkload:
         profile = get_profile("mcf")
         program = build_program(profile)
         store = TraceStore(persistent=False)
-        full = simulate(program, BASE.with_frontend("replay"),
+        full = simulate(program, BASE,
                         max_instructions=20_000, skip_instructions=2000,
                         mem_seed=profile.mem_seed, trace_source=store)
         run = sample_workload("mcf", BASE, instructions=20_000, skip=2000,
