@@ -114,7 +114,7 @@ def characterize_window(
     """
     executor = FunctionalExecutor(program, mem_seed=mem_seed)
     for _ in range(skip):
-        executor.step()
+        executor.step_raw()
     records: List[DynamicOp] = executor.run(instructions)
     if window is None:
         window = instructions

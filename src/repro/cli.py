@@ -49,9 +49,9 @@ environment > default.
 
 Input errors -- an unknown workload, a non-positive ``-n`` or negative
 ``--skip``, an unreadable or malformed ``--request-file``, a bad
-``REPRO_SAMPLING`` / ``REPRO_CI_TARGET`` value, a ``--queue-dir`` that
-cannot be created -- exit 2 with one ``error:`` line on stderr, never a
-traceback.
+``REPRO_SAMPLING`` / ``REPRO_CI_TARGET`` value, a ``--queue-dir`` or a
+``trace record`` store directory that cannot be created -- exit 2 with
+one ``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -751,6 +751,16 @@ def _cmd_trace(args) -> int:
               "(0 disables interval checkpoints)", file=sys.stderr)
         return 2
     store = _trace_store_for(args)
+    if args.action == "record" and store.trace_dir is not None:
+        # The cache swallows an unusable directory (results re-simulate),
+        # but a record that cannot persist would silently record nothing.
+        try:
+            store.trace_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create trace store directory "
+                  f"{store.trace_dir}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     names = [args.workload] if args.workload else sorted(spec2006_profiles())
     rows = []
     for name in names:
@@ -1057,9 +1067,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verification thoroughness (default: full)")
     p_ver.add_argument("--interval", type=int, default=256,
                        help="cycles between invariant sweeps at --level full")
-    p_ver.add_argument("-n", "--instructions", type=int, default=3000,
+    p_ver.add_argument("-n", "--instructions", type=_positive_int,
+                       default=3000,
                        help="committed instructions per workload")
-    p_ver.add_argument("--skip", type=int, default=3000,
+    p_ver.add_argument("--skip", type=_non_negative_int, default=3000,
                        help="instructions fast-forwarded for warm-up")
     _add_machine_args(p_ver)
 
@@ -1068,9 +1079,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("action", choices=["record", "info"])
     p_tr.add_argument("--workload", default=None,
                       help="one workload (default: all of them)")
-    p_tr.add_argument("-n", "--instructions", type=int, default=10_000,
+    p_tr.add_argument("-n", "--instructions", type=_positive_int,
+                      default=10_000,
                       help="timed instructions the trace must cover")
-    p_tr.add_argument("--skip", type=int, default=10_000,
+    p_tr.add_argument("--skip", type=_non_negative_int, default=10_000,
                       help="warm-up instructions (positions the checkpoint)")
     p_tr.add_argument("--interval", type=int, default=None,
                       help="records between interval checkpoints (default: "

@@ -8,6 +8,11 @@ oracle re-executes independently.  Wrong-path instructions are fetched from the 
 timing model itself and never touch architectural state, exactly as in a
 conventional oracle-assisted simulator.
 
+Each executor compiles its program once into one closure per static
+instruction (:func:`_compile_inst`, the single definition of the ISA's
+semantics); :meth:`FunctionalExecutor.step` and trace capture both run
+them.
+
 Memory is sparse and word-addressed; unwritten locations read a deterministic
 hash of their address, so pointer-chasing workloads see stable but
 effectively random data without materializing gigabytes.
@@ -16,15 +21,19 @@ effectively random data without materializing gigabytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .instruction import Program, StaticInst
 from .opcodes import Opcode
 from .registers import NUM_LOGICAL_REGS
 
 _MASK64 = (1 << 64) - 1
+_SIGN = 1 << 63
 #: Addresses are confined to 48 bits and 8-byte aligned.
 _ADDR_MASK = (1 << 48) - 8
+
+#: A compiled instruction: ``run(regs) -> (next_pc, taken, mem_addr)``.
+_Op = Callable[[List[int]], Tuple[int, bool, Optional[int]]]
 
 
 def mix64(x: int) -> int:
@@ -87,8 +96,132 @@ class DynamicOp:
     mem_addr: Optional[int]  #: effective address of loads/stores, else None
 
 
+def _compile_inst(inst: StaticInst, fall: int, read, write) -> _Op:
+    """The closure executing ``inst``: ``run(regs) -> (next_pc, taken,
+    mem_addr)``.
+
+    Operand registers, the immediate, the fall-through PC ``fall`` and
+    the branch target are closure variables; the register file is an
+    argument.  Results without a memory address are built once here.
+    Register values are 64-bit unsigned, so a signed compare flips the
+    sign bit and compares unsigned.
+    """
+    op = inst.opcode
+    d, a, b, imm = inst.dest, inst.src1, inst.src2, inst.imm
+    uimm = imm & _MASK64  # MOVI, ANDI and XORI take it unsigned
+    nxt = (fall, False, None)
+    jmp = (inst.target, True, None)
+
+    if op is Opcode.NOP:
+        def run(regs):
+            return nxt
+    elif op is Opcode.MOVI or op is Opcode.FMOVI:
+        def run(regs):
+            regs[d] = uimm
+            return nxt
+    elif op is Opcode.ADD or op is Opcode.FADD:
+        def run(regs):
+            regs[d] = (regs[a] + regs[b]) & _MASK64
+            return nxt
+    elif op is Opcode.SUB or op is Opcode.FSUB:
+        def run(regs):
+            regs[d] = (regs[a] - regs[b]) & _MASK64
+            return nxt
+    elif op is Opcode.AND:
+        def run(regs):
+            regs[d] = regs[a] & regs[b]
+            return nxt
+    elif op is Opcode.OR:
+        def run(regs):
+            regs[d] = regs[a] | regs[b]
+            return nxt
+    elif op is Opcode.XOR:
+        def run(regs):
+            regs[d] = regs[a] ^ regs[b]
+            return nxt
+    elif op is Opcode.SHL:
+        def run(regs):
+            regs[d] = (regs[a] << (regs[b] & 63)) & _MASK64
+            return nxt
+    elif op is Opcode.SHR:
+        def run(regs):
+            regs[d] = regs[a] >> (regs[b] & 63)
+            return nxt
+    elif op is Opcode.ADDI:
+        def run(regs):
+            regs[d] = (regs[a] + imm) & _MASK64
+            return nxt
+    elif op is Opcode.SUBI:
+        def run(regs):
+            regs[d] = (regs[a] - imm) & _MASK64
+            return nxt
+    elif op is Opcode.ANDI:
+        def run(regs):
+            regs[d] = regs[a] & uimm
+            return nxt
+    elif op is Opcode.XORI:
+        def run(regs):
+            regs[d] = regs[a] ^ uimm
+            return nxt
+    elif op is Opcode.MUL or op is Opcode.FMUL:
+        def run(regs):
+            regs[d] = (regs[a] * regs[b]) & _MASK64
+            return nxt
+    elif op is Opcode.DIV or op is Opcode.FDIV:
+        def run(regs):
+            divisor = regs[b]
+            regs[d] = regs[a] // divisor if divisor else 0
+            return nxt
+    elif op is Opcode.LOAD:
+        def run(regs):
+            addr = (regs[a] + imm) & _ADDR_MASK
+            regs[d] = read(addr)
+            return fall, False, addr
+    elif op is Opcode.STORE:
+        def run(regs):
+            addr = (regs[b] + imm) & _ADDR_MASK
+            write(addr, regs[a])
+            return fall, False, addr
+    elif op is Opcode.JUMP:
+        def run(regs):
+            return jmp
+    elif op is Opcode.BEQ:
+        def run(regs):
+            return jmp if regs[a] == regs[b] else nxt
+    elif op is Opcode.BNE:
+        def run(regs):
+            return jmp if regs[a] != regs[b] else nxt
+    elif op is Opcode.BLT:
+        def run(regs):
+            return jmp if regs[a] ^ _SIGN < regs[b] ^ _SIGN else nxt
+    elif op is Opcode.BGE:
+        def run(regs):
+            return jmp if regs[a] ^ _SIGN >= regs[b] ^ _SIGN else nxt
+    elif op is Opcode.BEQZ:
+        def run(regs):
+            return nxt if regs[a] else jmp
+    elif op is Opcode.BNEZ:
+        def run(regs):
+            return jmp if regs[a] else nxt
+    else:  # pragma: no cover - enum is exhaustive
+        raise NotImplementedError(op)
+    return run
+
+
 class FunctionalExecutor:
-    """Steps a :class:`Program` architecturally, yielding the true trace."""
+    """Steps a :class:`Program` architecturally, yielding the true trace.
+
+    Construction compiles the program into one closure per static
+    instruction (:func:`_compile_inst`); :meth:`step_raw` runs the one at
+    the current PC.  The closures hold this executor's
+    :class:`SparseMemory` ``read``/``write`` methods and take the
+    register file as an argument, so ``regs`` and ``memory._words`` may
+    be replaced after construction (as :meth:`from_state` does) but
+    ``memory`` itself must not be rebound.  For the same reason an
+    executor cannot be pickled, and must not be deep-copied (the copy's
+    closures would still write the original's memory); copy its state
+    into a new executor instead.
+    """
 
     def __init__(self, program: Program, mem_seed: int = 0):
         self.program = program
@@ -96,6 +229,11 @@ class FunctionalExecutor:
         self.memory = SparseMemory(seed=mem_seed)
         self.pc = program.entry_pc
         self._seq = 0
+        read, write = self.memory.read, self.memory.write
+        #: One closure per static instruction, in PC order.
+        self._ops: List[_Op] = [
+            _compile_inst(inst, program.next_pc(inst.pc), read, write)
+            for inst in program.insts]
 
     @classmethod
     def from_state(cls, program: Program, mem_seed: int,
@@ -106,8 +244,13 @@ class FunctionalExecutor:
         Execution is deterministic, so an executor restored from the state
         after record ``seq`` produces exactly the records a fresh executor
         would produce from that point on (this is what makes architectural
-        checkpoints and trace extension sound).
+        checkpoints and trace extension sound).  Raises ``ValueError``
+        when ``pc`` is not one of the program's instructions.
         """
+        if not program.contains(pc):
+            raise ValueError(
+                f"pc {pc:#x} is not an instruction of program "
+                f"{program.name!r}")
         executor = cls(program, mem_seed=mem_seed)
         executor.regs[:] = regs
         executor.pc = pc
@@ -120,86 +263,23 @@ class FunctionalExecutor:
         """Dynamic sequence number of the *next* instruction to execute."""
         return self._seq
 
+    def step_raw(self) -> Tuple[int, int, bool, Optional[int]]:
+        """Execute one instruction; return ``(pc, next_pc, taken,
+        mem_addr)`` without building a :class:`DynamicOp`."""
+        pc = self.pc
+        # Instruction i sits at pc 4*i (Program checks it on construction).
+        next_pc, taken, mem_addr = self._ops[pc >> 2](self.regs)
+        self.pc = next_pc
+        self._seq += 1
+        return pc, next_pc, taken, mem_addr
+
     def step(self) -> DynamicOp:
         """Execute one instruction and return its trace record."""
-        inst = self.program.at(self.pc)
-        regs = self.regs
-        op = inst.opcode
-        taken = False
-        mem_addr: Optional[int] = None
-        next_pc = self.pc + 4
-        if not self.program.contains(next_pc):
-            next_pc = self.program.entry_pc
-
-        if op is Opcode.NOP:
-            pass
-        elif op is Opcode.MOVI or op is Opcode.FMOVI:
-            regs[inst.dest] = inst.imm & _MASK64
-        elif op is Opcode.ADD or op is Opcode.FADD:
-            regs[inst.dest] = (regs[inst.src1] + regs[inst.src2]) & _MASK64
-        elif op is Opcode.SUB or op is Opcode.FSUB:
-            regs[inst.dest] = (regs[inst.src1] - regs[inst.src2]) & _MASK64
-        elif op is Opcode.AND:
-            regs[inst.dest] = regs[inst.src1] & regs[inst.src2]
-        elif op is Opcode.OR:
-            regs[inst.dest] = regs[inst.src1] | regs[inst.src2]
-        elif op is Opcode.XOR:
-            regs[inst.dest] = regs[inst.src1] ^ regs[inst.src2]
-        elif op is Opcode.SHL:
-            regs[inst.dest] = (regs[inst.src1] << (regs[inst.src2] & 63)) & _MASK64
-        elif op is Opcode.SHR:
-            regs[inst.dest] = regs[inst.src1] >> (regs[inst.src2] & 63)
-        elif op is Opcode.ADDI:
-            regs[inst.dest] = (regs[inst.src1] + inst.imm) & _MASK64
-        elif op is Opcode.SUBI:
-            regs[inst.dest] = (regs[inst.src1] - inst.imm) & _MASK64
-        elif op is Opcode.ANDI:
-            regs[inst.dest] = regs[inst.src1] & (inst.imm & _MASK64)
-        elif op is Opcode.XORI:
-            regs[inst.dest] = regs[inst.src1] ^ (inst.imm & _MASK64)
-        elif op is Opcode.MUL or op is Opcode.FMUL:
-            regs[inst.dest] = (regs[inst.src1] * regs[inst.src2]) & _MASK64
-        elif op is Opcode.DIV or op is Opcode.FDIV:
-            divisor = regs[inst.src2]
-            regs[inst.dest] = regs[inst.src1] // divisor if divisor else 0
-        elif op is Opcode.LOAD:
-            mem_addr = (regs[inst.src1] + inst.imm) & _ADDR_MASK
-            regs[inst.dest] = self.memory.read(mem_addr)
-        elif op is Opcode.STORE:
-            mem_addr = (regs[inst.src2] + inst.imm) & _ADDR_MASK
-            self.memory.write(mem_addr, regs[inst.src1])
-        elif op is Opcode.JUMP:
-            taken = True
-            next_pc = inst.target
-        elif op is Opcode.BEQ:
-            taken = regs[inst.src1] == regs[inst.src2]
-        elif op is Opcode.BNE:
-            taken = regs[inst.src1] != regs[inst.src2]
-        elif op is Opcode.BLT:
-            taken = to_signed(regs[inst.src1]) < to_signed(regs[inst.src2])
-        elif op is Opcode.BGE:
-            taken = to_signed(regs[inst.src1]) >= to_signed(regs[inst.src2])
-        elif op is Opcode.BEQZ:
-            taken = regs[inst.src1] == 0
-        elif op is Opcode.BNEZ:
-            taken = regs[inst.src1] != 0
-        else:  # pragma: no cover - enum is exhaustive
-            raise NotImplementedError(op)
-
-        if inst.is_conditional_branch and taken:
-            next_pc = inst.target
-
-        record = DynamicOp(self._seq, inst, taken, next_pc, mem_addr)
-        self._seq += 1
-        self.pc = next_pc
-        return record
+        seq = self._seq
+        pc, next_pc, taken, mem_addr = self.step_raw()
+        return DynamicOp(seq, self.program.insts[pc >> 2], taken, next_pc,
+                         mem_addr)
 
     def run(self, count: int) -> List[DynamicOp]:
         """Execute ``count`` instructions and return their records."""
         return [self.step() for _ in range(count)]
-
-    def trace(self) -> Iterator[DynamicOp]:
-        """Endless iterator over the dynamic instruction stream."""
-        while True:
-            yield self.step()
-

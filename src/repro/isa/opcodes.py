@@ -69,6 +69,9 @@ _CONDITIONAL_BRANCHES = frozenset(
     {Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BEQZ, Opcode.BNEZ}
 )
 _BRANCHES = _CONDITIONAL_BRANCHES | {Opcode.JUMP}
+_LOADS = frozenset({Opcode.LOAD})
+_STORES = frozenset({Opcode.STORE})
+_MEMORY = _LOADS | _STORES
 
 _FU_CLASS = {
     Opcode.NOP: FuClass.IALU,
@@ -126,15 +129,15 @@ def is_conditional_branch(op: Opcode) -> bool:
 
 
 def is_load(op: Opcode) -> bool:
-    return op is Opcode.LOAD
+    return op in _LOADS
 
 
 def is_store(op: Opcode) -> bool:
-    return op is Opcode.STORE
+    return op in _STORES
 
 
 def is_mem(op: Opcode) -> bool:
-    return op is Opcode.LOAD or op is Opcode.STORE
+    return op in _MEMORY
 
 
 def fu_class(op: Opcode) -> FuClass:

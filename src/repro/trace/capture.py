@@ -1,11 +1,13 @@
 """Trace capture: one functional execution pass per (program, mem_seed).
 
 :func:`capture_trace` steps a fresh :class:`~repro.isa.executor.
-FunctionalExecutor` for ``length`` instructions and records each
-:class:`~repro.isa.executor.DynamicOp` into the parallel arrays of
-:class:`~repro.trace.format.Trace`, snapshotting the architectural state
-after ``skip`` records, at every positive multiple of
-``checkpoint_interval`` inside the stream, and at the end.
+FunctionalExecutor` for ``length`` instructions and records each one
+into the parallel arrays of :class:`~repro.trace.format.Trace`,
+snapshotting the architectural state after ``skip`` records, at every
+positive multiple of ``checkpoint_interval`` inside the stream, and at
+the end.  Records come from
+:meth:`~repro.isa.executor.FunctionalExecutor.step_raw`, so capture
+builds no :class:`~repro.isa.executor.DynamicOp`.
 
 :func:`extend_trace` grows an existing trace without re-executing its
 prefix: it restores an executor from the end checkpoint and continues
@@ -35,28 +37,22 @@ def _record_stream(executor: FunctionalExecutor, count: int,
                    pcs: array, flags: bytearray, next_pcs: array,
                    mem_addrs: array, wb_values: array) -> None:
     """Append ``count`` records of ``executor``'s stream to the arrays."""
+    # Per static instruction: the flag bits fixed by decode, and the
+    # write-back register (None when the instruction writes none).
+    static = [((FLAG_COND_BRANCH if inst.is_conditional_branch else 0)
+               | (FLAG_MEM if inst.is_mem else 0)
+               | (FLAG_WB if inst.dest is not None else 0), inst.dest)
+              for inst in executor.program.insts]
     regs = executor.regs
+    step = executor.step_raw
     for _ in range(count):
-        record = executor.step()
-        inst = record.inst
-        f = 0
-        if record.taken:
-            f |= FLAG_TAKEN
-        if inst.is_conditional_branch:
-            f |= FLAG_COND_BRANCH
-        if record.mem_addr is not None:
-            f |= FLAG_MEM
-            mem_addrs.append(record.mem_addr)
-        else:
-            mem_addrs.append(0)
-        if inst.dest is not None:
-            f |= FLAG_WB
-            wb_values.append(regs[inst.dest])
-        else:
-            wb_values.append(0)
-        pcs.append(inst.pc)
-        flags.append(f)
-        next_pcs.append(record.next_pc)
+        pc, next_pc, taken, mem_addr = step()
+        f, dest = static[pc >> 2]
+        flags.append(f | FLAG_TAKEN if taken else f)
+        mem_addrs.append(0 if mem_addr is None else mem_addr)
+        wb_values.append(0 if dest is None else regs[dest])
+        pcs.append(pc)
+        next_pcs.append(next_pc)
 
 
 def _snapshot_points(start: int, length: int, interval: int,

@@ -31,6 +31,7 @@ import os
 import pickle
 import time
 import weakref
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..exec.cache import ResultCache, cache_enabled_by_env, default_cache_dir
@@ -113,6 +114,11 @@ class TraceStore:
         self.extensions = 0
         self.warm_restores = 0
         self.warm_trainings = 0
+
+    @property
+    def trace_dir(self) -> Optional[Path]:
+        """Where traces persist (None for a memory-only store)."""
+        return None if self._traces is None else self._traces.directory
 
     # ------------------------------------------------------------------
     # Traces

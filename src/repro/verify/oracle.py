@@ -54,7 +54,7 @@ class CommitOracle:
     def skip(self, count: int) -> None:
         """Mirror the pipeline's warm-up fast-forward (untimed commits)."""
         for _ in range(count):
-            self.executor.step()
+            self.executor.step_raw()
 
     def restore_checkpoint(self, checkpoint) -> None:
         """Re-seat the oracle at a recorded architectural state.
@@ -160,7 +160,7 @@ class CommitOracle:
                 f"oracle ran ahead of the {what} "
                 f"({probe.seq} > {seq})", cycle=cycle)
         while probe.seq < seq:
-            probe.step()
+            probe.step_raw()
         if probe.pc != pc:
             raise OracleMismatch(
                 "commit-oracle",

@@ -119,6 +119,33 @@ class TestFabricCommands:
         assert len(err.splitlines()) == 1  # one line, no traceback
         assert str(queue_dir) in err
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_unusable_trace_dir_exits_two(self, via, tmp_path, monkeypatch,
+                                          capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        store_dir = blocker / "store"  # cannot exist: its parent is a file
+        argv = ["trace", "record", "--workload", "gcc", "-n", "500",
+                "--skip", "100"]
+        if via == "flag":
+            argv += ["--dir", str(store_dir)]
+        else:
+            monkeypatch.delenv("REPRO_CACHE", raising=False)  # persistent
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(store_dir))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1  # one line, no traceback
+        assert str(store_dir) in err
+        assert captured.out == ""  # nothing captured, no table printed
+        # A query still reports the unusable store as holding no trace.
+        info = ["trace", "info", "--workload", "gcc"]
+        if via == "flag":
+            info += ["--dir", str(store_dir)]
+        assert main(info) == 0
+        assert "no trace recorded" in capsys.readouterr().out
+
     def test_submit_timeout_is_one_error_line(self, tmp_path, capsys):
         # No worker is attached, so the wait must give up cleanly.
         assert main(["submit", "--queue-dir", str(tmp_path / "q"),
@@ -222,6 +249,8 @@ class TestCommands:
         ["compare", "sjeng"],
         ["profile", "sjeng"],
         ["sample", "sjeng"],
+        ["verify", "--workload", "sjeng"],
+        ["trace", "record", "--workload", "sjeng"],
     ], ids=lambda argv: argv[0])
     def test_bad_budget_flags_exit_two(self, argv, capsys):
         for bad in (["-n", "0"], ["-n", "-5"], ["--skip", "-1"]):
