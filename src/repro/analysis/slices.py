@@ -11,18 +11,21 @@ the fraction of the dynamic stream inside branch slices -- the quantity
 that sizes the priority partition).
 
 Graphs are :class:`networkx.DiGraph` with dynamic sequence numbers as nodes
-and producer -> consumer edges for register dataflow.
+and producer -> consumer edges for register dataflow.  networkx is the
+optional ``analysis`` extra: it is imported by the functions that build or
+walk a graph, so ``import repro`` works without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from ..isa.executor import DynamicOp, FunctionalExecutor
 from ..isa.instruction import Program
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_dataflow_graph(records: Iterable[DynamicOp]) -> "nx.DiGraph":
@@ -33,6 +36,7 @@ def build_dataflow_graph(records: Iterable[DynamicOp]) -> "nx.DiGraph":
     in the window is ``p``.  Memory dependences are *not* edges (the paper
     defines slices over register dataflow tracked by ``def_tab``).
     """
+    import networkx as nx
     graph = nx.DiGraph()
     last_writer: Dict[int, int] = {}
     for record in records:
@@ -50,6 +54,7 @@ def build_dataflow_graph(records: Iterable[DynamicOp]) -> "nx.DiGraph":
 
 def dynamic_slice(graph: "nx.DiGraph", seq: int) -> Set[int]:
     """The slice rooted at node ``seq``: its ancestors plus itself."""
+    import networkx as nx
     if seq not in graph:
         raise KeyError(f"no instruction with seq {seq} in the window")
     members = set(nx.ancestors(graph, seq))
@@ -73,6 +78,7 @@ def slice_depth(graph: "nx.DiGraph", seq: int) -> int:
     adds to the branch's resolution -- the paper's five-instruction-chain
     example in Sec. I.
     """
+    import networkx as nx
     members = dynamic_slice(graph, seq)
     sub = graph.subgraph(members)
     return int(nx.dag_longest_path_length(sub))

@@ -1142,10 +1142,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "declared sweep)")
     p_st.add_argument("--no-sweep", action="store_true",
                       help="default-knob checks only, no sweep runs")
-    p_st.add_argument("-n", "--instructions", type=int, default=None,
+    p_st.add_argument("-n", "--instructions", type=_positive_int,
+                      default=None,
                       help="timed instructions per run (default: "
                            "per-family)")
-    p_st.add_argument("--skip", type=int, default=None,
+    p_st.add_argument("--skip", type=_non_negative_int, default=None,
                       help="warm-up instructions (default: per-family)")
     _add_machine_args(p_st)
 

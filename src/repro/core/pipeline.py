@@ -55,6 +55,7 @@ from ..iq.ordered import CircularQueue, ShiftingQueue
 from ..iq.queue import IssueQueue
 from ..iq.select import SelectLogic
 from ..isa.instruction import INST_BYTES, Program
+from ..memory.cache import fill_image
 from ..memory.hierarchy import MemoryHierarchy
 from ..pubs.mode_switch import ModeSwitch
 from ..pubs.slice_tracker import SliceTracker
@@ -333,14 +334,14 @@ class Pipeline:
         """
         l2 = self.hierarchy.l2
         budget = l2.config.size_bytes * 3 // 4
-        line = l2.config.line_bytes
         warmed = 0
+        ranges = []
         for start, size in self.program.warm_regions:
             if warmed + size > budget:
                 continue
             warmed += size
-            for addr in range(start, start + size, line):
-                l2.install(addr)
+            ranges.append((start, size))
+        l2.install_image(fill_image(l2.config, ranges))
 
     # ------------------------------------------------------------------
     # Replay front end

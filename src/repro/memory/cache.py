@@ -8,7 +8,7 @@ hierarchy composes with MSHR-style pending-fill tracking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,59 @@ class CacheConfig:
     @property
     def num_sets(self) -> int:
         return self.size_bytes // (self.assoc * self.line_bytes)
+
+
+#: A tag-store image: ``(lo, hi, tags)`` runs of sets ``[lo, hi)`` that
+#: all hold ``tags``, MRU first.  :func:`fill_image` builds one and
+#: :meth:`SetAssocCache.install_image` installs it.
+CacheImage = Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+
+
+def fill_image(config: CacheConfig,
+               ranges: Iterable[Tuple[int, int]]) -> CacheImage:
+    """What an empty ``config`` cache holds after installing, in order, every
+    ``addr`` in ``range(start, start + size, line_bytes)`` of each
+    ``(start, size)`` in ``ranges``.
+
+    True LRU leaves each set its last ``assoc`` distinct installed tags,
+    most recent first.  A range of ``count`` lines from line ``first``
+    gives every set a run of consecutive tags: the run starts one tag
+    later in the sets below ``first``'s set, and is one line longer in
+    the ``count % num_sets`` sets from ``first``'s set on (cyclically).
+    So all sets between two of those boundaries hold the same tags, and
+    the image takes a few steps per boundary and range, not one per line.
+    """
+    line_shift = config.line_bytes.bit_length() - 1
+    num_sets = config.num_sets
+    set_mask = num_sets - 1
+    set_bits = num_sets.bit_length() - 1
+    spans = []  # per range: (first set, first tag, run length, extra)
+    cuts = {0, num_sets}
+    for start, size in ranges:
+        count = len(range(start, start + size, config.line_bytes))
+        if count:
+            first = start >> line_shift
+            spans.append((first & set_mask, first >> set_bits,
+                          count >> set_bits, count & set_mask))
+            cuts.update((first & set_mask, (first + count) & set_mask))
+    bounds = sorted(cuts)
+    assoc = config.assoc
+    image = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        tags: List[int] = []
+        for head, tag, length, extra in reversed(spans):
+            base = tag + (lo < head)
+            n = length + ((lo - head) & set_mask < extra)
+            for t in reversed(range(base, base + n)):
+                if t not in tags:
+                    tags.append(t)
+                    if len(tags) == assoc:
+                        break
+            if len(tags) == assoc:
+                break
+        if tags:
+            image.append((lo, hi, tuple(tags)))
+    return tuple(image)
 
 
 @dataclass
@@ -63,8 +116,14 @@ class SetAssocCache:
         self.stats = CacheStats()
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1
+        self._tag_shift = config.num_sets.bit_length() - 1
         # Each set is an MRU-first list of tags.
         self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
+
+    def __setstate__(self, state: dict) -> None:
+        # Warm checkpoints pickled by older versions lack ``_tag_shift``.
+        self.__dict__.update(state)
+        self._tag_shift = self.config.num_sets.bit_length() - 1
 
     def line_addr(self, addr: int) -> int:
         """The line-aligned address containing ``addr``."""
@@ -72,7 +131,7 @@ class SetAssocCache:
 
     def _locate(self, addr: int):
         line = addr >> self._line_shift
-        return self._sets[line & self._set_mask], line >> self.config.num_sets.bit_length() - 1
+        return self._sets[line & self._set_mask], line >> self._tag_shift
 
     def probe(self, addr: int) -> bool:
         """Hit test *without* LRU update or stats (used by prefetch filters)."""
@@ -115,11 +174,21 @@ class SetAssocCache:
         if len(ways) > self.config.assoc:
             victim_tag = ways.pop()
             set_index = (addr >> self._line_shift) & self._set_mask
-            victim_line = (
-                victim_tag << self.config.num_sets.bit_length() - 1 | set_index
-            )
+            victim_line = victim_tag << self._tag_shift | set_index
             return victim_line << self._line_shift
         return None
+
+    def install_image(self, image: CacheImage) -> None:
+        """Install an image's lines as :meth:`install` would, one by one in
+        the order they were recorded, over whatever the cache holds."""
+        assoc = self.config.assoc
+        for lo, hi, tags in image:
+            for ways in self._sets[lo:hi]:
+                if ways:
+                    ways[:] = (list(tags) + [tag for tag in ways
+                                             if tag not in tags])[:assoc]
+                else:
+                    ways.extend(tags)
 
     def invalidate_all(self) -> None:
         """Drop every line (used by tests and phase-reset experiments)."""

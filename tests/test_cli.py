@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -251,6 +258,7 @@ class TestCommands:
         ["sample", "sjeng"],
         ["verify", "--workload", "sjeng"],
         ["trace", "record", "--workload", "sjeng"],
+        ["stress", "run", "branch_h2p"],
     ], ids=lambda argv: argv[0])
     def test_bad_budget_flags_exit_two(self, argv, capsys):
         for bad in (["-n", "0"], ["-n", "-5"], ["--skip", "-1"]):
@@ -448,3 +456,20 @@ class TestCacheStats:
         assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "results entries" in out and "total entries" in out
+
+
+class TestOptionalDependencies:
+    def test_import_and_run_without_networkx_or_numpy(self):
+        # A None entry in sys.modules makes ``import name`` raise, as if
+        # the package were not installed.
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = sys.modules['numpy'] = None\n"
+            "import repro\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['run', 'sjeng', '-n', '500', '--skip', '500']))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "sjeng" in proc.stdout and "IPC" in proc.stdout

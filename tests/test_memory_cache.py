@@ -1,9 +1,12 @@
 """Unit and property tests for the set-associative cache."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import CacheConfig, SetAssocCache
+from repro.memory.cache import fill_image
 
 
 def _cache(size=1024, assoc=2, line=64, lat=1):
@@ -83,6 +86,14 @@ class TestBasicBehaviour:
         c.invalidate_all()
         assert not c.probe(0x0)
 
+    def test_unpickles_checkpoint_without_tag_shift(self):
+        c = _cache(size=4 * 1024, assoc=2, line=64)
+        c.install(0x12340)
+        del c._tag_shift  # the shape of an older warm checkpoint
+        restored = pickle.loads(pickle.dumps(c))
+        assert restored.probe(0x12340)
+        assert restored._tag_shift == 5  # log2 of 32 sets
+
     def test_eviction_reconstructs_victim_address(self):
         c = _cache(size=4 * 1024, assoc=1, line=64)  # 64 sets, direct-mapped
         addr = 0x12345 & ~63
@@ -129,3 +140,37 @@ class TestCapacityProperties:
         for addr in addrs:
             c.install(addr)
             assert c.probe(addr)
+
+
+class TestFillImage:
+    """``install_image(fill_image(...))`` is ``install`` on every line."""
+
+    @given(line=st.sampled_from([16, 32, 64]),
+           assoc=st.integers(min_value=1, max_value=4),
+           sets=st.sampled_from([1, 2, 4, 8]),
+           prior=st.lists(st.integers(min_value=0, max_value=1 << 13),
+                          max_size=40),
+           ranges=st.lists(st.tuples(st.integers(min_value=0,
+                                                 max_value=1 << 12),
+                                     st.integers(min_value=-64,
+                                                 max_value=3000)),
+                           max_size=5))
+    @settings(max_examples=200)
+    def test_equals_per_line_install(self, line, assoc, sets, prior, ranges):
+        config = CacheConfig("T", line * assoc * sets, assoc, line)
+        per_line, bulk = SetAssocCache(config), SetAssocCache(config)
+        for addr in prior:
+            per_line.install(addr)
+            bulk.install(addr)
+        for start, size in ranges:
+            for addr in range(start, start + size, line):
+                per_line.install(addr)
+        bulk.install_image(fill_image(config, ranges))
+        assert bulk._sets == per_line._sets
+
+    def test_image_is_one_entry_per_run_of_equal_sets(self):
+        config = CacheConfig("T", 64 * 1024, 4, 64)  # 256 sets
+        # 600 lines from set 10: sets 10..97 get three tags, the rest two.
+        image = fill_image(config, [(10 * 64, 600 * 64)])
+        assert [(lo, hi, len(tags)) for lo, hi, tags in image] == [
+            (0, 10, 2), (10, 98, 3), (98, 256, 2)]

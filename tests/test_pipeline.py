@@ -1,10 +1,14 @@
 """Integration tests for the out-of-order pipeline on micro-programs with
 known timing behaviour."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import DeadlockError, Pipeline, ProcessorConfig, simulate
+from repro.memory import CacheConfig
 from repro.pubs import PubsConfig
+from repro.workloads import build_program, spec2006_profiles
 
 from tests.microprograms import (
     counted_branch_program,
@@ -91,6 +95,51 @@ class TestMemoryBehaviour:
         prog.warm_regions.append((1 << 30, 64 * 1024))  # warm a small window
         stats = Pipeline(prog).run(300)
         assert stats.committed == 300
+
+
+def _per_line_prewarm(pipe):
+    """The reference prewarm: one ``install`` per line of every region that
+    fits the 3/4-LLC budget, oldest region first."""
+    l2 = pipe.hierarchy.l2
+    budget = l2.config.size_bytes * 3 // 4
+    warmed = 0
+    for start, size in pipe.program.warm_regions:
+        if warmed + size > budget:
+            continue
+        warmed += size
+        for addr in range(start, start + size, l2.config.line_bytes):
+            l2.install(addr)
+    return l2._sets
+
+
+class TestPrewarmImage:
+    @pytest.mark.parametrize("name", sorted(spec2006_profiles()))
+    def test_every_profile_matches_per_line_installs(self, name):
+        program = build_program(spec2006_profiles()[name])
+        pipe = Pipeline(program)
+        pipe._prewarm_regions()
+        assert pipe.hierarchy.l2._sets == _per_line_prewarm(Pipeline(program))
+
+    def test_changed_layout_or_geometry_never_reuses_an_image(self):
+        program = build_program(spec2006_profiles()["sjeng"])
+        first = Pipeline(program)
+        first._prewarm_regions()
+        # The same Program object with one more region: the new region
+        # must be warm, not the previous layout's image.
+        program.warm_regions.append((1 << 34, 64 * 1024))
+        grown = Pipeline(program)
+        grown._prewarm_regions()
+        assert grown.hierarchy.l2._sets != first.hierarchy.l2._sets
+        assert grown.hierarchy.l2._sets == _per_line_prewarm(Pipeline(program))
+        # Same layout, half the LLC: 1024 sets, so other sets and tags.
+        small = dataclasses.replace(
+            BASE, memory=dataclasses.replace(
+                BASE.memory, l2=CacheConfig("L2", 1 << 20, 16, 64, 12)))
+        halved = Pipeline(program, small)
+        halved._prewarm_regions()
+        assert len(halved.hierarchy.l2._sets) == 1024
+        assert halved.hierarchy.l2._sets == _per_line_prewarm(
+            Pipeline(program, small))
 
 
 class TestDeterminism:
