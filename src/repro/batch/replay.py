@@ -44,8 +44,9 @@ from ..trace.replay import ReplayWindow
 from ..trace.store import REPLAY_MARGIN, TraceStore, shared_store
 
 #: Pipeline attributes snapshot-copied from the first member to the rest
-#: -- the same component set the warm-checkpoint store persists, plus
-#: the I-line dedup mark the warm walk leaves behind.
+#: -- the same component set the warm-checkpoint store persists, in the
+#: order ``Pipeline(warm=...)`` takes them, plus the I-line dedup mark
+#: the warm walk leaves behind.
 _WARM_FIELDS = ("hierarchy", "predictor", "btb", "slice_tracker",
                 "_last_ifetch_line")
 
@@ -119,13 +120,13 @@ def _prepare_member(pipeline: Pipeline, window: SharedReplayWindow,
     The first member (``warm_blob`` is None) trains or restores warm
     state through the pipeline's own replay-warmup code -- the exact
     branch structure of :meth:`Pipeline._prepare_replay` -- and the
-    trained components are pickled once.  Every later member unpickles
-    that snapshot, which is precisely how the warm-checkpoint store
-    would deliver the state to it (fresh objects per member, tracker
-    config rebound), so the result is bit-identical either way.
+    trained components are pickled once.  Every later member was built
+    from an unpickled copy of that snapshot (see :func:`run_batch`),
+    which is precisely how the warm-checkpoint store would deliver the
+    state to it (fresh objects per member, tracker config rebound), so
+    the result is bit-identical either way.
     """
-    cfg = pipeline.config
-    region = cfg.replay_region
+    region = pipeline.config.replay_region
     trace = window.trace
     if region is not None:
         if job.skip:
@@ -152,12 +153,6 @@ def _prepare_member(pipeline: Pipeline, window: SharedReplayWindow,
         warm_blob = pickle.dumps(
             tuple(getattr(pipeline, name) for name in _WARM_FIELDS),
             protocol=pickle.HIGHEST_PROTOCOL)
-    else:
-        for name, value in zip(_WARM_FIELDS, pickle.loads(warm_blob)):
-            setattr(pipeline, name, value)
-        # Geometry-equal by signature; rebind so later field reads see
-        # this member's own config object, not the snapshot's.
-        pipeline.slice_tracker.config = cfg.pubs
     pipeline._next_trace_seq = seat
     if region is not None:
         pipeline._pending_detail = region.detail
@@ -211,11 +206,22 @@ def run_batch(jobs: Sequence[SimJob],
     warm_blob: Optional[bytes] = None
     results: List[SimulationResult] = []
     for job in jobs:
+        warm = None
+        if warm_blob is not None:
+            # Geometry-equal by signature: build the member straight
+            # from the snapshot, not from fresh components it would
+            # throw away.
+            *warm, last_ifetch_line = pickle.loads(warm_blob)
         pipeline = Pipeline(program, job.config, mem_seed=profile.mem_seed,
-                            trace_source=store)
+                            trace_source=store, warm=warm)
+        if warm is not None:
+            pipeline._last_ifetch_line = last_ifetch_line
         warm_blob = _prepare_member(pipeline, window, store, job, warm_blob)
         stats = pipeline.run(job.instructions, job.skip)
         results.append(result_from_pipeline(pipeline, stats))
+        # Release this member before the next snapshot is unpickled,
+        # so peak memory holds one member, not two.
+        pipeline = None
     return results
 
 

@@ -25,31 +25,44 @@ class BranchTargetBuffer:
         self._sets: List[List[Tuple[int, int]]] = [[] for _ in range(num_sets)]
         self.lookups = 0
         self.hits = 0
+        self._derive()
 
-    def _index_tag(self, pc: int) -> Tuple[int, int]:
-        word = pc >> 2
-        return word & (self.num_sets - 1), word >> self.num_sets.bit_length() - 1
+    def _derive(self) -> None:
+        self._set_mask = self.num_sets - 1
+        self._tag_shift = self.num_sets.bit_length() - 1
+
+    def __setstate__(self, state: dict) -> None:
+        # Warm checkpoints pickled by older versions lack the derived
+        # mask and shift.
+        self.__dict__.update(state)
+        self._derive()
 
     def lookup(self, pc: int) -> Optional[int]:
         """The cached taken-target of ``pc``, or None on a BTB miss."""
         self.lookups += 1
-        index, tag = self._index_tag(pc)
-        ways = self._sets[index]
-        for i, (t, target) in enumerate(ways):
-            if t == tag:
-                if i:
-                    ways.insert(0, ways.pop(i))
+        word = pc >> 2
+        ways = self._sets[word & self._set_mask]
+        tag = word >> self._tag_shift
+        for way in ways:
+            if way[0] == tag:
+                if way is not ways[0]:  # tags are unique within a set
+                    ways.remove(way)
+                    ways.insert(0, way)
                 self.hits += 1
-                return target
+                return way[1]
         return None
 
     def install(self, pc: int, target: int) -> None:
         """Record (or refresh) the taken-target of ``pc``."""
-        index, tag = self._index_tag(pc)
-        ways = self._sets[index]
-        for i, (t, _) in enumerate(ways):
-            if t == tag:
-                ways.pop(i)
+        word = pc >> 2
+        ways = self._sets[word & self._set_mask]
+        tag = word >> self._tag_shift
+        if ways and ways[0][0] == tag:
+            ways[0] = (tag, target)  # already MRU
+            return
+        for way in ways:
+            if way[0] == tag:
+                ways.remove(way)
                 break
         ways.insert(0, (tag, target))
         if len(ways) > self.assoc:

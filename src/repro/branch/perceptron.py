@@ -16,14 +16,36 @@ there.
 
 from __future__ import annotations
 
+from operator import add, mul, sub
+
 from .base import BranchPredictor
 
 _WEIGHT_MAX = 127
 _WEIGHT_MIN = -128
 
+#: ``_SATURATE[v]`` is ``v`` clamped to the weight range, for every ``v``
+#: one training step can produce from a saturated weight (-129..128):
+#: non-negative ``v`` index the front, negative ``v`` wrap to the back.
+_SATURATE = ([min(v, _WEIGHT_MAX) for v in range(_WEIGHT_MAX + 2)]
+             + [max(v, _WEIGHT_MIN) for v in range(_WEIGHT_MIN - 1, 0)])
+_clamp = _SATURATE.__getitem__
+
 
 class PerceptronPredictor(BranchPredictor):
-    """Global-history perceptron predictor."""
+    """Global-history perceptron predictor.
+
+    The dot product and the training step run as C-level ``map``/``sum``
+    over the weight row and the +/-1 history.  Fetch predicts a
+    correct-path branch and trains it right away, so :meth:`update`
+    reuses the output :meth:`predict` computed for the same PC when no
+    update came in between (weights and history are then unchanged).
+    """
+
+    #: PC and perceptron output of the last :meth:`predict` since the
+    #: last :meth:`update` (class-level defaults: state pickled before
+    #: these existed loads with an empty memo).
+    _last_pc = -1
+    _last_output = 0
 
     def __init__(self, history_length: int = 34, table_size: int = 256):
         super().__init__()
@@ -39,36 +61,30 @@ class PerceptronPredictor(BranchPredictor):
         # History as +/-1 ints, most recent last.
         self._history = [-1] * history_length
 
-    def _row(self, pc: int) -> list:
-        return self._weights[(pc >> 2) % self.table_size]
-
     def _output(self, pc: int) -> int:
-        w = self._row(pc)
-        h = self._history
-        total = w[0]
-        for i in range(self.history_length):
-            total += w[i + 1] * h[i]
-        return total
+        w = self._weights[(pc >> 2) % self.table_size]
+        return w[0] + sum(map(mul, w[1:], self._history))
 
     def predict(self, pc: int) -> bool:
-        return self._output(pc) >= 0
+        output = self._output(pc)
+        self._last_pc = pc
+        self._last_output = output
+        return output >= 0
 
     def update(self, pc: int, taken: bool, predicted: bool) -> None:
         self.stats.record(taken == predicted)
-        output = self._output(pc)
-        t = 1 if taken else -1
+        output = self._last_output if pc == self._last_pc \
+            else self._output(pc)
+        self._last_pc = -1  # weights and history change below
+        h = self._history
         if (output >= 0) != taken or abs(output) <= self.theta:
-            w = self._row(pc)
-            b = w[0] + t
-            w[0] = _WEIGHT_MAX if b > _WEIGHT_MAX else (_WEIGHT_MIN if b < _WEIGHT_MIN else b)
-            h = self._history
-            for i in range(self.history_length):
-                v = w[i + 1] + (t if h[i] > 0 else -t)
-                w[i + 1] = _WEIGHT_MAX if v > _WEIGHT_MAX else (
-                    _WEIGHT_MIN if v < _WEIGHT_MIN else v
-                )
-        self._history.pop(0)
-        self._history.append(t)
+            # Each weight moves one step toward agreement with the
+            # outcome: +h[i] when taken, -h[i] when not (h[i] is +/-1).
+            w = self._weights[(pc >> 2) % self.table_size]
+            w[0] = _clamp(w[0] + 1 if taken else w[0] - 1)
+            w[1:] = map(_clamp, map(add if taken else sub, w[1:], h))
+        del h[0]
+        h.append(1 if taken else -1)
 
     def storage_bits(self) -> int:
         # 8-bit weights, (history_length + 1) per entry, plus the history

@@ -812,6 +812,16 @@ def _cmd_sample(args) -> int:
             print(f"error: {flag} must be a positive count, got {value}",
                   file=sys.stderr)
             return 2
+    for flag, value in (("--warmup", args.warmup),
+                        ("--detail", args.detail)):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be non-negative, got {value}",
+                  file=sys.stderr)
+            return 2
+    if args.fraction is not None and not 0 < args.fraction <= 1:
+        print(f"error: --fraction must be in (0, 1], got {args.fraction}",
+              file=sys.stderr)
+        return 2
     if args.interval is not None and args.interval < 1:
         print("error: --interval must be positive (sampled replay needs "
               f"checkpoints), got {args.interval}", file=sys.stderr)

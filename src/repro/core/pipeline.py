@@ -121,7 +121,13 @@ class Pipeline:
     """One simulated core running one program."""
 
     def __init__(self, program: Program, config: ProcessorConfig = None,
-                 mem_seed: int = 0, trace_source=None):
+                 mem_seed: int = 0, trace_source=None, warm=None):
+        """``warm`` optionally hands over trained ``(hierarchy, predictor,
+        btb, slice_tracker)`` components to use instead of building fresh
+        ones; they must match this config's memory and warm front-end
+        slice (:func:`_front_warm_config`).  Batched replay builds each
+        later member from the first one's warm snapshot this way.
+        """
         self.config = config or ProcessorConfig.cortex_a72_like()
         cfg = self.config
         self.program = program
@@ -133,10 +139,18 @@ class Pipeline:
         #: The replay front end, built in run() once the required trace
         #: length (skip + sample + margin) is known.
         self.cursor = None
-        self.predictor = build_predictor(cfg)
-        self.btb = BranchTargetBuffer(cfg.predictor.btb_sets, cfg.predictor.btb_assoc)
-        self.hierarchy = MemoryHierarchy(cfg.memory)
-        self.slice_tracker = SliceTracker(cfg.pubs)
+        if warm is None:
+            self.predictor = build_predictor(cfg)
+            self.btb = BranchTargetBuffer(cfg.predictor.btb_sets,
+                                          cfg.predictor.btb_assoc)
+            self.hierarchy = MemoryHierarchy(cfg.memory)
+            self.slice_tracker = SliceTracker(cfg.pubs)
+        else:
+            (self.hierarchy, self.predictor, self.btb,
+             self.slice_tracker) = warm
+            # Rebind so later field reads see this run's own config
+            # object, not the snapshot's.
+            self.slice_tracker.config = cfg.pubs
         self.mode_switch = ModeSwitch(
             cfg.pubs.mode_switch_threshold_mpki,
             cfg.pubs.mode_switch_interval,
@@ -176,10 +190,6 @@ class Pipeline:
         #: pipeline-refill bubbles after a recovery or an I-miss are
         #: attributed to their cause, not to generic fetch bandwidth.
         self._bubble_reason = "fetch"
-        #: Set by :meth:`_allocate_iq_slot` when the stall policy blocked
-        #: dispatch on a full *priority* partition (vs. a full IQ), so
-        #: the dispatch loop books the stall under the right cause.
-        self._priority_blocked = False
         self._last_ifetch_line = -1
         self._frontend: Deque[Uop] = deque()
         self._frontend_capacity = cfg.fetch_width * (cfg.frontend_depth + 2)
@@ -590,10 +600,12 @@ class Pipeline:
             # cycle moves the low-water mark as far as per-commit ones.
             if released >= 0:
                 self.cursor.release(released)
-        mode_switch = self.mode_switch
-        if mode_switch.enabled:
-            mode_switch.observe(stats.committed,
-                                self.hierarchy.stats.l2_misses)
+            # The mode switch decides on commit progress alone, so a
+            # cycle that commits nothing cannot change its state.
+            mode_switch = self.mode_switch
+            if mode_switch.enabled:
+                mode_switch.observe(stats.committed,
+                                    self.hierarchy.stats.l2_misses)
 
     # ==================================================================
     # Writeback / branch resolution
@@ -809,7 +821,12 @@ class Pipeline:
         free_lists = renamer.free_lists
         stats = self.stats
         age_matrix = self.age_matrix
-        iq_dispatch = self.iq.dispatch
+        iq = self.iq
+        iq_dispatch = iq.dispatch
+        if pubs_on:
+            tracker = self.slice_tracker
+            mode_switch = self.mode_switch
+            stall_policy = cfg.pubs.stall_policy
         incremental = self._incremental_issue
         ready_cycle = renamer.ready_cycle
         wakeup = self._wakeup
@@ -827,7 +844,7 @@ class Pipeline:
                 # The decode stage proper: PUBS slice tracking.
                 uop.decoded = True
                 if pubs_on:
-                    uop.unconfident = self.slice_tracker.on_decode(inst)
+                    uop.unconfident = tracker.on_decode(inst)
             if len(rob_entries) >= rob_size:
                 stats.dispatch_stall_cycles += 1
                 stats.rob_full_stall_cycles += 1
@@ -843,21 +860,33 @@ class Pipeline:
                 stats.regs_full_stall_cycles += 1
                 stall_bucket = "regs"
                 break
-            slot = self._allocate_iq_slot(uop) if pubs_on \
-                else iq_dispatch(uop, False)
-            if slot is None:
-                stats.dispatch_stall_cycles += 1
-                if self._priority_blocked:
+            # IQ entry allocation under the PUBS dispatch policies.
+            if not pubs_on:
+                slot = iq_dispatch(uop, False)
+            elif not mode_switch.pubs_active:
+                slot = iq.dispatch_uniform(uop)
+            elif uop.unconfident:
+                stats.unconfident_dispatches += 1
+                slot = iq_dispatch(uop, True)
+                if slot is not None:
+                    stats.priority_dispatches += 1
+                elif stall_policy:
                     # The stall policy blocked on the priority partition
                     # while the rest of the IQ may have space: a distinct
                     # cause, kept disjoint from iq_full so the per-cause
                     # split sums to dispatch_stall_cycles.
-                    self._priority_blocked = False
+                    stats.dispatch_stall_cycles += 1
                     stats.priority_stall_cycles += 1
                     stall_bucket = "priority"
+                    break
                 else:
-                    stats.iq_full_stall_cycles += 1
-                    stall_bucket = "iq"
+                    slot = iq_dispatch(uop, False)
+            else:
+                slot = iq_dispatch(uop, False)
+            if slot is None:
+                stats.dispatch_stall_cycles += 1
+                stats.iq_full_stall_cycles += 1
+                stall_bucket = "iq"
                 break
             frontend.popleft()
             renamer.rename(uop)
@@ -932,25 +961,6 @@ class Pipeline:
             stats.td_be_regs_slots += leftover
         else:
             stats.td_be_priority_slots += leftover
-
-    def _allocate_iq_slot(self, uop: Uop) -> Optional[int]:
-        """IQ entry allocation implementing the PUBS dispatch policies."""
-        cfg = self.config.pubs
-        if not cfg.enabled:
-            return self.iq.dispatch(uop, priority=False)
-        if not self.mode_switch.pubs_active:
-            return self.iq.dispatch_uniform(uop)
-        if uop.unconfident:
-            self.stats.unconfident_dispatches += 1
-            slot = self.iq.dispatch(uop, priority=True)
-            if slot is not None:
-                self.stats.priority_dispatches += 1
-                return slot
-            if cfg.stall_policy:
-                self._priority_blocked = True
-                return None
-            return self.iq.dispatch(uop, priority=False)
-        return self.iq.dispatch(uop, priority=False)
 
     # ==================================================================
     # Fetch

@@ -5,10 +5,13 @@ memory-level parallelism (issuing as many loads as possible) matters more
 than branch-misprediction penalty.  The mode switch observes LLC misses per
 kilo-instruction over a fixed committed-instruction window and disables PUBS
 while the observed MPKI is at or above a threshold.  While disabled, the IQ
-has no reserved entries: dispatch draws from the priority and normal free
-lists at random, weighted by their entry ratio (implemented in
-:mod:`repro.iq.priority_queue`), so the full capacity is usable with "no
-penalty for mode switching".
+has no reserved entries: dispatch takes the oldest hole of the priority and
+normal free lists merged in release order
+(:meth:`repro.iq.queue.IssueQueue.dispatch_uniform`; the paper's hardware
+picks between the two lists at random, weighted by their entry ratio --
+DESIGN.md §6), so the full capacity is usable with "no penalty for mode
+switching".  The pipeline feeds the switch only in cycles that commit:
+its decisions depend on commit progress alone.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ Per Sec. III-A the machinery is:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from ..isa.instruction import StaticInst
 from .config import PubsConfig
@@ -48,8 +49,21 @@ class SliceTrackerStats:
         return self.unconfident_branch_decodes / self.branch_decodes
 
 
+#: Decode kinds of a resolved static instruction.
+_OTHER, _BRANCH, _JUMP = 0, 1, 2
+
+
 class SliceTracker:
-    """The complete decode-side PUBS predictor."""
+    """The complete decode-side PUBS predictor.
+
+    :meth:`on_decode` runs for every decoded instruction, so the tracker
+    resolves each static instruction once -- its kind, sources,
+    destination and table pointers -- and then walks def_tab ->
+    brslice_tab -> conf_tab with the tables' set operations inlined:
+    the same lookups, MRU promotions, replacements and counter updates
+    as ``DefTab.writer_of``, ``BrsliceTab.lookup``/``link`` and
+    ``ConfTab.is_confident_*``, without a method call per step.
+    """
 
     def __init__(self, config: PubsConfig = None):
         self.config = config or PubsConfig()
@@ -63,43 +77,115 @@ class SliceTracker:
             c.word_width,
         )
         self.stats = SliceTrackerStats()
+        #: pc -> resolved instruction (see :meth:`_resolve`).
+        self._resolved: Dict[int, tuple] = {}
+
+    def __getstate__(self) -> dict:
+        # The resolutions are derived from the table geometry: warm
+        # checkpoints keep the layout they had before the memo existed.
+        state = self.__dict__.copy()
+        state.pop("_resolved", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._resolved = {}
+
+    def _resolve(self, inst: StaticInst) -> tuple:
+        """``(inst, kind, srcs, dest, writer, pointer)`` for ``inst``.
+
+        ``pointer`` is the table entry decode looks up: a branch's own
+        conf_tab pointer, any other non-jump's own brslice_tab pointer.
+        ``writer`` is the brslice pointer def_tab records for ``dest``.
+        """
+        pc = inst.pc
+        if inst.is_conditional_branch:
+            kind, pointer = _BRANCH, self.conf_tab.codec.pointer(pc)
+        elif inst.is_branch:  # unconditional jumps carry no condition slice
+            kind, pointer = _JUMP, None
+        else:
+            kind, pointer = _OTHER, self.brslice_tab.codec.pointer(pc)
+        writer = None
+        if inst.dest is not None:
+            writer = self.brslice_tab.codec.pointer(pc)
+        resolved = (inst, kind, inst.srcs, inst.dest, writer, pointer)
+        self._resolved[pc] = resolved
+        return resolved
 
     def on_decode(self, inst: StaticInst) -> bool:
         """Process one decoding instruction; True if it belongs to an
         unconfident branch slice (=> dispatch to a priority entry)."""
-        self.stats.decoded += 1
+        resolved = self._resolved.get(inst.pc)
+        if resolved is None or resolved[0] is not inst:
+            resolved = self._resolve(inst)
+        _, kind, srcs, dest, writer, pointer = resolved
+        stats = self.stats
+        stats.decoded += 1
         unconfident = False
-        if inst.is_conditional_branch:
-            self.stats.branch_decodes += 1
-            conf_ptr = self.conf_tab.pointer(inst.pc)
-            for src in inst.srcs:
-                slot = self.def_tab.writer_of(src)
-                if slot is not None:
-                    self.brslice_tab.link(slot, conf_ptr)
+        conf_ptr = None  # the conf_tab entry of the slice being extended
+        if kind == _OTHER:
+            # brslice_tab lookup of the instruction's own entry.
+            brslice = self.brslice_tab
+            brslice.lookups += 1
+            ways = brslice._sets[pointer.index]
+            tag = pointer.tag
+            for way in ways:
+                if way[0] == tag:
+                    # Tags are unique within a set, so ``remove`` takes
+                    # out exactly this way.
+                    if way is not ways[0]:
+                        ways.remove(way)
+                        ways.insert(0, way)
+                    brslice.hits += 1
+                    stats.slice_hits += 1
+                    conf_ptr = way[1]
+                    break
+        elif kind == _BRANCH:
+            stats.branch_decodes += 1
+            conf_ptr = pointer
+        if conf_ptr is not None:
+            # Link the producers of the sources into the slice: the
+            # brslice entry each def_tab pointer addresses now holds
+            # conf_ptr, MRU, evicting the set's LRU way when full.
+            if srcs:
+                entries = self.def_tab._entries
+                brslice = self.brslice_tab
+                for src in srcs:
+                    slot = entries[src]
+                    if slot is not None:
+                        ways = brslice._sets[slot.index]
+                        tag = slot.tag
+                        if ways and ways[0][0] == tag:
+                            ways[0] = (tag, conf_ptr)  # already MRU
+                            continue
+                        for way in ways:
+                            if way[0] == tag:
+                                ways.remove(way)
+                                break
+                        ways.insert(0, (tag, conf_ptr))
+                        if len(ways) > brslice.assoc:
+                            ways.pop()
             if self.config.blind:
                 unconfident = True
             else:
-                unconfident = not self.conf_tab.is_confident_pc(inst.pc)
-            if unconfident:
-                self.stats.unconfident_branch_decodes += 1
-        elif not inst.is_branch:  # unconditional jumps carry no condition slice
-            conf_ptr = self.brslice_tab.lookup(inst.pc)
-            if conf_ptr is not None:
-                self.stats.slice_hits += 1
-                for src in inst.srcs:
-                    slot = self.def_tab.writer_of(src)
-                    if slot is not None:
-                        self.brslice_tab.link(slot, conf_ptr)
-                if self.config.blind:
-                    unconfident = True
-                else:
-                    unconfident = not self.conf_tab.is_confident_pointer(conf_ptr)
-        if inst.dest is not None:
-            self.def_tab.record_writer(
-                inst.dest, self.brslice_tab.codec.pointer(inst.pc)
-            )
+                # Unallocated or saturated => confident (Sec. III-A3).
+                conf = self.conf_tab
+                ways = conf._sets[conf_ptr.index]
+                tag = conf_ptr.tag
+                for way in ways:
+                    if way[0] == tag:
+                        if way is not ways[0]:
+                            ways.remove(way)
+                            ways.insert(0, way)
+                        unconfident = (way[1].value
+                                       != (1 << conf.counter_bits) - 1)
+                        break
+            if unconfident and kind == _BRANCH:
+                stats.unconfident_branch_decodes += 1
+        if writer is not None:
+            self.def_tab._entries[dest] = writer
         if unconfident:
-            self.stats.unconfident_marks += 1
+            stats.unconfident_marks += 1
         return unconfident
 
     def on_branch_resolved(self, pc: int, correct: bool) -> None:

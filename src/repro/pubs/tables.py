@@ -191,19 +191,29 @@ class ConfTab:
         return counter is None or counter.confident
 
     def train(self, pc: int, correct: bool) -> None:
-        """Resolution-time update with allocation policy of Sec. III-A1."""
+        """Resolution-time update with allocation policy of Sec. III-A1.
+
+        A hit trains the counter (+1 saturating on correct, reset on
+        wrong) and makes it MRU; a miss allocates one at the maximum
+        after a correct prediction, at zero after a wrong one.
+        """
         ptr = self.codec.pointer(pc)
-        counter = self._find(ptr.index, ptr.tag)
-        if counter is not None:
-            counter.train(correct)
-            return
-        counter = ResettingConfidenceCounter(self.counter_bits)
-        if correct:
-            counter.reset_to_correct()
-        else:
-            counter.reset_to_incorrect()
         ways = self._sets[ptr.index]
-        ways.insert(0, (ptr.tag, counter))
+        tag = ptr.tag
+        maximum = (1 << self.counter_bits) - 1
+        for way in ways:
+            if way[0] == tag:
+                if way is not ways[0]:  # tags are unique within a set
+                    ways.remove(way)
+                    ways.insert(0, way)
+                counter = way[1]
+                if not correct:
+                    counter.value = 0
+                elif counter.value < maximum:
+                    counter.value += 1
+                return
+        ways.insert(0, (tag, ResettingConfidenceCounter(
+            self.counter_bits, maximum if correct else 0)))
         if len(ways) > self.assoc:
             ways.pop()
 

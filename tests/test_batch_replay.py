@@ -150,6 +150,18 @@ def test_member_order_never_affects_results(store, perm):
             == dataclasses.asdict(canonical[i])
 
 
+def test_later_members_are_built_from_the_snapshot(store, monkeypatch):
+    """Only the first member builds a memory hierarchy; the rest are
+    constructed around unpickled copies of its warm state."""
+    import repro.core.pipeline as pipeline_module
+    built = []
+    real = pipeline_module.MemoryHierarchy
+    monkeypatch.setattr(pipeline_module, "MemoryHierarchy",
+                        lambda config: built.append(config) or real(config))
+    results = run_batch(_jobs("sjeng", FAMILIES["pubs"]), trace_source=store)
+    assert len(results) == 3 and len(built) == 1
+
+
 def test_python_fallback_matches_numpy(store, monkeypatch):
     """The no-numpy record materialization (in the chunk decoder both
     replay paths share) is semantically identical."""

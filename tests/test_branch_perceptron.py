@@ -1,8 +1,74 @@
 """Unit tests for the perceptron predictor."""
 
+import pickle
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch import PerceptronPredictor
+from repro.branch.base import PredictorStats
+
+
+class ReferencePerceptron:
+    """The perceptron as plain loops: one Python multiply-add per history
+    bit, the output recomputed at every call, weights clamped by hand.
+    ``PerceptronPredictor`` must match it exactly."""
+
+    def __init__(self, history_length, table_size):
+        self.history_length = history_length
+        self.table_size = table_size
+        self.theta = int(1.93 * history_length + 14)
+        self._weights = [[0] * (history_length + 1)
+                         for _ in range(table_size)]
+        self._history = [-1] * history_length
+        self.stats = PredictorStats()
+
+    def _row(self, pc):
+        return self._weights[(pc >> 2) % self.table_size]
+
+    def _output(self, pc):
+        w = self._row(pc)
+        h = self._history
+        total = w[0]
+        for i in range(self.history_length):
+            total += w[i + 1] * h[i]
+        return total
+
+    def predict(self, pc):
+        return self._output(pc) >= 0
+
+    def update(self, pc, taken, predicted):
+        self.stats.record(taken == predicted)
+        output = self._output(pc)
+        t = 1 if taken else -1
+        if (output >= 0) != taken or abs(output) <= self.theta:
+            w = self._row(pc)
+            b = w[0] + t
+            w[0] = 127 if b > 127 else (-128 if b < -128 else b)
+            h = self._history
+            for i in range(self.history_length):
+                v = w[i + 1] + (t if h[i] > 0 else -t)
+                w[i + 1] = 127 if v > 127 else (-128 if v < -128 else v)
+        self._history.pop(0)
+        self._history.append(t)
+
+
+def _same_state(fast, reference):
+    return (fast._weights == reference._weights
+            and fast._history == reference._history
+            and fast.stats == reference.stats)
+
+
+#: One step on PC index ``a`` (and ``b``): "pair" is fetch's predict
+#: then update of one branch, "predict" a wrong-path prediction that is
+#: never trained, "update" a training with no prior predict, "cross"
+#: predict(a) followed by update(b).
+_ops = st.lists(
+    st.tuples(st.sampled_from(["pair", "predict", "update", "cross"]),
+              st.integers(0, 7), st.integers(0, 7), st.booleans()),
+    max_size=150)
 
 
 class TestConstruction:
@@ -104,3 +170,88 @@ class TestLearning:
         # Row for pc 4 (word 1) is untouched; output 0 -> predicted taken
         # (>= 0), but its weights must still all be zero.
         assert all(w == 0 for w in p._weights[1])
+
+
+class TestMatchesReference:
+    @given(history=st.integers(1, 36),
+           table=st.sampled_from([1, 2, 4, 8]),
+           preset=st.none() | st.integers(0, 2 ** 16),
+           ops=_ops)
+    @settings(max_examples=150)
+    def test_random_sequences(self, history, table, preset, ops):
+        fast = PerceptronPredictor(history, table)
+        reference = ReferencePerceptron(history, table)
+        if preset is not None:
+            # Start from arbitrary (also saturated) weights and history,
+            # where outputs are large and one update flips decisions.
+            rng = random.Random(preset)
+            for p in (fast, reference):
+                p._weights = [[rng.randint(-128, 127)
+                               for _ in range(history + 1)]
+                              for _ in range(table)]
+                p._history = [rng.choice((-1, 1)) for _ in range(history)]
+                rng.seed(preset)
+        for op, a, b, taken in ops:
+            pc_a, pc_b = a * 4, b * 4
+            if op == "update":
+                fast.update(pc_a, taken, not taken)
+                reference.update(pc_a, taken, not taken)
+            else:
+                predicted = fast.predict(pc_a)
+                assert predicted == reference.predict(pc_a)
+                if op != "predict":
+                    pc = pc_a if op == "pair" else pc_b
+                    fast.update(pc, taken, predicted)
+                    reference.update(pc, taken, predicted)
+            assert _same_state(fast, reference)
+
+    @pytest.mark.parametrize("history, p_taken, rail", [
+        (34, 0.75, 127), (34, 0.25, -128), (36, 0.75, 127),
+        (36, 0.25, -128)])
+    def test_long_runs_saturate_identically(self, history, p_taken, rail):
+        # Biased noise keeps mispredicting, so training never stops and
+        # a weight runs into the rail (after ~3.5k branches); the run
+        # goes on long enough to keep pressing it there.
+        rng = random.Random(history)
+        fast = PerceptronPredictor(history, 1)
+        reference = ReferencePerceptron(history, 1)
+        pressed = 0
+        for _ in range(20_000):
+            predicted = fast.predict(0)
+            assert predicted == reference.predict(0)
+            taken = rng.random() < p_taken
+            fast.update(0, taken, predicted)
+            reference.update(0, taken, predicted)
+            assert _same_state(fast, reference)
+            if rail in fast._weights[0]:
+                pressed += 1
+                if pressed == 500:
+                    break
+        assert pressed == 500
+
+    def test_stale_output_is_not_reused_across_an_update(self):
+        """predict(A), update(B), update(A): the second update must see
+        the weights and history update(B) left behind."""
+        fast = PerceptronPredictor(1, 1)  # A and B share the only row
+        reference = ReferencePerceptron(1, 1)
+        for p in (fast, reference):
+            p._weights[0] = [0, 20]
+            p._history = [1]
+            assert p.predict(0)  # output 20: confident, taken
+            p.update(4, False, True)  # output for A is now -20
+            p.update(0, True, True)  # a misprediction after all: trains
+        assert _same_state(fast, reference)
+        assert fast._weights[0] == [0, 18]
+
+    def test_pickled_mid_sequence(self):
+        fast = PerceptronPredictor(8, 4)
+        reference = ReferencePerceptron(8, 4)
+        for n in range(200):
+            pc = (n % 5) * 4
+            predicted = fast.predict(pc)
+            reference.predict(pc)
+            if n % 3 == 0:
+                fast = pickle.loads(pickle.dumps(fast))
+            fast.update(pc, n % 4 != 0, predicted)
+            reference.update(pc, n % 4 != 0, predicted)
+        assert _same_state(fast, reference)

@@ -346,6 +346,11 @@ class TestVerifyCommand:
         ["sample", "mcf", "--regions", "-2"],
         ["sample", "mcf", "--measure", "0"],
         ["sample", "mcf", "--interval", "0"],
+        ["sample", "mcf", "--warmup", "-1"],
+        ["sample", "mcf", "--detail", "-1"],
+        ["sample", "mcf", "--fraction", "0"],
+        ["sample", "mcf", "--fraction", "1.5"],
+        ["sample", "mcf", "--fraction", "nan"],
     ])
     def test_non_positive_knobs_rejected_up_front(self, capsys, argv,
                                                   isolated_store):

@@ -1,9 +1,15 @@
 """Unit tests for the decode-stage slice tracker (the heart of PUBS)."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa import Opcode, StaticInst
 from repro.pubs import PubsConfig, SliceTracker
+
+from tests.reference_slice_tracker import ReferenceSliceTracker, table_state
 
 
 def _add(pc, dest, src1, src2):
@@ -170,3 +176,114 @@ class TestDataflowCorrectness:
         assert tracker.stats.decoded == decoded_before
         # After reset, the producer is no longer classified as slice.
         assert tracker.on_decode(insts[0]) is False
+
+
+# ----------------------------------------------------------------------
+# The fast decode path against the method-chain reference
+# ----------------------------------------------------------------------
+
+#: Few registers and PCs: dense dataflow, and (on the small geometries
+#: below) constant set conflicts and tag aliasing.
+_regs = st.integers(min_value=0, max_value=7)
+_pcs = st.integers(min_value=0, max_value=63).map(lambda n: n * 4)
+
+
+@st.composite
+def _instructions(draw):
+    pc = draw(_pcs)
+    kind = draw(st.sampled_from(
+        ["beq", "beqz", "jump", "add", "addi", "movi", "load", "store",
+         "nop"]))
+    if kind == "beq":
+        return StaticInst(pc, Opcode.BEQ, src1=draw(_regs),
+                          src2=draw(_regs), target=0)
+    if kind == "beqz":
+        return StaticInst(pc, Opcode.BEQZ, src1=draw(_regs), target=0)
+    if kind == "jump":
+        return StaticInst(pc, Opcode.JUMP, target=0)
+    if kind == "add":
+        return StaticInst(pc, Opcode.ADD, dest=draw(_regs),
+                          src1=draw(_regs), src2=draw(_regs))
+    if kind == "addi":
+        return _addi(pc, draw(_regs), draw(_regs))
+    if kind == "movi":
+        return StaticInst(pc, Opcode.MOVI, dest=draw(_regs), imm=1)
+    if kind == "load":
+        return StaticInst(pc, Opcode.LOAD, dest=draw(_regs),
+                          src1=draw(_regs))
+    if kind == "store":
+        return StaticInst(pc, Opcode.STORE, src1=draw(_regs),
+                          src2=draw(_regs))
+    return StaticInst(pc, Opcode.NOP)
+
+
+_configs = st.builds(
+    PubsConfig,
+    blind=st.booleans(),
+    conf_counter_bits=st.integers(1, 6),
+    conf_sets=st.sampled_from([1, 2, 4]),
+    conf_assoc=st.integers(1, 4),
+    conf_fold_width=st.integers(1, 8),
+    brslice_sets=st.sampled_from([1, 2, 4]),
+    brslice_assoc=st.integers(1, 4),
+    brslice_fold_width=st.integers(1, 8),
+)
+
+#: One step: decode pool[i % len(pool)]; when ``resolve`` is not None,
+#: first resolve that instruction's PC as a branch with that outcome;
+#: ``reload`` swaps the fast tracker for a pickled copy of itself.
+_steps = st.lists(
+    st.tuples(st.integers(0, 63), st.sampled_from([None, True, False]),
+              st.booleans()),
+    max_size=160)
+
+
+class TestMatchesReference:
+    """``SliceTracker`` against ``tests/reference_slice_tracker.py``."""
+
+    @given(config=_configs,
+           pool=st.lists(_instructions(), min_size=1, max_size=24),
+           steps=_steps)
+    @settings(max_examples=150)
+    def test_random_streams_on_alias_heavy_geometries(self, config, pool,
+                                                      steps):
+        # The pool may hold different instructions at one PC: the
+        # per-PC resolution must notice the instruction changed.
+        fast, reference = SliceTracker(config), ReferenceSliceTracker(config)
+        for index, resolve, reload in steps:
+            inst = pool[index % len(pool)]
+            if resolve is not None:
+                fast.on_branch_resolved(inst.pc, resolve)
+                reference.on_branch_resolved(inst.pc, resolve)
+            if reload and index % 8 == 0:
+                fast = pickle.loads(pickle.dumps(fast))
+            assert fast.on_decode(inst) == reference.on_decode(inst)
+            assert table_state(fast) == table_state(reference)
+
+    def test_matches_on_a_workload_stream(self):
+        """A real program's correct path, trained like the pipeline."""
+        from repro import build_program, spec2006_profiles
+        from repro.isa.executor import FunctionalExecutor
+        profile = spec2006_profiles()["sjeng"]
+        program = build_program(profile)
+        executor = FunctionalExecutor(program, mem_seed=profile.mem_seed)
+        config = PubsConfig(conf_sets=16, brslice_sets=16)
+        fast, reference = SliceTracker(config), ReferenceSliceTracker(config)
+        for n in range(6000):
+            pc, _, taken, _ = executor.step_raw()
+            inst = program.insts[pc >> 2]
+            assert fast.on_decode(inst) == reference.on_decode(inst)
+            if inst.is_conditional_branch:
+                correct = taken == (n % 3 != 0)
+                fast.on_branch_resolved(pc, correct)
+                reference.on_branch_resolved(pc, correct)
+        assert table_state(fast) == table_state(reference)
+        assert fast.stats.unconfident_marks > 0
+
+    def test_pickle_drops_the_resolution_memo(self):
+        tracker = SliceTracker()
+        tracker.on_decode(_addi(0, 1, 2))
+        assert tracker._resolved
+        restored = pickle.loads(pickle.dumps(tracker))
+        assert restored._resolved == {}
+        assert "_resolved" not in tracker.__getstate__()
