@@ -104,19 +104,30 @@ from .workloads import build_program, get_profile, spec2006_profiles
 
 
 def _machine_from_args(args) -> ProcessorConfig:
-    cfg = ProcessorConfig.cortex_a72_like(
-        iq_organization=args.iq_org,
-        distributed_iq=args.distributed,
-    )
-    if args.age_matrix:
-        cfg = cfg.with_age_matrix()
-    if args.pubs:
-        cfg = cfg.with_pubs(PubsConfig(
-            priority_entries=args.priority_entries,
-            stall_policy=not args.non_stall,
-        ))
-    if args.smt:
-        cfg = cfg.with_smt(interleave=args.smt_interleave)
+    """The machine the flags describe.
+
+    Flags no machine can have raise :class:`ValueError` naming them;
+    :func:`main` checks this before any command runs.
+    """
+    flags = "--iq-org/--distributed/--age-matrix"
+    try:
+        cfg = ProcessorConfig.cortex_a72_like(
+            iq_organization=args.iq_org,
+            distributed_iq=args.distributed,
+        )
+        if args.age_matrix:
+            cfg = cfg.with_age_matrix()
+        if args.pubs:
+            flags = f"--pubs --priority-entries {args.priority_entries}"
+            cfg = cfg.with_pubs(PubsConfig(
+                priority_entries=args.priority_entries,
+                stall_policy=not args.non_stall,
+            ))
+        if args.smt:
+            flags = f"--smt-interleave {args.smt_interleave}"
+            cfg = cfg.with_smt(interleave=args.smt_interleave)
+    except ValueError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
     return cfg
 
 
@@ -712,6 +723,10 @@ def _cmd_verify(args) -> int:
                         "checks the full timing model -- a sampled "
                         "estimate proves nothing about uncovered records"):
         return 2
+    if args.interval < 1:
+        print(f"error: --interval must be a positive cycle count, got "
+              f"{args.interval}", file=sys.stderr)
+        return 2
     config = _machine_from_args(args).with_verification(
         level=args.level, interval=args.interval)
     names = [args.workload] if args.workload else sorted(spec2006_profiles())
@@ -906,6 +921,18 @@ def _cmd_stress(args) -> int:
             ["family", "knob", "default", "sweep", "stressed resource"],
             rows))
         return 0
+    if args.knob is not None:
+        # A knob is a count, and a kernel may restrict it further (its
+        # builder raises): build each selected kernel before simulating.
+        try:
+            if args.knob < 0:
+                raise ValueError("must be >= 0")
+            for name in args.families or FAMILIES:
+                if name in FAMILIES:
+                    FAMILIES[name].build(args.knob)
+        except ValueError as exc:
+            print(f"error: --knob {args.knob}: {exc}", file=sys.stderr)
+            return 2
     try:
         reports = run_families(
             args.families or None,
@@ -1260,9 +1287,24 @@ def _unknown_workload(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _bad_machine(args) -> Optional[str]:
+    """Why the machine flags describe no machine, or None.
+
+    Checked before the command runs, so a bad value exits 2 with one
+    ``error:`` line instead of a traceback from inside a simulation.
+    """
+    if not hasattr(args, "pubs"):  # a command without machine flags
+        return None
+    try:
+        _machine_from_args(args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    error = _unknown_workload(args)
+    error = _unknown_workload(args) or _bad_machine(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2

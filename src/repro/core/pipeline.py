@@ -7,11 +7,13 @@ function-unit mix, a reorder buffer committing in order, a load/store queue
 with store-to-load forwarding, checkpointed misprediction recovery, and the
 two-level cache hierarchy with a stream prefetcher.
 
-Execution is trace-driven: a :class:`~repro.trace.replay.
-TraceReplayFrontEnd` over a recorded trace (DESIGN.md §9) supplies the
+Execution is trace-driven: a :class:`~repro.trace.replay.ReplayWindow`
+over a recorded trace (DESIGN.md §9) supplies the
 architecturally-correct instruction stream from typed arrays, and warmup
 restores cached post-skip checkpoints of the memory hierarchy and the
-predictor complex instead of re-training them.  On a branch misprediction
+predictor complex instead of re-training them.  :meth:`Pipeline.
+_prepare_replay` seats every run -- a lone one or a batch member
+(:mod:`repro.batch`) -- and a pipeline runs once.  On a branch misprediction
 the front end walks the *static* code along the predicted path, injecting
 wrong-path uops that occupy rename registers, IQ entries, LSQ entries and
 function units until recovery -- the resource contention that makes issue
@@ -113,6 +115,13 @@ def _front_warm_config(config: ProcessorConfig) -> dict:
     }
 
 
+#: The warm state a seated run leaves behind, in the order
+#: ``Pipeline(warm=...)`` takes it: the components the warm-checkpoint
+#: store persists, plus the I-line dedup mark the warm walk leaves.
+WARM_FIELDS = ("hierarchy", "predictor", "btb", "slice_tracker",
+               "_last_ifetch_line")
+
+
 class DeadlockError(RuntimeError):
     """The pipeline made no commit progress for an implausible interval."""
 
@@ -122,11 +131,13 @@ class Pipeline:
 
     def __init__(self, program: Program, config: ProcessorConfig = None,
                  mem_seed: int = 0, trace_source=None, warm=None):
-        """``warm`` optionally hands over trained ``(hierarchy, predictor,
-        btb, slice_tracker)`` components to use instead of building fresh
-        ones; they must match this config's memory and warm front-end
-        slice (:func:`_front_warm_config`).  Batched replay builds each
-        later member from the first one's warm snapshot this way.
+        """``warm`` optionally hands over the warm state a seated run
+        left behind -- ``(hierarchy, predictor, btb, slice_tracker,
+        last_ifetch_line)``, see :data:`WARM_FIELDS` -- to use instead
+        of building fresh components and training them; it must match
+        this config's memory and warm front-end slice
+        (:func:`_front_warm_config`).  Batched replay builds each later
+        member from the first one's warm snapshot this way.
         """
         self.config = config or ProcessorConfig.cortex_a72_like()
         cfg = self.config
@@ -136,18 +147,21 @@ class Pipeline:
         #: inject a temp-dir store; None => the shared environment-selected
         #: store).
         self._trace_source = trace_source
-        #: The replay front end, built in run() once the required trace
-        #: length (skip + sample + margin) is known.
+        #: The run's :class:`~repro.trace.replay.ReplayWindow`, opened
+        #: (or, in a batch, shared) by :meth:`_prepare_replay`.
         self.cursor = None
+        #: Built from a warm snapshot: the seat trains nothing.
+        self._warm_given = warm is not None
         if warm is None:
             self.predictor = build_predictor(cfg)
             self.btb = BranchTargetBuffer(cfg.predictor.btb_sets,
                                           cfg.predictor.btb_assoc)
             self.hierarchy = MemoryHierarchy(cfg.memory)
             self.slice_tracker = SliceTracker(cfg.pubs)
+            self._last_ifetch_line = -1
         else:
             (self.hierarchy, self.predictor, self.btb,
-             self.slice_tracker) = warm
+             self.slice_tracker, self._last_ifetch_line) = warm
             # Rebind so later field reads see this run's own config
             # object, not the snapshot's.
             self.slice_tracker.config = cfg.pubs
@@ -190,7 +204,6 @@ class Pipeline:
         #: pipeline-refill bubbles after a recovery or an I-miss are
         #: attributed to their cause, not to generic fetch bandwidth.
         self._bubble_reason = "fetch"
-        self._last_ifetch_line = -1
         self._frontend: Deque[Uop] = deque()
         self._frontend_capacity = cfg.fetch_width * (cfg.frontend_depth + 2)
         self._events: Dict[int, List[Uop]] = {}
@@ -204,13 +217,9 @@ class Pipeline:
         self._ready_buckets: Dict[int, List[Uop]] = {}  # cycle -> uops
         self._forward_latency = 2  # store-to-load forwarding (L1-hit-like)
         self._commit_limit: Optional[int] = None
-        #: Sampled-region detailed warmup still owed before measurement
-        #: (consumed by the first ``run`` on a region config).
+        #: Sampled-region detailed warmup owed before measurement.
         self._pending_detail = 0
-        #: Set by the batched replay front end (:mod:`repro.batch`) after
-        #: it has installed the shared cursor and warm state externally;
-        #: the next ``run`` then skips :meth:`_prepare_replay` once.
-        self._replay_prepared = False
+        self._ran = False
         #: Hierarchy-counter baselines at the measurement start, so
         #: region stats report the measured window, not the warm phases.
         self._mem_stats_base = (0, 0, 0)
@@ -255,26 +264,28 @@ class Pipeline:
         the trace: fetch takes at most ``fetch_width`` correct-path
         records per cycle, so no more than that many records per cycle
         are ever acquired.
+
+        A pipeline runs once; a second call raises :class:`RuntimeError`.
+        A batch (:func:`repro.batch.run_batch`) seats its members before
+        their runs; every other run is seated here.
         """
         if max_instructions < 1:
             raise ValueError("max_instructions must be positive")
-        if self._replay_prepared:
-            self._replay_prepared = False
-        else:
+        if self._ran:
+            raise RuntimeError(
+                "a Pipeline runs once: build a new one for the next run")
+        self._ran = True
+        if self.cursor is None:
             reach = max_instructions
             if max_cycles is not None:
                 reach = min(reach,
                             self.config.fetch_width * (max_cycles + 1))
             self._prepare_replay(reach, skip_instructions)
-        if self.verifier is not None:
-            self.verifier.on_skip(skip_instructions)
         if self._pending_detail:
             self._run_detail(self._pending_detail)
-            self._pending_detail = 0
         limit = max_cycles if max_cycles is not None else 500 * max_instructions + 100_000
         # Cycles the detail warmup spent come before measurement.
-        self._cycle_loop(self.stats.committed + max_instructions,
-                         self.cycle + limit, "")
+        self._cycle_loop(max_instructions, self.cycle + limit, "")
         self._finalize_stats()
         if self.verifier is not None:
             self.verifier.on_run_end()
@@ -290,8 +301,7 @@ class Pipeline:
         Their cycles and commits are discarded; only the warm state --
         including the instructions still in flight -- carries over.
         """
-        self._cycle_loop(self.stats.committed + detail,
-                         self.cycle + 500 * detail + 100_000,
+        self._cycle_loop(detail, 500 * detail + 100_000,
                          " during detailed warmup")
         # Measurement starts here: fresh counters, and remember the
         # hierarchy's absolute miss counts so _finalize_stats reports
@@ -357,81 +367,71 @@ class Pipeline:
     # Replay front end
     # ------------------------------------------------------------------
 
-    def _prepare_replay(self, max_instructions: int,
-                        skip_instructions: int) -> None:
-        """Acquire the trace and fast-forward warmup for a run.
+    def _prepare_replay(self, max_instructions: int, skip_instructions: int,
+                        window=None, readers: int = 1) -> None:
+        """Seat a run: open its trace window and warm up to the seat.
 
-        The skip phase models fast-forwarding from a checkpoint: caches,
-        the branch predictor, the BTB and the confidence table see the
-        skipped stream (functionally, without timing), so timing starts
-        from a representative microarchitectural state.  On a fresh run
-        the trained post-skip state of the memory hierarchy and of the
-        predictor complex is restored from (or recorded into) the
-        warm-checkpoint store, so a sweep trains each component once, not
-        once per config.  On a resumed run (``run`` called again) warm
-        training continues from the replay position on the machine's own
-        structures.  ``max_instructions`` is how far past the skip the
-        run can fetch; the trace is acquired that far plus the
-        fetch-ahead margin.
+        Timing starts at the *seat*: ``skip_instructions``, or a sampled
+        region's start less its detail window.  The warm phase models
+        fast-forwarding from a checkpoint -- caches, the branch
+        predictor, the BTB and the confidence table see the stream
+        before the seat functionally, without timing -- along one of
+        three paths:
+
+        * a full prefix (a skip, or a region whose warmup reaches record
+          0): the trained state is restored from (or recorded into) the
+          warm-checkpoint store, so a sweep trains it once, not once per
+          config;
+        * a region's partial warmup: the LLC prewarm plus warm spans
+          over the records just before the seat;
+        * seat 0: the LLC prewarm only.
+
+        A pipeline built from a warm snapshot (``warm=``) trains
+        nothing.  The differential oracle, when enabled, is seated at
+        the same record.
+
+        ``window`` is the shared :class:`~repro.trace.replay.ReplayWindow`
+        of a batch whose earlier member opened it.  Without one the run
+        acquires its trace (``max_instructions`` past the timed start,
+        plus the fetch-ahead margin) and opens a window for ``readers``
+        runs.
         """
-        from ..trace.replay import TraceReplayFrontEnd  # deferred: import cycle
+        from ..trace.replay import ReplayWindow  # deferred: import cycle
         from ..trace.store import REPLAY_MARGIN, shared_store
         store = self._trace_source if self._trace_source is not None \
             else shared_store()
-        fresh = (self.cycle == 0 and self.stats.committed == 0
-                 and self._next_trace_seq == 0)
         region = self.config.replay_region
-        if region is not None and fresh:
-            if skip_instructions:
-                raise ValueError(
-                    "replay_region and skip_instructions are mutually "
-                    "exclusive: the region's warmup already positions "
-                    "the timed window")
-            end = region.start + max_instructions
-            trace = store.acquire(self.program, self.mem_seed,
-                                  end + REPLAY_MARGIN)
-            self.cursor = TraceReplayFrontEnd(trace, self.program, end)
-            # Timing (the discarded detail window first) starts at
-            # ``seat``; warm microarchitectural state fast-forwards only
-            # over the warmup residue before it, and the differential
-            # oracle (when enabled) restarts from the nearest
-            # ArchCheckpoint <= the seat instead of re-executing the
-            # whole prefix.
+        if region is None:
+            seat = skip_instructions
+            end = seat + max_instructions
+        elif skip_instructions:
+            raise ValueError(
+                "replay_region and skip_instructions are mutually "
+                "exclusive: the region's warmup already positions "
+                "the timed window")
+        else:
             seat = region.start - region.detail
-            if region.warmup == seat and seat > 0:
-                # Full-prefix warmup is exactly the skip path's warm
-                # phase, so share its warm-checkpoint store: state at
-                # this seat is trained once and restored by every other
-                # config sampling the same window.
+            end = region.start + max_instructions
+            self._pending_detail = region.detail
+        if window is None:
+            trace = store.acquire(self.program, self.mem_seed,
+                                  end + REPLAY_MARGIN,
+                                  skip_hint=skip_instructions)
+            window = ReplayWindow(trace, self.program, seat, end, readers)
+        self.cursor = window
+        trace = window.trace
+        if not self._warm_given:
+            warmup = seat if region is None else region.warmup
+            if warmup == seat and seat:
                 self._restore_or_train_warm(store, trace, seat)
             else:
                 self._prewarm_regions()
-                self._warm_mem_span(trace, seat - region.warmup, seat)
-                self._warm_front_span(trace, seat - region.warmup, seat)
-            self._next_trace_seq = seat
-            self._pending_detail = region.detail
-            if self.verifier is not None:
-                self.verifier.on_region(trace, seat)
-            self.cursor.release(seat)
-            return
-        start = 0 if fresh else self.cursor.high
-        end = start + skip_instructions + max_instructions
-        trace = store.acquire(self.program, self.mem_seed,
-                              end + REPLAY_MARGIN,
-                              skip_hint=skip_instructions if fresh else 0)
-        if self.cursor is None:
-            self.cursor = TraceReplayFrontEnd(trace, self.program, end)
-        else:
-            self.cursor.attach(trace, end)
-        if fresh and skip_instructions:
-            self._restore_or_train_warm(store, trace, skip_instructions)
-            self._next_trace_seq = skip_instructions
-        else:
-            self._prewarm_regions()
-            self._warm_mem_span(trace, start, start + skip_instructions)
-            self._warm_front_span(trace, start, start + skip_instructions)
-            self._next_trace_seq += skip_instructions
-        self.cursor.release(self._next_trace_seq)
+                self._warm_mem_span(trace, seat - warmup, seat)
+                self._warm_front_span(trace, seat - warmup, seat)
+        self._next_trace_seq = seat
+        if self.verifier is not None:
+            self.verifier.on_seat(trace, seat)
+        window.seat(seat)
 
     def _restore_or_train_warm(self, store, trace, skip: int) -> None:
         """Restore warm components from checkpoints, training on a miss."""

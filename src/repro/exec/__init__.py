@@ -47,10 +47,8 @@ from .executor import (
     default_jobs,
 )
 from .jobs import (
-    BatchJob,
     SimJob,
     batch_signature,
-    execute_batch,
     execute_job,
     execute_unit,
     job_key,
@@ -87,7 +85,6 @@ __all__ = [
     "DEFAULT_BATCH_LIMIT",
     "DEFAULT_LEASE_TTL",
     "DEFAULT_MAX_ATTEMPTS",
-    "BatchJob",
     "CacheStats",
     "ExecutionBackend",
     "InlineBackend",
@@ -113,7 +110,6 @@ __all__ = [
     "default_cache_dir",
     "default_jobs",
     "default_queue_dir",
-    "execute_batch",
     "execute_job",
     "execute_unit",
     "fingerprint",

@@ -11,9 +11,11 @@ deterministic (workload, config, budget) simulations.
 2. serves what it can from the **persistent result cache**
    (:mod:`repro.exec.cache`);
 3. **groups** the remaining misses by
-   :func:`~repro.exec.jobs.batch_signature` into :class:`~repro.exec.jobs.
-   BatchJob` units (``--batch`` / ``REPRO_BATCH``; see :mod:`repro.batch`),
-   so N same-window configs walk their trace once instead of N times;
+   :func:`~repro.exec.jobs.batch_signature` into units of up to
+   ``--batch`` / ``REPRO_BATCH`` jobs, each run by
+   :func:`~repro.exec.jobs.execute_unit` as one batched trace walk (see
+   :mod:`repro.batch`), so N same-window configs walk their trace once
+   instead of N times;
 4. hands the resulting units to an :class:`~repro.exec.backend.
    ExecutionBackend` -- inline, a local process pool sized by ``--jobs`` /
    ``REPRO_JOBS``, or the shared job queue that ``repro worker``
@@ -28,7 +30,7 @@ property the backend-conformance suite pins down.  Every batch member keeps
 its own job key, so warm-cache behavior is unchanged: cached members are
 served before grouping and never re-simulated.
 
-The default backend is the process pool, whose "a batch of one, or
+The default backend is the process pool, whose "a single unit, or
 ``jobs=1``, runs inline in this process" rule keeps small calls like
 ``run_pair`` free of pool and pickling overhead.
 """

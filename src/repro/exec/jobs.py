@@ -6,12 +6,15 @@ machine configuration, and instruction budget.  Jobs are immutable, picklable
 via :func:`job_key`, which is what both the deduplicator and the persistent
 cache key on.
 
-:func:`execute_job` is the single place a job turns into a result; it is a
-module-level function so :class:`concurrent.futures.ProcessPoolExecutor`
-can ship it to workers.  It deliberately reproduces
-:func:`repro.analysis.runner.run_workload`'s exact recipe (same program
-builder, same ``mem_seed``) so a job result is bit-identical to a direct
-call -- the determinism contract the parallel path is tested against.
+:func:`execute_unit` is where planned jobs turn into results: a
+module-level function, so :class:`concurrent.futures.ProcessPoolExecutor`
+can ship it to workers, that runs every unit -- one job or many --
+through :func:`repro.batch.run_batch`.  :func:`execute_job` runs one job
+directly.  Both reproduce :func:`repro.analysis.runner.run_workload`'s
+exact recipe (same program builder, same ``mem_seed``) and reach the same
+:meth:`~repro.core.pipeline.Pipeline.run`, so a job result is
+bit-identical to a direct call -- the determinism contract the parallel
+path is tested against.
 
 The key hashes the *entire* ``ProcessorConfig``, so knobs that change how
 a result is produced without changing its value -- ``verify_level`` --
@@ -102,49 +105,14 @@ def batch_signature(job: SimJob) -> str:
     })
 
 
-@dataclass(frozen=True)
-class BatchJob:
-    """Several same-signature replay jobs sharing one trace walk.
-
-    Each member keeps its own :func:`job_key` -- and therefore its own
-    persistent cache entry -- so warm-cache behavior is identical to
-    running the members individually; the executor drops already-cached
-    members from the batch before simulation.
-    """
-
-    jobs: Tuple[SimJob, ...]
-
-    def __post_init__(self) -> None:
-        if not self.jobs:
-            raise ValueError("a batch needs at least one job")
-        signatures = {batch_signature(job) for job in self.jobs}
-        if len(signatures) > 1:
-            raise ValueError(
-                "batch members must share workload, budget, replay window, "
-                "memory configuration and warm front-end configuration")
-
-    @property
-    def signature(self) -> str:
-        return batch_signature(self.jobs[0])
-
-
-def execute_batch(batch: BatchJob) -> List[SimulationResult]:
-    """Run a batch to completion (in this process), one walk of the trace."""
-    from ..batch import run_batch  # deferred: repro.batch builds on repro.exec
-    return run_batch(batch.jobs)
-
-
 def execute_unit(unit) -> "List[Tuple[str, SimulationResult]]":
     """Run one planned unit of keyed jobs (module-level for pickling).
 
     The primitive every execution backend -- and every ``repro
-    worker`` -- runs: a unit is one or more ``(job_key, SimJob)``
-    entries; multi-job units share one batched trace walk, single-job
-    units run exactly as a direct :func:`execute_job` call.
+    worker`` -- runs: a unit is one or more same-signature ``(job_key,
+    SimJob)`` entries, replayed by one :func:`~repro.batch.run_batch`
+    walk of their trace (a one-job unit is a batch of one).
     """
-    entries = list(unit)
-    if len(entries) == 1:
-        key, job = entries[0]
-        return [(key, execute_job(job))]
-    results = execute_batch(BatchJob(tuple(job for _, job in entries)))
-    return list(zip((key for key, _ in entries), results))
+    from ..batch import run_batch  # deferred: repro.batch builds on repro.exec
+    keys, jobs = zip(*unit)
+    return list(zip(keys, run_batch(jobs)))

@@ -57,6 +57,11 @@ class PubsConfig:
     def __post_init__(self) -> None:
         if self.priority_entries < 0:
             raise ValueError("priority_entries must be non-negative")
+        if self.enabled and self.stall_policy and not self.priority_entries:
+            raise ValueError(
+                "a zero-entry priority partition can never dispatch an "
+                "unconfident instruction under the stall policy; use "
+                "at least one entry or the non-stall policy")
         if self.conf_counter_bits < 1:
             raise ValueError("conf_counter_bits must be at least 1")
         for n, v in (

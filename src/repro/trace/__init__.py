@@ -8,10 +8,10 @@ See DESIGN.md §9.  Public surface:
 * :class:`~repro.trace.format.Trace` / :class:`~repro.trace.format.
   ArchCheckpoint` and the encode/decode pair -- the versioned,
   checksummed on-disk format;
-* :class:`~repro.trace.replay.TraceReplayFrontEnd` -- the cursor the
-  pipeline fetches correct-path records from (replay is the only timed
-  front end; the functional executor feeds capture and the verification
-  oracle);
+* :class:`~repro.trace.replay.ReplayWindow` -- the one cursor the
+  pipeline fetches correct-path records from, shared by the members of
+  a batch (replay is the only timed front end; the functional executor
+  feeds capture and the verification oracle);
 * :class:`~repro.trace.store.TraceStore` / :func:`~repro.trace.store.
   shared_store` -- content-addressed persistence for traces and warm
   microarchitectural checkpoints.
@@ -28,7 +28,7 @@ from .format import (
     encode_trace,
     trace_metadata,
 )
-from .replay import TraceExhaustedError, TraceReplayFrontEnd, static_decode_table
+from .replay import ReplayWindow, TraceExhaustedError, static_decode_table
 from .store import (
     REPLAY_MARGIN,
     TraceStore,
@@ -45,7 +45,7 @@ __all__ = [
     "Trace",
     "TraceFormatError",
     "TraceExhaustedError",
-    "TraceReplayFrontEnd",
+    "ReplayWindow",
     "TraceStore",
     "adopt_skip_checkpoint",
     "capture_trace",

@@ -1,13 +1,13 @@
 """The trace-replay front end: feeds the pipeline from a recorded trace.
 
-:class:`TraceReplayFrontEnd` is the pipeline's correct-path supply: the
-fetch stage asks for records by dynamic sequence number (rewinding after
-mispredictions), and commit advances a low-water mark through
-:meth:`release`.  Records are decoded from the trace's typed arrays by
-:class:`ReplayWindow`, the
-chunked materializer this front end shares with the batched replay path
-(:mod:`repro.batch`): a numpy structure-of-arrays pass per chunk, with no
-architectural execution on the hot path.
+:class:`ReplayWindow` is the pipeline's correct-path supply and its only
+trace cursor: the fetch stage asks for records by dynamic sequence number
+(rewinding after mispredictions), and commit advances a low-water mark
+through :meth:`~ReplayWindow.release`.  Records are decoded from the
+trace's typed arrays chunk by chunk (a numpy structure-of-arrays pass
+per chunk, with no architectural execution on the hot path), and the
+members of a batch (:mod:`repro.batch`) share one window, so each record
+is decoded once per batch.
 
 Wrong-path fetch is *not* served here: the pipeline keeps walking the
 static code itself, because wrong-path behaviour
@@ -38,7 +38,7 @@ CHUNK = 4096
 #: never decodes far past what it fetches.
 TAIL = 64
 
-#: Program-keyed static-decode tables, shared by every front end replaying
+#: Program-keyed static-decode tables, shared by every window replaying
 #: the same program (weak so programs are not kept alive by the memo).
 _DECODE_TABLES: "weakref.WeakKeyDictionary[Program, Tuple[StaticInst, ...]]" \
     = weakref.WeakKeyDictionary()
@@ -98,7 +98,11 @@ class TraceExhaustedError(RuntimeError):
 
 
 class ReplayWindow:
-    """Records of one trace from ``base`` on, decoded in chunks on demand.
+    """The pipeline's trace cursor: records of one trace from ``base`` on.
+
+    Fetch asks for records by dynamic sequence number (rewinding after
+    mispredictions); commit advances a low-water mark through
+    :meth:`release`, and asking for a record below it is an error.
 
     ``end`` is the sequence number the run commits up to (None: the
     whole trace).  Below it every record will be fetched, so records are
@@ -107,14 +111,25 @@ class ReplayWindow:
     records at a time.  A run therefore never decodes more than ``TAIL``
     records past the furthest one it fetches, and never past the need it
     acquired its trace for (``end`` plus the fetch-ahead margin).
+
+    ``readers`` runs replay the window one after another, each starting
+    at :meth:`seat` -- the members of a batch
+    (:func:`repro.batch.run_batch`), so each record is decoded once per
+    batch.  While a later reader will re-read them, released records
+    stay buffered; once the last (or only) reader is seated they are
+    freed in amortized batches (once they are at least half the buffer),
+    bounding memory to the in-flight window plus the decoded chunk ahead
+    of it.
     """
 
     def __init__(self, trace: Trace, program: Program, base: int = 0,
-                 end: Optional[int] = None):
+                 end: Optional[int] = None, readers: int = 1):
         self._trace = trace
         self._decode = static_decode_table(program)
         self._records: List[DynamicOp] = []
         self._base = base  # seq number of _records[0]
+        self._low = base  # release mark
+        self._readers = readers  # readers not yet seated
         self.end = len(trace) if end is None else end
 
     @property
@@ -130,6 +145,11 @@ class ReplayWindow:
         """Sequence number just past the highest decoded record."""
         return self._base + len(self._records)
 
+    @property
+    def retained(self) -> int:
+        """Number of records currently buffered."""
+        return len(self._records)
+
     def _decode_through(self, seq: int) -> None:
         """Extend the decoded records (in place) to cover ``seq``."""
         n = len(self._trace)
@@ -144,73 +164,35 @@ class ReplayWindow:
 
     def get(self, seq: int) -> DynamicOp:
         """The trace record with dynamic sequence number ``seq``."""
-        off = seq - self._base
-        if off < 0:
-            raise IndexError(
-                f"record {seq} is before the window base ({self._base})")
-        records = self._records
-        if off >= len(records):
-            self._decode_through(seq)
-        return records[off]
-
-
-class TraceReplayFrontEnd(ReplayWindow):
-    """Random-access cursor over a recorded trace.
-
-    Random access below the low-water mark :meth:`release` advances is an
-    error, and records below it are freed (in amortized batches: once they are at least
-    half the buffer), bounding memory to the in-flight window plus the
-    decoded chunk ahead of it.
-    """
-
-    def __init__(self, trace: Trace, program: Program,
-                 end: Optional[int] = None):
-        super().__init__(trace, program, 0, end)
-        self._low = 0  # release mark
-        self._fetched = 0  # just past the highest record handed out
-
-    def attach(self, trace: Trace, end: Optional[int] = None) -> None:
-        """Swap in an extended trace (a superset of the current one) and,
-        when given, the resumed run's window end."""
-        if len(trace) < len(self._trace):
-            raise ValueError("an attached trace must extend the current one")
-        self._trace = trace
-        if end is not None:
-            self.end = end
-
-    @property
-    def high(self) -> int:
-        """Sequence number just past the highest record fetched.
-
-        The stream position a resumed run's warmup starts from -- *not*
-        how far the chunked decoder has run ahead.  A release past every
-        fetched record moves it to the release mark.
-        """
-        return max(self._low, self._fetched)
-
-    def get(self, seq: int) -> DynamicOp:
-        """The trace record with dynamic sequence number ``seq``."""
         if seq < self._low:
             raise IndexError(
-                f"trace record {seq} already released (base={self._low})")
-        if seq >= self._fetched:
-            self._fetched = seq + 1
+                f"trace record {seq} already released (mark {self._low})")
         records = self._records
         off = seq - self._base
         if off >= len(records):
             self._decode_through(seq)
         return records[off]
 
-    def release(self, seq: int) -> None:
-        """Discard records with sequence numbers below ``seq``.
+    def seat(self, seq: int) -> None:
+        """Start the next reader: its first record is ``seq``."""
+        if seq < self._base:
+            raise IndexError(
+                f"record {seq} is before the window base ({self._base})")
+        self._readers -= 1
+        self._low = self._base
+        self.release(seq)
 
-        ``seq`` may run ahead of what has been decoded (the warmup
-        fast-forward skips whole prefixes); decoding then resumes from
-        the new mark.
+    def release(self, seq: int) -> None:
+        """Move the low-water mark up to ``seq``.
+
+        ``seq`` may run ahead of what has been decoded (a seat past the
+        base skips whole prefixes); decoding then resumes from the mark.
         """
         if seq <= self._low:
             return
         self._low = seq
+        if self._readers > 0:
+            return  # a later reader re-reads these records
         records = self._records
         drop = seq - self._base
         if drop >= len(records):
@@ -219,8 +201,3 @@ class TraceReplayFrontEnd(ReplayWindow):
         elif 2 * drop >= len(records):
             del records[:drop]
             self._base = seq
-
-    @property
-    def retained(self) -> int:
-        """Number of records currently buffered (for tests)."""
-        return len(self._records)

@@ -30,7 +30,7 @@ from .invariants import (
     check_def_tab,
     default_registry,
 )
-from .oracle import CommitOracle, clone_executor
+from .oracle import CommitOracle
 from .violations import InvariantViolation, OracleMismatch
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "check_conf_tab",
     "check_def_tab",
     "CommitOracle",
-    "clone_executor",
     "InvariantViolation",
     "OracleMismatch",
 ]

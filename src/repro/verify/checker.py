@@ -2,9 +2,10 @@
 
 :class:`PipelineVerifier` is instantiated by :class:`~repro.core.pipeline.
 Pipeline` when the machine configuration asks for verification
-(``verify_level`` of ``"commit-only"`` or ``"full"``) and is driven by three
-hooks on the pipeline's hot path:
+(``verify_level`` of ``"commit-only"`` or ``"full"``) and is driven by four
+hooks on the pipeline:
 
+* the run's seat positions the oracle (:meth:`on_seat`);
 * every committing uop goes through the differential oracle
   (:meth:`on_commit`);
 * at ``"full"`` level the invariant registry sweeps the whole machine every
@@ -12,7 +13,7 @@ hooks on the pipeline's hot path:
 * the end of a run triggers the full architectural state diff and -- at
   ``"full"`` level -- one final invariant sweep (:meth:`on_run_end`).
 
-All three are no-ops at the source when ``verify_level`` is ``"off"``: the
+All four are no-ops at the source when ``verify_level`` is ``"off"``: the
 pipeline then holds no verifier at all, so the only cost to an unverified
 run is a ``None`` check.
 """
@@ -69,25 +70,22 @@ class PipelineVerifier:
     # Pipeline hooks
     # ------------------------------------------------------------------
 
-    def on_skip(self, count: int) -> None:
-        """Mirror the warm-up fast-forward in the oracle's executor."""
-        self.oracle.skip(count)
-
-    def on_region(self, trace, start: int) -> None:
-        """Seat the oracle at a sampled region start.
+    def on_seat(self, trace, seat: int) -> None:
+        """Seat the oracle at the run's first timed record.
 
         Restores from the trace's nearest :class:`~repro.trace.format.
-        ArchCheckpoint` at or below ``start`` and functionally steps only
-        the residue -- O(checkpoint interval) instead of O(region start),
-        which is what makes verified sampled runs affordable.  Without
-        any usable checkpoint the oracle steps the whole prefix.
+        ArchCheckpoint` at or below ``seat`` (the skip checkpoint, for a
+        skip) and functionally steps only the residue -- O(checkpoint
+        interval) instead of O(seat), which is what makes verified
+        sampled runs affordable.  Without any usable checkpoint (seat 0
+        included) the oracle steps the whole prefix.
         """
-        checkpoint = trace.checkpoint_at(start)
-        if checkpoint is not None and checkpoint.seq <= start:
+        checkpoint = trace.checkpoint_at(seat)
+        if checkpoint is not None:
             self.oracle.restore_checkpoint(checkpoint)
-            self.oracle.skip(start - checkpoint.seq)
+            self.oracle.skip(seat - checkpoint.seq)
         else:
-            self.oracle.skip(start)
+            self.oracle.skip(seat)
 
     def on_commit(self, uop) -> None:
         self.oracle.check_commit(uop, self.pipeline.cycle)

@@ -11,14 +11,13 @@ flag -- against what in-order execution actually produces.  Sequence
 numbers are checked for gaplessness, so a dropped, duplicated or reordered
 commit is caught on the spot.
 
-At the end of a run, :meth:`finish_against_checkpoint` advances a *clone*
-of the oracle state to the trace's end checkpoint and diffs the full
-architectural state (registers, PC, every memory word ever written);
-:meth:`finish` does the same against any functional executor.  A capture
-that disagrees with independent in-order execution -- the failure mode
-that turns into silently wrong IPC numbers -- shows up as a concrete
-register or word mismatch.  The clone keeps the diff non-destructive, so a
-pipeline can be resumed (``run`` called again) after a checked run.
+At the end of a run, :meth:`finish_against_checkpoint` advances the
+oracle to the trace's end checkpoint and diffs the full architectural
+state (registers, PC, every memory word ever written); :meth:`finish` does
+the same against any functional executor.  A capture that disagrees with
+independent in-order execution -- the failure mode that turns into
+silently wrong IPC numbers -- shows up as a concrete register or word
+mismatch.
 """
 
 from __future__ import annotations
@@ -26,17 +25,6 @@ from __future__ import annotations
 from ..isa.executor import FunctionalExecutor
 from ..isa.instruction import Program
 from .violations import OracleMismatch
-
-
-def clone_executor(executor: FunctionalExecutor) -> FunctionalExecutor:
-    """An independent copy of ``executor``'s architectural state."""
-    clone = FunctionalExecutor(executor.program,
-                               mem_seed=executor.memory.seed)
-    clone.regs = list(executor.regs)
-    clone.pc = executor.pc
-    clone._seq = executor.seq
-    clone.memory._words = dict(executor.memory.words())
-    return clone
 
 
 class CommitOracle:
@@ -130,8 +118,8 @@ class CommitOracle:
         """End-of-run differential state check against the main executor.
 
         The main executor runs ahead of commit (the trace cursor materializes
-        in-flight records); a clone of the oracle is advanced to the same
-        sequence number and the complete architectural state is compared.
+        in-flight records); the oracle is advanced to the same sequence
+        number and the complete architectural state is compared.
         """
         self._finish_against(main_executor.seq, main_executor.pc,
                              list(main_executor.regs),
@@ -142,7 +130,7 @@ class CommitOracle:
         """End-of-run state check against the recorded trace.
 
         ``checkpoint`` is the trace's end
-        :class:`~repro.trace.format.ArchCheckpoint`; the oracle clone is
+        :class:`~repro.trace.format.ArchCheckpoint`; the oracle is
         advanced to its sequence number (at or past everything the
         pipeline committed) and diffed against the recorded state, proving
         the oracle's independent execution agrees with the capture pass.
@@ -153,28 +141,28 @@ class CommitOracle:
 
     def _finish_against(self, seq: int, pc: int, regs, words,
                         what: str, cycle) -> None:
-        probe = clone_executor(self.executor)
-        if probe.seq > seq:
+        executor = self.executor
+        if executor.seq > seq:
             raise OracleMismatch(
                 "commit-oracle",
                 f"oracle ran ahead of the {what} "
-                f"({probe.seq} > {seq})", cycle=cycle)
-        while probe.seq < seq:
-            probe.step_raw()
-        if probe.pc != pc:
+                f"({executor.seq} > {seq})", cycle=cycle)
+        while executor.seq < seq:
+            executor.step_raw()
+        if executor.pc != pc:
             raise OracleMismatch(
                 "commit-oracle",
-                f"final PC mismatch: oracle {probe.pc:#x}, "
+                f"final PC mismatch: oracle {executor.pc:#x}, "
                 f"{what} {pc:#x}", cycle=cycle)
-        if probe.regs != regs:
+        if executor.regs != regs:
             diffs = {f"r{i}": (a, b) for i, (a, b)
-                     in enumerate(zip(probe.regs, regs))
+                     in enumerate(zip(executor.regs, regs))
                      if a != b}
             raise OracleMismatch(
                 "commit-oracle",
                 f"final register state mismatch in {len(diffs)} register(s)",
                 cycle=cycle, snapshot=diffs)
-        oracle_words = probe.memory.words()
+        oracle_words = executor.memory.words()
         main_words = words
         if oracle_words != main_words:
             bad = {hex(a): (oracle_words.get(a), main_words.get(a))

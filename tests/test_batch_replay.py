@@ -1,27 +1,33 @@
 """Batched multi-config replay: one trace walk, bit-identical members.
 
 The tentpole guarantee of :mod:`repro.batch` (DESIGN.md §12): feeding N
-same-warm-class configs from one :class:`SharedReplayWindow` produces
-*exactly* the results N sequential replays produce -- same ``SimStats``,
-same side-structure counters, pinned against the seed goldens -- while
-decoding the trace and training warm state once for the whole batch.
+same-warm-class configs from one shared
+:class:`~repro.trace.replay.ReplayWindow` produces *exactly* the results
+N lone runs produce -- same ``SimStats``, same side-structure
+counters, pinned against the seed goldens -- while decoding the trace
+and training warm state once for the whole batch.
 """
 
 import dataclasses
+import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.batch.replay as batch_replay
 import repro.trace.replay as trace_replay
-from repro.batch import BatchCursor, SharedReplayWindow, run_batch
+from repro.batch import run_batch
 from repro.core.config import ProcessorConfig
+from repro.core.pipeline import Pipeline
 from repro.core.simulator import simulate
-from repro.exec import BatchJob, SimJob, batch_signature
+from repro.exec import SimJob, batch_signature, execute_unit
 from repro.exec.cache import ResultCache
 from repro.exec.executor import SweepExecutor
 from repro.pubs import PubsConfig
-from repro.trace import TraceExhaustedError
+from repro.trace import ReplayWindow, TraceExhaustedError
+from repro.trace.replay import CHUNK
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
@@ -182,7 +188,7 @@ def test_mixed_signatures_rejected(store):
     with pytest.raises(ValueError):
         run_batch(mixed, trace_source=store)
     with pytest.raises(ValueError):
-        BatchJob(tuple(mixed))
+        execute_unit([(str(i), job) for i, job in enumerate(mixed)])
 
 
 def test_base_and_pubs_never_share_a_batch():
@@ -207,18 +213,18 @@ def test_region_and_skip_are_mutually_exclusive(store):
 # Shared window / cursor mechanics
 # ----------------------------------------------------------------------
 
-def _window(store, workload="sjeng", records=3000, base=0):
+def _window(store, workload="sjeng", records=3000, base=0, readers=2):
     profile = get_profile(workload)
     program = build_program(profile)
     trace = store.acquire(program, profile.mem_seed, records)
-    return SharedReplayWindow(trace, program, base), trace
+    return ReplayWindow(trace, program, base, readers=readers), trace
 
 
 def test_window_materializes_lazily_and_once(store):
     window, _ = _window(store)
-    assert window.high == window.base
+    assert window.decoded == window.base
     first = window.get(10)
-    assert window.high >= 11
+    assert window.decoded >= 11
     assert window.get(10) is first  # same shared object, not a re-decode
 
 
@@ -230,19 +236,56 @@ def test_window_exhaustion_raises(store):
 
 def test_cursor_release_is_per_member(store):
     window, _ = _window(store)
-    first, second = BatchCursor(window), BatchCursor(window)
-    first.get(5)
-    first.release(6)
+    window.seat(0)
+    first = window.get(5)
+    window.release(6)
     with pytest.raises(IndexError):
-        first.get(5)
-    # The other member's view is untouched by the release.
-    assert second.get(5).seq == 5
+        window.get(5)
+    # The next member starts over at the seat, on the same records.
+    window.seat(0)
+    assert window.get(5) is first
 
 
-def test_cursor_rejects_reattach(store):
-    window, trace = _window(store)
-    with pytest.raises(RuntimeError):
-        BatchCursor(window).attach(trace)
+def _counting_pickle(monkeypatch):
+    """Count the warm snapshots run_batch pickles."""
+    dumps = []
+    monkeypatch.setattr(batch_replay, "pickle", SimpleNamespace(
+        HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL, loads=pickle.loads,
+        dumps=lambda obj, **kw: dumps.append(1) or pickle.dumps(obj, **kw)))
+    return dumps
+
+
+def test_batch_of_one_pickles_no_snapshot(store, monkeypatch):
+    dumps = _counting_pickle(monkeypatch)
+    jobs = _jobs("sjeng", FAMILIES["pubs"][:1])
+    _assert_identical(run_batch(jobs, trace_source=store), jobs, store)
+    assert dumps == []
+
+
+def test_batch_pickles_one_snapshot(store, monkeypatch):
+    dumps = _counting_pickle(monkeypatch)
+    run_batch(_jobs("sjeng", FAMILIES["pubs"]), trace_source=store)
+    assert len(dumps) == 1
+
+
+def test_last_member_frees_released_records(store, monkeypatch):
+    """Earlier members keep the span their successors re-read; the last
+    member frees records as it commits them."""
+    retained = []
+    real_run = Pipeline.run
+
+    def run(self, *args, **kwargs):
+        stats = real_run(self, *args, **kwargs)
+        retained.append(self.cursor.retained)
+        return stats
+
+    monkeypatch.setattr(Pipeline, "run", run)
+    instructions = 2 * CHUNK
+    run_batch(_jobs("sjeng", FAMILIES["base"], instructions=instructions),
+              trace_source=store)
+    *kept, last = retained
+    assert all(count > instructions for count in kept)
+    assert last < CHUNK + BASE.rob_size
 
 
 # ----------------------------------------------------------------------

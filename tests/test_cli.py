@@ -351,6 +351,15 @@ class TestVerifyCommand:
         ["sample", "mcf", "--fraction", "0"],
         ["sample", "mcf", "--fraction", "1.5"],
         ["sample", "mcf", "--fraction", "nan"],
+        ["run", "sjeng", "--pubs", "-n", "200", "--skip", "100",
+         "--priority-entries", "0"],
+        ["run", "sjeng", "--pubs", "--priority-entries", "-1"],
+        ["run", "sjeng", "--pubs", "--priority-entries", "999"],
+        ["run", "sjeng", "--smt", "--smt-interleave", "0"],
+        ["verify", "--workload", "sjeng", "--interval", "0"],
+        ["stress", "run", "branch_h2p", "--knob", "-1"],
+        ["stress", "run", "dep_chain", "--knob", "-1"],
+        ["stress", "run", "cache_thrash", "--knob", "3"],
     ])
     def test_non_positive_knobs_rejected_up_front(self, capsys, argv,
                                                   isolated_store):

@@ -126,3 +126,11 @@ class TestPubsConfig:
             PubsConfig(conf_counter_bits=0)
         with pytest.raises(ValueError):
             PubsConfig(brslice_assoc=0)
+
+    def test_zero_entry_stall_partition_rejected(self):
+        """Under the stall policy an unconfident instruction waits for a
+        priority entry, so a zero-entry partition deadlocks the run."""
+        with pytest.raises(ValueError, match="zero-entry"):
+            PubsConfig(priority_entries=0)
+        assert PubsConfig(priority_entries=0, stall_policy=False)
+        assert not PubsConfig(enabled=False, priority_entries=0).enabled

@@ -15,7 +15,7 @@ from repro.isa import (
     mix64,
     to_signed,
 )
-from repro.trace import TraceReplayFrontEnd, capture_trace
+from repro.trace import ReplayWindow, capture_trace
 
 
 def _prog(*insts):
@@ -183,7 +183,7 @@ class TestExecution:
 
 
 class TestTraceCursor:
-    """The fetch stage's cursor contract, on the replay front end: random
+    """The fetch stage's cursor contract, on the replay window: random
     access above the release mark, rewind within the retained window."""
 
     def _looping_cursor(self, end=None):
@@ -191,7 +191,9 @@ class TestTraceCursor:
             StaticInst(0, Opcode.ADDI, dest=1, src1=1, imm=1),
             StaticInst(4, Opcode.JUMP, target=0),
         )
-        return TraceReplayFrontEnd(capture_trace(prog, 0, 200), prog, end)
+        cursor = ReplayWindow(capture_trace(prog, 0, 200), prog, end=end)
+        cursor.seat(0)  # its only reader
+        return cursor
 
     def test_sequential_get(self):
         cursor = self._looping_cursor()

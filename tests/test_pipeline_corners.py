@@ -82,11 +82,12 @@ class TestBtbEffects:
 
 
 class TestRunSemantics:
-    def test_run_can_continue(self):
+    def test_second_run_raises(self):
         pipe = Pipeline(independent_alu_program())
         pipe.run(800)
-        stats = pipe.run(700)
-        assert stats.committed == 1500
+        with pytest.raises(RuntimeError, match="runs once"):
+            pipe.run(700)
+        assert pipe.stats.committed == 800
 
     def test_mem_seed_changes_data_dependent_behaviour(self):
         # The workload programs branch on *loaded* data, so the memory

@@ -14,12 +14,12 @@ import pytest
 
 from repro.core.config import ProcessorConfig
 from repro.core.simulator import simulate
-from repro.trace import TraceExhaustedError, TraceReplayFrontEnd, capture_trace
+from repro.trace import ReplayWindow, TraceExhaustedError, capture_trace
 from repro.trace.replay import CHUNK, TAIL
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
-from tests.digests import result_digest, stats_digest
+from tests.digests import result_digest
 
 BASE = ProcessorConfig.cortex_a72_like()
 
@@ -46,19 +46,6 @@ LIVE_DIGESTS = {
         "7128754d6e8b2bdebc790697a8840f7653ab31880d412e37370ecc7371716d59",
     "mcf-pubs":
         "ddf717efbae0081ab4a6334b58ad16a11a01180c9985a0a4bde3430a1f3194e9",
-}
-
-#: :func:`~tests.digests.stats_digest` of the live front end's stats after
-#: run(800, skip_instructions=600) then run(800) on gcc...
-LIVE_RESUME_DIGEST = \
-    "7ed0c3b33ff7c25af432074a66404e74d65babc26619e21f06b7cc9f729d8b95"
-
-#: ...and after run(800, skip_instructions=600) twice.
-LIVE_RESUME_WITH_SKIP_DIGESTS = {
-    "sjeng":
-        "ab7e199c030029407d9cb8a5acdf34cb2ce64cf3acce967c1aa4b40268497cdd",
-    "astar":
-        "6d08998d6008990066bfd844dc3ed4d6b92bd46560e216fc6598d5a37ba72330",
 }
 
 
@@ -109,6 +96,15 @@ def test_warm_checkpoints_shared_across_configs(store):
     assert sweep_store.warm_restores == 4    # 2 components x 2 later runs
 
 
+def test_seat_zero_prewarms_only(tmp_path):
+    """A run timed from record 0 has no prefix to restore or train: it
+    prewarms the LLC and leaves the warm-checkpoint store alone."""
+    zero_store = TraceStore(root=tmp_path, persistent=False)
+    _run("gobmk", BASE.with_pubs(), zero_store, skip=0)
+    assert zero_store.warm_trainings == 0
+    assert zero_store.warm_restores == 0
+
+
 def test_replay_with_full_verification(store):
     """The differential oracle + invariants hold on a replayed run."""
     config = BASE.with_pubs().with_verification("full", interval=128)
@@ -117,56 +113,19 @@ def test_replay_with_full_verification(store):
     assert result.invariant_sweeps > 0
 
 
-def test_replay_resume_matches_live(store):
-    """run() twice on one pipeline reproduces the live front end.
-
-    (The second run keeps ``skip=0``: skipping with uops in flight would
-    release trace records an in-flight branch can still rewind to.)
-    """
-    from repro.core.pipeline import Pipeline
-
-    profile = get_profile("gcc")
-    replay = Pipeline(build_program(profile), BASE,
-                      mem_seed=profile.mem_seed, trace_source=store)
-    replay.run(800, skip_instructions=600)
-    replay.run(800)
-    assert stats_digest(replay.stats) == LIVE_RESUME_DIGEST
-
-
-@pytest.mark.parametrize("workload", ["sjeng", "astar"])
-def test_replay_resume_with_skip_matches_live(workload, store):
-    """run(n, skip) twice on one pipeline reproduces the live front end.
-
-    The second run's warm span starts where the first run's fetch
-    stopped -- the cursor's ``high``; how far the chunked decoder has
-    run ahead of fetch must not move it.  (These workloads end the first
-    run with no mispredicted branch in flight, so the skip releases
-    nothing an in-flight branch can rewind to.)
-    """
-    from repro.core.pipeline import Pipeline
-
-    profile = get_profile(workload)
-    replay = Pipeline(build_program(profile), BASE,
-                      mem_seed=profile.mem_seed, trace_source=store)
-    replay.run(800, skip_instructions=600)
-    replay.run(800, skip_instructions=600)
-    assert stats_digest(replay.stats) == LIVE_RESUME_WITH_SKIP_DIGESTS[workload]
-
-
 def test_replay_frontend_cursor_semantics():
-    """Chunked decoding bounded by the window end; ``high`` is the fetch
-    position, not the decode position; released records stay released
-    and are freed."""
+    """Chunked decoding bounded by the window end; released records stay
+    released and, once the window's last reader is seated, are freed."""
     profile = get_profile("sjeng")
     program = build_program(profile)
     trace = capture_trace(program, profile.mem_seed, 3 * CHUNK)
     end = CHUNK + 100
-    cursor = TraceReplayFrontEnd(trace, program, end)
+    cursor = ReplayWindow(trace, program, 0, end)
+    cursor.seat(0)
     first = cursor.get(0)
     assert first.seq == 0 and first.inst.pc == trace.pcs[0]
     assert cursor.get(10).seq == 10
-    assert cursor.decoded == CHUNK  # one whole chunk below the end...
-    assert cursor.high == 11  # ...but only what was fetched counts
+    assert cursor.decoded == CHUNK  # one whole chunk below the end
     cursor.release(5)
     with pytest.raises(IndexError):
         cursor.get(4)  # below the low-water mark
@@ -176,26 +135,72 @@ def test_replay_frontend_cursor_semantics():
     assert cursor.get(end + 3).seq == end + 3
     assert cursor.decoded == end + 4
     cursor.get(end + 4)
-    assert cursor.decoded == end + 4 + TAIL and cursor.high == end + 5
+    assert cursor.decoded == end + 4 + TAIL
     # Releases free the records below the mark.
     cursor.release(end)
     assert cursor.retained == cursor.decoded - end
     with pytest.raises(IndexError):
         cursor.get(end - 1)
     cursor.release(2 * CHUNK)  # jump past the decoded window
-    assert cursor.retained == 0 and cursor.high == 2 * CHUNK
+    assert cursor.retained == 0 and cursor.base == 2 * CHUNK
     assert cursor.get(2 * CHUNK).seq == 2 * CHUNK
     with pytest.raises(TraceExhaustedError):
         cursor.get(3 * CHUNK)  # past the captured stream
 
 
-def test_region_decoding_stays_within_acquired_need(store):
+def test_window_keeps_records_for_a_later_reader():
+    """Records one reader released stay buffered while another reader
+    will re-read them; the last reader's releases free them."""
+    profile = get_profile("sjeng")
+    program = build_program(profile)
+    trace = capture_trace(program, profile.mem_seed, 3 * CHUNK)
+    window = ReplayWindow(trace, program, 100, 2 * CHUNK, readers=2)
+    window.seat(100)
+    first = window.get(CHUNK)
+    window.release(CHUNK + 1)
+    assert window.base == 100  # kept: the next reader starts over
+    window.seat(100)
+    assert window.get(100).seq == 100
+    assert window.get(CHUNK) is first  # decoded once for both readers
+    window.release(CHUNK + 1)
+    assert window.base == CHUNK + 1
+    assert window.retained == window.decoded - (CHUNK + 1)
+    with pytest.raises(IndexError):
+        window.seat(100)  # the span before the mark is gone
+
+
+def test_single_run_frees_released_records(store, monkeypatch):
+    """A long run keeps only its in-flight span, not every record it
+    replayed: a retained record costs about 120 B."""
+    windows = []
+    real_seat = ReplayWindow.seat
+
+    def seat(self, seq):
+        windows.append(self)
+        real_seat(self, seq)
+
+    monkeypatch.setattr(ReplayWindow, "seat", seat)
+    result = _run("sjeng", BASE, store, instructions=20_000, skip=2000)
+    assert result.stats.committed == 20_000
+    (window,) = windows
+    assert window.retained < CHUNK + BASE.rob_size
+
+
+def test_region_decoding_stays_within_acquired_need(store, monkeypatch):
     """A short sampled region decodes no further than its acquired need
     (``end`` plus the fetch-ahead margin) -- and in fact no more than
     one tail chunk past the furthest record it fetched."""
     from repro.core.pipeline import Pipeline
     from repro.trace.store import REPLAY_MARGIN
 
+    furthest = [0]
+    real_get = ReplayWindow.get
+
+    def get(self, seq):
+        furthest[0] = max(furthest[0], seq)
+        return real_get(self, seq)
+
+    monkeypatch.setattr(ReplayWindow, "get", get)
     profile = get_profile("gcc")
     start, measure = 6000, 500
     pipe = Pipeline(build_program(profile),
@@ -203,19 +208,9 @@ def test_region_decoding_stays_within_acquired_need(store):
                     mem_seed=profile.mem_seed, trace_source=store)
     pipe.run(measure)
     cursor = pipe.cursor
-    assert cursor.high > start + measure  # fetch ran ahead of commit
-    assert cursor.decoded <= cursor.high + TAIL
+    assert furthest[0] >= start + measure  # fetch ran ahead of commit
+    assert cursor.decoded <= furthest[0] + 1 + TAIL
     assert cursor.decoded <= start + measure + REPLAY_MARGIN
-
-
-def test_replay_frontend_attach_requires_extension():
-    profile = get_profile("sjeng")
-    program = build_program(profile)
-    long_trace = capture_trace(program, profile.mem_seed, 60)
-    short_trace = capture_trace(program, profile.mem_seed, 30)
-    cursor = TraceReplayFrontEnd(long_trace, program)
-    with pytest.raises(ValueError):
-        cursor.attach(short_trace)
 
 
 def test_frontend_mode_validated():

@@ -18,12 +18,7 @@ import pytest
 from repro.analysis import run_workload
 from repro.core.pipeline import Pipeline
 from repro.isa.executor import FunctionalExecutor
-from repro.verify import (
-    CommitOracle,
-    InvariantViolation,
-    OracleMismatch,
-    clone_executor,
-)
+from repro.verify import CommitOracle, InvariantViolation, OracleMismatch
 from repro.workloads import build_program, get_profile
 
 from .test_pipeline_golden import CONFIGS, GOLDEN_STATS, INSTRUCTIONS, SKIP
@@ -67,6 +62,24 @@ class TestOracleAgreement:
         assert "free-list-conservation" in report.invariants
         assert "commits=800" in report.summary()
 
+    def test_skip_seats_oracle_at_the_skip_checkpoint(self, monkeypatch,
+                                                      tmp_path):
+        """A verified skip restores the trace's skip checkpoint instead
+        of stepping the oracle functionally over the skipped records."""
+        from repro.trace.store import TraceStore
+
+        stepped = []
+        real_skip = CommitOracle.skip
+        monkeypatch.setattr(CommitOracle, "skip", lambda oracle, count: (
+            stepped.append(count), real_skip(oracle, count)))
+        pipeline = Pipeline(
+            build_program(get_profile("sjeng")),
+            CONFIGS["sjeng_base"][1].with_verification("commit-only"),
+            trace_source=TraceStore(root=tmp_path, persistent=False))
+        pipeline.run(300, skip_instructions=700)
+        assert pipeline.verifier.commits_checked == 300
+        assert stepped == [0]  # seated exactly at record 700
+
 
 # ======================================================================
 # Mutation: every oracle check fires on seeded corruption
@@ -89,9 +102,9 @@ class TestCommitStreamMutations:
 
     def test_skip_mismatch_detected(self):
         pipeline = _verified_pipeline()
-        # The pipeline fast-forwards 100 instructions but the oracle is told
-        # about none of them -- equivalent to a dropped-commit bug.
-        pipeline.verifier.on_skip = lambda count: None
+        # The pipeline fast-forwards 100 instructions but the oracle is
+        # never seated past them -- equivalent to a dropped-commit bug.
+        pipeline.verifier.on_seat = lambda trace, seat: None
         with pytest.raises(OracleMismatch, match="commit stream gap"):
             pipeline.run(200, skip_instructions=100)
 
@@ -170,9 +183,6 @@ class TestFinalStateDiff:
         oracle.skip(120)  # commit naturally trails the fetch-side executor
         oracle.finish(main)
         assert oracle.final_state_checked
-        # finish() must advance a clone, not the oracle itself: the run can
-        # be resumed and checked again afterwards.
-        assert oracle.executor.seq == 120
 
     def test_register_corruption_detected(self):
         oracle, main = self._synced_pair()
@@ -195,19 +205,3 @@ class TestFinalStateDiff:
         oracle.executor.step()  # phantom extra commit
         with pytest.raises(OracleMismatch, match="ran ahead"):
             oracle.finish(main)
-
-
-class TestCloneExecutor:
-    def test_clone_is_independent(self):
-        program = build_program(get_profile("sjeng"))
-        executor = FunctionalExecutor(program)
-        for _ in range(50):
-            executor.step()
-        clone = clone_executor(executor)
-        assert clone.seq == executor.seq
-        assert clone.pc == executor.pc
-        assert clone.regs == executor.regs
-        assert clone.memory.words() == executor.memory.words()
-        clone.step()
-        assert clone.seq == executor.seq + 1
-        assert executor.seq == 50  # original untouched
