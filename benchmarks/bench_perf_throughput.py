@@ -64,6 +64,7 @@ from common import INSTRUCTIONS, SKIP
 
 from repro import ProcessorConfig
 from repro.analysis import render_table
+from repro.core.pipeline import replay_reach
 from repro.core.simulator import simulate
 from repro.exec import SimJob, SweepExecutor
 from repro.sampling import (
@@ -77,8 +78,7 @@ from repro.sampling import (
     sampled_vs_full_error,
 )
 from repro.trace import TraceStore
-from repro.trace.replay import INST_BYTES, static_decode_table
-from repro.trace.store import REPLAY_MARGIN
+from repro.trace.replay import INST_BYTES
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
@@ -209,9 +209,9 @@ def test_perf_throughput(report):
 # ----------------------------------------------------------------------
 
 def _decode_throughput(program, trace):
-    """Lookups/second decoding every trace PC, memoized vs ``Program.at``."""
+    """Lookups/second decoding every trace PC, by index vs ``Program.at``."""
     pcs = trace.pcs
-    table = static_decode_table(program)
+    table = program.insts
 
     start = time.perf_counter()
     for pc in pcs:
@@ -235,7 +235,7 @@ def _decode_throughput(program, trace):
 def test_sampling_accuracy_speedup(report):
     cfg = ProcessorConfig.cortex_a72_like()
     store = TraceStore(persistent=False)
-    records = SAMPLING_SKIP + SAMPLING_INSTRUCTIONS + REPLAY_MARGIN
+    records = SAMPLING_SKIP + SAMPLING_INSTRUCTIONS + replay_reach(cfg)
 
     rows = []
     per_workload = {}
@@ -361,7 +361,8 @@ def test_adaptive_sampling_honesty(report):
         profile = get_profile(workload)
         program = build_program(profile)
         store.acquire(program, profile.mem_seed,
-                      SAMPLING_SKIP + SAMPLING_INSTRUCTIONS + REPLAY_MARGIN)
+                      SAMPLING_SKIP + SAMPLING_INSTRUCTIONS
+                      + max(map(replay_reach, configs.values())))
         cells = {}
         for config_name, cfg in configs.items():
             full = simulate(program, cfg,
@@ -471,9 +472,10 @@ def test_batched_replay_speedup(report):
     store = TraceStore(persistent=False)
     # Both legs replay the same pre-captured trace: the gate measures
     # the per-config work batching hoists, not capture cost.
-    store.acquire(program, profile.mem_seed,
-                  BATCHED_REGION_START + BATCHED_MEASURE + REPLAY_MARGIN)
     jobs = _batched_jobs()
+    store.acquire(program, profile.mem_seed,
+                  BATCHED_REGION_START + BATCHED_MEASURE
+                  + max(replay_reach(job.config) for job in jobs))
 
     # The warmup is deliberately partial (warmup < region seat), so the
     # sequential leg honestly re-trains the warm spans per config -- the
@@ -596,7 +598,8 @@ def test_paired_budget_reduction(report):
         profile = get_profile(workload)
         program = build_program(profile)
         store.acquire(program, profile.mem_seed,
-                      SAMPLING_SKIP + SAMPLING_INSTRUCTIONS + REPLAY_MARGIN)
+                      SAMPLING_SKIP + SAMPLING_INSTRUCTIONS
+                      + max(map(replay_reach, configs.values())))
         full_cpi = {}
         for config_name, cfg in configs.items():
             full = simulate(program, cfg,

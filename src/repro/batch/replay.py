@@ -36,7 +36,7 @@ from __future__ import annotations
 import pickle
 from typing import List, Optional, Sequence
 
-from ..core.pipeline import WARM_FIELDS, Pipeline
+from ..core.pipeline import WARM_FIELDS, Pipeline, replay_reach
 from ..core.simulator import SimulationResult, result_from_pipeline
 from ..exec.jobs import SimJob, batch_signature
 from ..trace.store import TraceStore, shared_store
@@ -65,6 +65,9 @@ def run_batch(jobs: Sequence[SimJob],
     profile = jobs[0].profile
     program = build_program(profile)
     store = trace_source if trace_source is not None else shared_store()
+    # The first member acquires the trace for the widest window, so no
+    # later member runs past it.
+    reach = max(replay_reach(job.config) for job in jobs)
     window = None
     warm_blob: Optional[bytes] = None
     results: List[SimulationResult] = []
@@ -76,7 +79,7 @@ def run_batch(jobs: Sequence[SimJob],
         pipeline = Pipeline(program, job.config, mem_seed=profile.mem_seed,
                             trace_source=store, warm=warm)
         pipeline._prepare_replay(job.instructions, job.skip, window,
-                                 readers=len(jobs))
+                                 readers=len(jobs), reach=reach)
         window = pipeline.cursor
         if warm_blob is None and n < len(jobs):
             warm_blob = pickle.dumps(

@@ -758,7 +758,7 @@ def _trace_store_for(args):
 
 
 def _cmd_trace(args) -> int:
-    from .trace.store import REPLAY_MARGIN
+    from .core.pipeline import replay_reach
     if args.interval is not None and args.interval < 0:
         # Fail here with the flag's own vocabulary instead of deep inside
         # trace capture; 0 stays legal (it disables interval checkpoints).
@@ -782,8 +782,11 @@ def _cmd_trace(args) -> int:
         profile = get_profile(name)
         program = build_program(profile)
         if args.action == "record":
+            # Exactly what ``run`` on the default machine acquires for
+            # the same budget, so that run never extends the recording.
             store.acquire(program, profile.mem_seed,
-                          args.skip + args.instructions + REPLAY_MARGIN,
+                          args.skip + args.instructions
+                          + replay_reach(ProcessorConfig.cortex_a72_like()),
                           skip_hint=args.skip,
                           checkpoint_interval=args.interval)
         info = store.describe(program, profile.mem_seed)

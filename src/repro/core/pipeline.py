@@ -28,6 +28,12 @@ through the pre-scheduled ready cycles (producers set their consumers'
 earliest issue cycle at their own issue), giving back-to-back issue of
 dependent single-cycle operations.
 
+A cycle in which no stage can act -- the ROB head has not completed, no
+uop is ready to issue, dispatch stalls and fetch is blocked -- repeats
+the one before it, so the cycle loop jumps over a run of such quiet
+cycles at once and adds their counters in bulk
+(:meth:`Pipeline._fast_forward`); results are the same as stepping.
+
 The issue stage keeps an *incremental ready set* instead of re-scanning the
 whole IQ every cycle: at dispatch each uop either gets a known ready cycle
 (all producers already scheduled) or registers as a waiter on its
@@ -83,6 +89,35 @@ def build_predictor(config: ProcessorConfig) -> BranchPredictor:
     if p.kind == "tournament":
         return TournamentPredictor()
     raise ValueError(f"unknown predictor kind: {p.kind}")
+
+
+def replay_reach(config: ProcessorConfig) -> int:
+    """How many trace records past its last commit a run may fetch.
+
+    When a run commits its last record, its ROB and its front-end buffer
+    (``fetch_width * (frontend_depth + 2)`` uops) may both be full of
+    younger correct-path records, and fetch reads a record only when that
+    buffer has room.  So a run that commits up to ``end`` never fetches
+    record ``end + replay_reach(config)``: acquiring that many records
+    covers it exactly (85, 156, 227 and 298 for the four Table IV
+    machines).
+    """
+    return config.rob_size + config.fetch_width * (config.frontend_depth + 2)
+
+
+#: The counters one cycle that dispatches nothing adds, by its cause: the
+#: per-cause dispatch-stall counter (None for a front-end bubble) and the
+#: top-down bucket that takes the cycle's decode slots (DESIGN.md §15).
+_IDLE_COUNTERS = {
+    "rob": ("rob_full_stall_cycles", "td_be_rob_slots"),
+    "lsq": ("lsq_full_stall_cycles", "td_be_lsq_slots"),
+    "regs": ("regs_full_stall_cycles", "td_be_regs_slots"),
+    "iq": ("iq_full_stall_cycles", "td_be_iq_slots"),
+    "priority": ("priority_stall_cycles", "td_be_priority_slots"),
+    "recovery": (None, "td_recovery_slots"),
+    "l1i": (None, "td_fe_l1i_slots"),
+    "fetch": (None, "td_fe_fetch_slots"),
+}
 
 
 def _front_warm_config(config: ProcessorConfig) -> dict:
@@ -206,6 +241,12 @@ class Pipeline:
         self._bubble_reason = "fetch"
         self._frontend: Deque[Uop] = deque()
         self._frontend_capacity = cfg.fetch_width * (cfg.frontend_depth + 2)
+        # Fetch-stage constants of the program and the machine.
+        self._fetch_width = cfg.fetch_width
+        self._insts = program.insts
+        self._end_pc = len(program.insts) * INST_BYTES
+        self._entry_pc = program.entry_pc
+        self._l1i_hit = cfg.memory.l1i.hit_latency
         self._events: Dict[int, List[Uop]] = {}
         # Incremental ready-set state (see the module docstring).  Entry
         # handles are stable only in the random organizations (single or
@@ -276,11 +317,11 @@ class Pipeline:
                 "a Pipeline runs once: build a new one for the next run")
         self._ran = True
         if self.cursor is None:
-            reach = max_instructions
+            timed = max_instructions
             if max_cycles is not None:
-                reach = min(reach,
+                timed = min(timed,
                             self.config.fetch_width * (max_cycles + 1))
-            self._prepare_replay(reach, skip_instructions)
+            self._prepare_replay(timed, skip_instructions)
         if self._pending_detail:
             self._run_detail(self._pending_detail)
         limit = max_cycles if max_cycles is not None else 500 * max_instructions + 100_000
@@ -317,7 +358,13 @@ class Pipeline:
 
         Each cycle runs the five stages in order (see the module
         docstring); a run past ``cycle_limit`` raises
-        :class:`DeadlockError`.
+        :class:`DeadlockError`.  After a cycle that leaves nothing for
+        the next one to do -- dispatch placed nothing, fetch did not run,
+        no uop waits to issue and the ROB head has not completed -- the
+        loop jumps over the quiet cycles that follow
+        (:meth:`_fast_forward`).  The scan issue path of the compacting
+        IQs re-checks every entry's sources each cycle, so it steps
+        cycle by cycle.
         """
         self._commit_limit = commit_limit
         stats = self.stats
@@ -326,6 +373,8 @@ class Pipeline:
         commit, writeback, issue, dispatch, fetch = (
             self._commit, self._writeback, self._issue, self._dispatch,
             self._fetch)
+        rob = self.rob._entries
+        may_jump = self._incremental_issue
         cycle = self.cycle
         while stats.committed < commit_limit:
             cycle += 1
@@ -334,8 +383,8 @@ class Pipeline:
             commit()
             writeback()
             issue()
-            dispatch()
-            fetch()
+            idle = dispatch()
+            fetched = fetch()
             stats.iq_occupancy_sum += iq.occupancy
             if verifier is not None:
                 verifier.on_cycle()
@@ -343,6 +392,73 @@ class Pipeline:
                 raise DeadlockError(
                     f"no completion{phase} after {cycle} cycles "
                     f"({stats.committed} committed)")
+            if idle is not None and not fetched and may_jump \
+                    and not self._ready_now \
+                    and not (rob and rob[0].completed) \
+                    and stats.committed < commit_limit:
+                cycle = self._fast_forward(idle, cycle_limit)
+
+    def _fast_forward(self, idle: str, cycle_limit: int) -> int:
+        """Skip the quiet cycles after the current one; the new cycle.
+
+        The current cycle dispatched nothing (``idle`` names why, see
+        :data:`_IDLE_COUNTERS`), fetch did not run, no uop is ready to
+        issue and the ROB head has not completed.  Until some stage can
+        act, every later cycle repeats it exactly: commit, writeback and
+        issue find nothing, dispatch stalls on the same head for the
+        same cause and fetch stays blocked.  The first cycle that can
+        differ is the earliest of the next writeback event or ready
+        bucket, the fetch resume cycle, the cycle the front-end head
+        becomes old enough to dispatch, the next invariant sweep and the
+        first cycle past ``cycle_limit`` (which raises in the loop, as it
+        would stepping).  The skipped cycles' counters are added in bulk
+        and the loop resumes just before that cycle.  The loop never
+        jumps once the last commit is done, and no commit can fall inside
+        a jump, so ``cycles`` never overshoots the last commit.
+        """
+        cycle = self.cycle
+        events = self._events
+        buckets = self._ready_buckets
+        if cycle + 1 in events or cycle + 1 in buckets:
+            return cycle  # the next cycle is busy: nothing to skip
+        target = cycle_limit + 1
+        if events:
+            target = min(target, min(events))
+        if buckets:
+            target = min(target, min(buckets))
+        if cycle < self._fetch_resume_cycle < target:
+            target = self._fetch_resume_cycle
+        frontend = self._frontend
+        if frontend:
+            ripe = frontend[0].fetch_cycle + self.config.frontend_depth
+            if cycle < ripe < target:
+                target = ripe
+        verifier = self.verifier
+        if verifier is not None and verifier.level == "full":
+            interval = verifier.interval
+            target = min(target, cycle - cycle % interval + interval)
+        skipped = target - cycle - 1
+        if skipped <= 0:
+            return cycle
+        stats = self.stats
+        stats.cycles += skipped
+        stats.iq_occupancy_sum += skipped * self.iq.occupancy
+        self.select_logic.stats.cycles += skipped
+        stall, slots = _IDLE_COUNTERS[idle]
+        if stall is not None:
+            stats.dispatch_stall_cycles += skipped
+            setattr(stats, stall, getattr(stats, stall) + skipped)
+            # A head stalled on the IQ counts as an unconfident dispatch
+            # every cycle it asks for the priority partition.
+            if idle == "priority" or (
+                    idle == "iq" and frontend[0].unconfident
+                    and self.mode_switch.pubs_active
+                    and self.config.pubs.enabled):
+                stats.unconfident_dispatches += skipped
+        setattr(stats, slots,
+                getattr(stats, slots) + skipped * self.config.decode_width)
+        self.cycle = cycle = target - 1
+        return cycle
 
     def _prewarm_regions(self) -> None:
         """Install the program's cacheable data regions into the L2.
@@ -368,7 +484,8 @@ class Pipeline:
     # ------------------------------------------------------------------
 
     def _prepare_replay(self, max_instructions: int, skip_instructions: int,
-                        window=None, readers: int = 1) -> None:
+                        window=None, readers: int = 1,
+                        reach: Optional[int] = None) -> None:
         """Seat a run: open its trace window and warm up to the seat.
 
         Timing starts at the *seat*: ``skip_instructions``, or a sampled
@@ -392,12 +509,13 @@ class Pipeline:
 
         ``window`` is the shared :class:`~repro.trace.replay.ReplayWindow`
         of a batch whose earlier member opened it.  Without one the run
-        acquires its trace (``max_instructions`` past the timed start,
-        plus the fetch-ahead margin) and opens a window for ``readers``
-        runs.
+        acquires its trace -- ``max_instructions`` past the timed start,
+        plus ``reach`` records of fetch-ahead (default: this machine's
+        :func:`replay_reach`; a batch passes its widest member's) -- and
+        opens a window for ``readers`` runs.
         """
         from ..trace.replay import ReplayWindow  # deferred: import cycle
-        from ..trace.store import REPLAY_MARGIN, shared_store
+        from ..trace.store import shared_store
         store = self._trace_source if self._trace_source is not None \
             else shared_store()
         region = self.config.replay_region
@@ -414,8 +532,9 @@ class Pipeline:
             end = region.start + max_instructions
             self._pending_detail = region.detail
         if window is None:
-            trace = store.acquire(self.program, self.mem_seed,
-                                  end + REPLAY_MARGIN,
+            if reach is None:
+                reach = replay_reach(self.config)
+            trace = store.acquire(self.program, self.mem_seed, end + reach,
                                   skip_hint=skip_instructions)
             window = ReplayWindow(trace, self.program, seat, end, readers)
         self.cursor = window
@@ -619,7 +738,6 @@ class Pipeline:
             if uop.squashed:
                 continue
             uop.completed = True
-            uop.complete_cycle = self.cycle
             if uop.mispredicted and uop.on_correct_path:
                 self._recover(uop)
 
@@ -804,13 +922,27 @@ class Pipeline:
     # Dispatch (decode + rename + IQ/ROB/LSQ allocation)
     # ==================================================================
 
-    def _dispatch(self) -> None:
+    def _dispatch(self) -> Optional[str]:
+        """Dispatch up to ``decode_width`` uops from the front-end head.
+
+        Returns None when it dispatched something; otherwise why it
+        dispatched nothing -- a key of :data:`_IDLE_COUNTERS`, naming
+        the counters the cycle added (the quiet-cycle fast-forward
+        repeats them).
+        """
         cfg = self.config
         cycle = self.cycle
         earliest = cycle - cfg.frontend_depth
         width = cfg.decode_width
-        pubs_on = cfg.pubs.enabled
         frontend = self._frontend
+        if not frontend or frontend[0].fetch_cycle > earliest:
+            # Front end empty or its head still too young: a bubble.
+            reason = self._bubble_cause(cycle)
+            stats = self.stats
+            slots = _IDLE_COUNTERS[reason][1]
+            setattr(stats, slots, getattr(stats, slots) + width)
+            return reason
+        pubs_on = cfg.pubs.enabled
         rob = self.rob
         lsq = self.lsq
         # Capacity checks read the structures directly: the ROB and LSQ
@@ -937,58 +1069,51 @@ class Pipeline:
             stats.td_wrongpath_slots += dispatched - retired
         leftover = width - dispatched
         if not leftover:
-            return
+            return None
         if stall_bucket is None:
-            # Front end empty (or its head still too young): a frontend
-            # bubble.  While a fetch stall is active the reason is exact;
-            # afterwards the refill bubbles keep the stall's reason until
-            # the first dispatch resets it to plain fetch bandwidth.
-            reason = self._fetch_stall_reason \
-                if cycle < self._fetch_resume_cycle else self._bubble_reason
-            if reason == "recovery":
-                stats.td_recovery_slots += leftover
-            elif reason == "l1i":
-                stats.td_fe_l1i_slots += leftover
-            else:
-                stats.td_fe_fetch_slots += leftover
-        elif stall_bucket == "rob":
-            stats.td_be_rob_slots += leftover
-        elif stall_bucket == "iq":
-            stats.td_be_iq_slots += leftover
-        elif stall_bucket == "lsq":
-            stats.td_be_lsq_slots += leftover
-        elif stall_bucket == "regs":
-            stats.td_be_regs_slots += leftover
-        else:
-            stats.td_be_priority_slots += leftover
+            stall_bucket = self._bubble_cause(cycle)
+        slots = _IDLE_COUNTERS[stall_bucket][1]
+        setattr(stats, slots, getattr(stats, slots) + leftover)
+        return None if dispatched else stall_bucket
+
+    def _bubble_cause(self, cycle: int) -> str:
+        """Why the front end has nothing to dispatch at ``cycle``.
+
+        While a fetch stall is active the reason is exact; afterwards the
+        refill bubbles keep the stall's reason until the first dispatch
+        resets it to plain fetch bandwidth.
+        """
+        return self._fetch_stall_reason if cycle < self._fetch_resume_cycle \
+            else self._bubble_reason
 
     # ==================================================================
     # Fetch
     # ==================================================================
 
-    def _fetch(self) -> None:
+    def _fetch(self) -> bool:
         """Fetch one group, predicting branches as they are fetched.
 
         A group is either all correct-path (trace records, up to and
         including a mispredicted branch, which redirects fetch) or all
         wrong-path (the static code along the predicted path): the path
-        only switches back at a recovery, between fetch groups.
+        only switches back at a recovery, between fetch groups.  Returns
+        whether fetch ran (it may still fetch nothing on an I-cache
+        miss); False when a fetch stall or a full front end blocked it.
         """
         cycle = self.cycle
         if cycle < self._fetch_resume_cycle:
-            return
+            return False
         frontend = self._frontend
         width = self._frontend_capacity - len(frontend)
         if width <= 0:
-            return
-        if width > self.config.fetch_width:
-            width = self.config.fetch_width
-        program = self.program
-        insts = program.insts  # the instruction at pc is insts[pc // 4]
-        end_pc = len(insts) * INST_BYTES
-        entry_pc = program.entry_pc
+            return False
+        if width > self._fetch_width:
+            width = self._fetch_width
+        insts = self._insts  # the instruction at pc is insts[pc // 4]
+        end_pc = self._end_pc
+        entry_pc = self._entry_pc
         hierarchy = self.hierarchy
-        l1i_hit = hierarchy.l1i.config.hit_latency
+        l1i_hit = self._l1i_hit
         predictor = self.predictor
         btb = self.btb
         get = self.cursor.get
@@ -1035,7 +1160,6 @@ class Pipeline:
                 predicted_next = target if predicted_taken else fall
                 if predicted_next == fall and fall >= end_pc:
                     predicted_next = entry_pc
-                uop.predicted_taken = predicted_taken
                 uop.predicted_next_pc = predicted_next
                 if on_trace:  # correct path: train with the truth
                     next_pc = record.next_pc
@@ -1054,7 +1178,6 @@ class Pipeline:
                 else:
                     next_pc = predicted_next
             elif inst.is_branch:  # JUMP: direct, always taken
-                uop.predicted_taken = True
                 uop.predicted_next_pc = next_pc = inst.target
                 if on_trace:
                     uop.actual_taken = True
@@ -1078,3 +1201,4 @@ class Pipeline:
         stats.fetched += fetched
         if not on_trace:
             stats.wrong_path_fetched += fetched
+        return True

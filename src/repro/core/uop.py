@@ -22,11 +22,11 @@ class Uop:
 
     __slots__ = (
         "seq", "inst", "fu", "on_correct_path", "trace_seq",
-        "fetch_cycle", "dispatch_cycle", "issue_cycle", "complete_cycle",
+        "fetch_cycle", "dispatch_cycle", "issue_cycle",
         "completed", "squashed",
         "src_phys", "dest_phys", "prev_phys",
         "decoded", "unconfident", "iq_slot",
-        "predicted_taken", "predicted_next_pc", "actual_taken",
+        "predicted_next_pc", "actual_taken",
         "actual_next_pc", "mispredicted", "checkpoint",
         "mem_addr", "store_dep", "in_lsq",
         "ready_at", "pending_srcs",
@@ -42,7 +42,6 @@ class Uop:
         self.fetch_cycle = fetch_cycle
         self.dispatch_cycle = -1
         self.issue_cycle = -1
-        self.complete_cycle = -1
         self.completed = False
         self.squashed = False
         self.src_phys: Tuple[int, ...] = ()
@@ -51,7 +50,6 @@ class Uop:
         self.decoded = False
         self.unconfident = False
         self.iq_slot = -1
-        self.predicted_taken = False
         self.predicted_next_pc = -1
         self.actual_taken = False
         self.actual_next_pc = -1

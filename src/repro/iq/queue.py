@@ -28,7 +28,7 @@ class IssueQueue:
     __slots__ = (
         "size", "priority_entries", "_slots", "_free_priority",
         "_free_normal", "_release_tick", "_tick", "_rng",
-        "dispatches", "priority_dispatches",
+        "dispatches", "priority_dispatches", "occupancy",
     )
 
     def __init__(self, size: int, priority_entries: int = 0, seed: int = 0):
@@ -50,14 +50,13 @@ class IssueQueue:
         self._rng = random.Random(seed)
         self.dispatches = 0
         self.priority_dispatches = 0
+        #: Occupied entries, kept by dispatch and release: the pipeline
+        #: samples it every cycle.
+        self.occupancy = 0
 
     # ------------------------------------------------------------------
     # Capacity queries
     # ------------------------------------------------------------------
-
-    @property
-    def occupancy(self) -> int:
-        return self.size - len(self._free_priority) - len(self._free_normal)
 
     @property
     def free_priority_count(self) -> int:
@@ -92,6 +91,7 @@ class IssueQueue:
         slot = free.popleft()
         self._slots[slot] = uop
         self.dispatches += 1
+        self.occupancy += 1
         if priority:
             self.priority_dispatches += 1
         return slot
@@ -120,6 +120,7 @@ class IssueQueue:
         slot = free.popleft()
         self._slots[slot] = uop
         self.dispatches += 1
+        self.occupancy += 1
         return slot
 
     def release(self, slot: int) -> None:
@@ -127,6 +128,7 @@ class IssueQueue:
         if self._slots[slot] is None:
             raise ValueError(f"releasing an empty IQ slot: {slot}")
         self._slots[slot] = None
+        self.occupancy -= 1
         self._release_tick[slot] = self._tick
         self._tick += 1
         if slot < self.priority_entries:

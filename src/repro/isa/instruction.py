@@ -8,7 +8,7 @@ setup uses the Alpha ISA).  Branch targets are PCs into the same program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import opcodes
 from .opcodes import Opcode
@@ -90,17 +90,24 @@ class Program:
     Construction validates that every branch target lands on an instruction
     boundary inside the program, so the fetch engine can always decode a
     wrong-path walk without bounds checks.
+
+    A program is an immutable value: ``insts`` and ``warm_regions`` are
+    tuples, so one built program can be shared by every run of its
+    workload (:func:`~repro.workloads.generator.build_program` memoizes
+    them) and content keys computed from it never go stale.
     """
 
-    def __init__(self, name: str, insts: List[StaticInst],
-                 warm_regions: Optional[List[Tuple[int, int]]] = None):
+    def __init__(self, name: str, insts: Iterable[StaticInst],
+                 warm_regions: Optional[Iterable[Tuple[int, int]]] = None):
+        insts = tuple(insts)
         if not insts:
             raise ValueError("a program needs at least one instruction")
         self.name = name
-        self.insts: List[StaticInst] = list(insts)
+        self.insts: Tuple[StaticInst, ...] = insts
         #: (start address, size) data regions a simulator may pre-warm into
         #: large caches before timing starts (checkpoint-style warm-up).
-        self.warm_regions: List[Tuple[int, int]] = list(warm_regions or [])
+        self.warm_regions: Tuple[Tuple[int, int], ...] = tuple(
+            tuple(region) for region in warm_regions or ())
         self._by_pc: Dict[int, StaticInst] = {}
         for i, inst in enumerate(self.insts):
             expected_pc = i * INST_BYTES

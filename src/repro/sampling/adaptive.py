@@ -277,7 +277,7 @@ class AdaptiveSession:
         self._detail = detail
 
         self._trace = acquire_span_trace(self.profile, instructions, skip,
-                                         checkpoint_interval, store)
+                                         checkpoint_interval, store, bases)
         windows = max(1, instructions // measure)
         self.cap = min(regions if regions is not None else DEFAULT_ADAPTIVE_CAP,
                        max(1, budget // (measure + detail)),

@@ -116,10 +116,6 @@ class RegionPlan:
         """Fraction of the timed span run through the timing model."""
         return self.simulated_records / self.instructions
 
-    def trace_records_needed(self, margin: int) -> int:
-        """Minimum capture length so every region replays with margin."""
-        return max(r.end for r in self.regions) + margin
-
     def __str__(self) -> str:
         first = self.regions[0] if self.regions else Region(0, 0, 1)
         return (f"{len(self.regions)} regions x {first.measure} measured "

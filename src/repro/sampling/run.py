@@ -13,9 +13,9 @@ estimates (:mod:`repro.sampling.aggregate`).
 
 The trace is captured once up front into the shared
 :class:`~repro.trace.store.TraceStore` (covering the furthest region
-plus the replay margin), so pool workers find it on disk instead of
-re-recording; the store's cross-process claim makes even a cold parallel
-start record it exactly once.
+plus the widest machine's fetch reach), so pool workers find it on disk
+instead of re-recording; the store's cross-process claim makes even a
+cold parallel start record it exactly once.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.config import ProcessorConfig
+from ..core.pipeline import replay_reach
 from ..core.simulator import SimulationResult
 from ..exec.executor import SweepExecutor
 from ..exec.jobs import SimJob
-from ..trace.store import REPLAY_MARGIN, TraceStore, shared_store
+from ..trace.store import TraceStore, shared_store
 from ..workloads.generator import build_program
 from ..workloads.profiles import WorkloadProfile, get_profile
 from .aggregate import SampledEstimate, estimate_cpi, estimate_misspec_penalty
@@ -82,20 +83,26 @@ def region_jobs(workload: Union[str, WorkloadProfile],
 
 def acquire_span_trace(profile: WorkloadProfile, instructions: int,
                        skip: int, checkpoint_interval: Optional[int] = None,
-                       store: Optional[TraceStore] = None):
+                       store: Optional[TraceStore] = None,
+                       configs: "Sequence[Optional[ProcessorConfig]]"
+                       = (None,)):
     """Capture (or load) the trace covering one sampled span.
 
     Acquisition happens once, up front, before any region jobs fan out:
     the planners read the trace, and pool workers then find it on disk
     instead of re-recording (the store's cross-process claim makes even
     a cold parallel start record it exactly once).  The capture covers
-    the whole span plus the replay margin, so every schedulable region
-    replays from it.
+    the whole span plus the widest fetch reach
+    (:func:`~repro.core.pipeline.replay_reach`) of the ``configs`` that
+    will replay it (None: the default machine), so every schedulable
+    region of every config replays from it without extending it.
     """
     trace_store = store if store is not None else shared_store()
     program = build_program(profile)
+    reach = max(replay_reach(config or ProcessorConfig.cortex_a72_like())
+                for config in configs)
     return trace_store.acquire(
-        program, profile.mem_seed, skip + instructions + REPLAY_MARGIN,
+        program, profile.mem_seed, skip + instructions + reach,
         **({"checkpoint_interval": checkpoint_interval}
            if checkpoint_interval is not None else {}))
 
@@ -161,7 +168,7 @@ def sample_workload_many(workload: Union[str, WorkloadProfile],
         plan_kwargs["checkpoint_interval"] = checkpoint_interval
 
     trace = acquire_span_trace(profile, instructions, skip,
-                               checkpoint_interval, store)
+                               checkpoint_interval, store, configs)
 
     if strategy == "simpoint":
         plan = plan_representative_regions(trace, instructions, skip,

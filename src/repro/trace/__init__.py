@@ -28,9 +28,8 @@ from .format import (
     encode_trace,
     trace_metadata,
 )
-from .replay import ReplayWindow, TraceExhaustedError, static_decode_table
+from .replay import ReplayWindow, TraceExhaustedError
 from .store import (
-    REPLAY_MARGIN,
     TraceStore,
     program_fingerprint,
     reset_shared_stores,
@@ -40,7 +39,6 @@ from .store import (
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
     "TRACE_FORMAT_VERSION",
-    "REPLAY_MARGIN",
     "ArchCheckpoint",
     "Trace",
     "TraceFormatError",
@@ -55,6 +53,5 @@ __all__ = [
     "program_fingerprint",
     "reset_shared_stores",
     "shared_store",
-    "static_decode_table",
     "trace_metadata",
 ]

@@ -5,9 +5,8 @@ FunctionalExecutor` for ``length`` instructions and records each one
 into the parallel arrays of :class:`~repro.trace.format.Trace`,
 snapshotting the architectural state after ``skip`` records, at every
 positive multiple of ``checkpoint_interval`` inside the stream, and at
-the end.  Records come from
-:meth:`~repro.isa.executor.FunctionalExecutor.step_raw`, so capture
-builds no :class:`~repro.isa.executor.DynamicOp`.
+the end.  Capture runs the executor's compiled per-instruction closures
+directly, so it builds no :class:`~repro.isa.executor.DynamicOp`.
 
 :func:`extend_trace` grows an existing trace without re-executing its
 prefix: it restores an executor from the end checkpoint and continues
@@ -36,23 +35,34 @@ from .format import (
 def _record_stream(executor: FunctionalExecutor, count: int,
                    pcs: array, flags: bytearray, next_pcs: array,
                    mem_addrs: array, wb_values: array) -> None:
-    """Append ``count`` records of ``executor``'s stream to the arrays."""
-    # Per static instruction: the flag bits fixed by decode, and the
-    # write-back register (None when the instruction writes none).
-    static = [((FLAG_COND_BRANCH if inst.is_conditional_branch else 0)
+    """Append ``count`` records of ``executor``'s stream to the arrays.
+
+    Runs the executor's compiled closures directly (what
+    :meth:`~repro.isa.executor.FunctionalExecutor.step_raw` does one
+    call at a time) and writes its PC and sequence number back at the
+    end.
+    """
+    # Per static instruction: its closure, the flag bits fixed by
+    # decode, and the write-back register (None when it writes none).
+    static = [(op, (FLAG_COND_BRANCH if inst.is_conditional_branch else 0)
                | (FLAG_MEM if inst.is_mem else 0)
                | (FLAG_WB if inst.dest is not None else 0), inst.dest)
-              for inst in executor.program.insts]
+              for op, inst in zip(executor._ops, executor.program.insts)]
     regs = executor.regs
-    step = executor.step_raw
+    add_pc, add_flag, add_next = pcs.append, flags.append, next_pcs.append
+    add_addr, add_wb = mem_addrs.append, wb_values.append
+    pc = executor.pc
     for _ in range(count):
-        pc, next_pc, taken, mem_addr = step()
-        f, dest = static[pc >> 2]
-        flags.append(f | FLAG_TAKEN if taken else f)
-        mem_addrs.append(0 if mem_addr is None else mem_addr)
-        wb_values.append(0 if dest is None else regs[dest])
-        pcs.append(pc)
-        next_pcs.append(next_pc)
+        op, f, dest = static[pc >> 2]
+        next_pc, taken, mem_addr = op(regs)
+        add_flag(f | FLAG_TAKEN if taken else f)
+        add_addr(0 if mem_addr is None else mem_addr)
+        add_wb(0 if dest is None else regs[dest])
+        add_pc(pc)
+        add_next(next_pc)
+        pc = next_pc
+    executor.pc = pc
+    executor._seq += count
 
 
 def _snapshot_points(start: int, length: int, interval: int,

@@ -17,7 +17,6 @@ therefore cannot be part of a config-independent trace.
 
 from __future__ import annotations
 
-import weakref
 from typing import List, Optional, Tuple
 
 from ..isa.executor import DynamicOp
@@ -37,26 +36,6 @@ CHUNK = 4096
 #: fetch-ahead of the last in-flight instructions reads: small, so a run
 #: never decodes far past what it fetches.
 TAIL = 64
-
-#: Program-keyed static-decode tables, shared by every window replaying
-#: the same program (weak so programs are not kept alive by the memo).
-_DECODE_TABLES: "weakref.WeakKeyDictionary[Program, Tuple[StaticInst, ...]]" \
-    = weakref.WeakKeyDictionary()
-
-
-def static_decode_table(program: Program) -> Tuple[StaticInst, ...]:
-    """PC-indexed decode table: ``table[pc // INST_BYTES]`` is the inst.
-
-    Resolving a record's static instruction through a dense tuple index
-    is cheaper than the ``program.at`` dict lookup and method call.
-    Program PCs are dense multiples of ``INST_BYTES`` starting at 0, so
-    the program's own instruction list *is* the table.
-    """
-    table = _DECODE_TABLES.get(program)
-    if table is None:
-        table = tuple(program.insts)
-        _DECODE_TABLES[program] = table
-    return table
 
 
 def decode_records(trace: Trace, decode: Tuple[StaticInst, ...],
@@ -92,8 +71,9 @@ class TraceExhaustedError(RuntimeError):
 
     Should never fire when the trace was acquired through
     :meth:`repro.trace.store.TraceStore.acquire` with the pipeline's
-    fetch-ahead margin; it exists so an undersized hand-built trace fails
-    loudly instead of silently desynchronizing the simulation.
+    fetch reach (:func:`~repro.core.pipeline.replay_reach`); it exists
+    so an undersized hand-built trace fails loudly instead of silently
+    desynchronizing the simulation.
     """
 
 
@@ -110,7 +90,7 @@ class ReplayWindow:
     last in-flight instructions reads, so decoding proceeds :data:`TAIL`
     records at a time.  A run therefore never decodes more than ``TAIL``
     records past the furthest one it fetches, and never past the need it
-    acquired its trace for (``end`` plus the fetch-ahead margin).
+    acquired its trace for (``end`` plus the machine's fetch reach).
 
     ``readers`` runs replay the window one after another, each starting
     at :meth:`seat` -- the members of a batch
@@ -125,7 +105,8 @@ class ReplayWindow:
     def __init__(self, trace: Trace, program: Program, base: int = 0,
                  end: Optional[int] = None, readers: int = 1):
         self._trace = trace
-        self._decode = static_decode_table(program)
+        # The instruction at pc is program.insts[pc // INST_BYTES].
+        self._decode = program.insts
         self._records: List[DynamicOp] = []
         self._base = base  # seq number of _records[0]
         self._low = base  # release mark

@@ -47,12 +47,6 @@ from .format import (
     trace_metadata,
 )
 
-#: Fetch runs ahead of commit by at most the in-flight window (ROB +
-#: front-end buffer + one fetch group); captures are padded by this many
-#: records -- far beyond any Table IV machine -- and rounded up to it, so
-#: every configuration of a sweep addresses the *same* capture.
-REPLAY_MARGIN = 4096
-
 #: Cross-process capture claim: how long a non-claiming process waits for
 #: the claim holder to publish before recording redundantly anyway, and
 #: how often it polls the cache while waiting.  A claim file older than
@@ -231,9 +225,12 @@ class TraceStore:
                 checkpoint_interval: Optional[int] = None) -> Trace:
         """The trace for ``program``, recording or extending as needed.
 
-        The returned trace covers at least ``min_records`` records
-        (rounded up to the :data:`REPLAY_MARGIN` granularity so differing
-        per-config margins still share one capture).  ``skip_hint``
+        The returned trace covers at least ``min_records`` records; a
+        capture or extension records exactly that many.  Callers ask for
+        what their runs will read -- the timed end plus the machine's
+        fetch-ahead, :func:`~repro.core.pipeline.replay_reach` -- and a
+        batch or a sampled span asks once for its widest machine, so no
+        later run of it extends the trace.  ``skip_hint``
         positions the warmup checkpoint: live-snapshotted on a fresh
         capture, threaded through :func:`~repro.trace.capture.extend_trace`
         on the extension path, or adopted from an exactly-aligned interval
@@ -248,7 +245,6 @@ class TraceStore:
         parallel sweep over one workload captures its trace exactly once.
         """
         key = program_fingerprint(program, mem_seed)
-        needed = -(-min_records // REPLAY_MARGIN) * REPLAY_MARGIN
 
         def _covers(trace: Optional[Trace]) -> bool:
             if trace is None or len(trace) < min_records:
@@ -271,13 +267,13 @@ class TraceStore:
         if _covers(trace):
             return self._trace_memo[key]
         if self._traces is None:
-            return self._produce(key, program, mem_seed, needed, skip_hint,
-                                 checkpoint_interval)
+            return self._produce(key, program, mem_seed, min_records,
+                                 skip_hint, checkpoint_interval)
         deadline = time.monotonic() + CLAIM_TIMEOUT
         while True:
             if self._try_claim(key):
                 try:
-                    return self._produce(key, program, mem_seed, needed,
+                    return self._produce(key, program, mem_seed, min_records,
                                          skip_hint, checkpoint_interval)
                 finally:
                     self._release_claim(key)
@@ -289,7 +285,7 @@ class TraceStore:
                 # (safe -- os.replace publishes whole entries) rather
                 # than deadlock, and clear the orphaned claim.
                 self._break_stale_claim(key)
-                return self._produce(key, program, mem_seed, needed,
+                return self._produce(key, program, mem_seed, min_records,
                                      skip_hint, checkpoint_interval)
             self._break_stale_claim(key)
             time.sleep(CLAIM_POLL)

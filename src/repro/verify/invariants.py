@@ -298,8 +298,8 @@ def check_occupancy_agreement(pipeline) -> None:
     if occupied != iq.occupancy:
         raise InvariantViolation(
             name,
-            f"IQ slot array holds {occupied} uops but the free lists imply "
-            f"{iq.occupancy}", cycle=cycle)
+            f"IQ slot array holds {occupied} uops but its occupancy "
+            f"count is {iq.occupancy}", cycle=cycle)
 
 
 def _component_queues(iq) -> Iterable[Tuple[str, IssueQueue]]:

@@ -24,6 +24,7 @@ are the power-of-two footprints from the profile.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 from ..isa.instruction import Program, ProgramBuilder
@@ -66,8 +67,15 @@ def _aligned_mask(size: int) -> int:
     return (size - 1) & ~7
 
 
+@functools.lru_cache(maxsize=256)
 def build_program(profile: WorkloadProfile) -> Program:
-    """Generate the synthetic program for ``profile``."""
+    """Generate the synthetic program for ``profile``.
+
+    Memoized per profile: a :class:`Program` is an immutable value, so
+    every run of a workload shares one build -- and with it the
+    fingerprint :func:`~repro.trace.store.program_fingerprint` memoizes
+    on the program -- instead of regenerating and re-hashing it.
+    """
     b = ProgramBuilder(profile.name)
     temps = _TempPool()
 

@@ -340,6 +340,22 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "interval ckpts" in out and "1024" in out
 
+    def test_trace_record_covers_exactly_what_run_replays(
+            self, capsys, isolated_store):
+        """``trace record`` records the need ``run`` acquires for the
+        same budget on the default machine -- 500 + 1000 plus its fetch
+        reach of 156 -- so the run neither extends nor re-records it."""
+        from repro.trace.store import shared_store
+        assert main(["trace", "record", "--workload", "sjeng",
+                     "-n", "1000", "--skip", "500"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("sjeng"))
+        assert row.split("|")[1].strip() == "1656"
+        assert main(["run", "sjeng", "-n", "1000", "--skip", "500",
+                     "--no-cache"]) == 0
+        store = shared_store()
+        assert store.captures == 0 and store.extensions == 0
+
     @pytest.mark.parametrize("argv", [
         ["trace", "record", "--workload", "mcf", "--interval", "-3"],
         ["sample", "mcf", "--regions", "0"],

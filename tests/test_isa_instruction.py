@@ -123,7 +123,7 @@ class TestProgram:
 
     def test_warm_regions_default_empty(self):
         prog = Program("p", [_mov(0, 1)])
-        assert prog.warm_regions == []
+        assert prog.warm_regions == ()
 
 
 class TestProgramBuilder:
@@ -165,4 +165,4 @@ class TestProgramBuilder:
         b = ProgramBuilder("p")
         b.emit(Opcode.NOP)
         prog = b.build(warm_regions=[(1 << 20, 4096)])
-        assert prog.warm_regions == [(1 << 20, 4096)]
+        assert prog.warm_regions == ((1 << 20, 4096),)

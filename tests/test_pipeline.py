@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from repro.core import DeadlockError, Pipeline, ProcessorConfig, simulate
+from repro.isa.instruction import Program
 from repro.memory import CacheConfig
 from repro.pubs import PubsConfig
 from repro.workloads import build_program, spec2006_profiles
@@ -91,8 +92,10 @@ class TestMemoryBehaviour:
         assert stats.llc_mpki > 100
 
     def test_prewarm_regions_respected(self):
-        prog = pointer_chase_program()
-        prog.warm_regions.append((1 << 30, 64 * 1024))  # warm a small window
+        chase = pointer_chase_program()
+        # A program is immutable: warm a small window in a new one.
+        prog = Program(chase.name, chase.insts,
+                       chase.warm_regions + ((1 << 30, 64 * 1024),))
         stats = Pipeline(prog).run(300)
         assert stats.committed == 300
 
@@ -124,9 +127,10 @@ class TestPrewarmImage:
         program = build_program(spec2006_profiles()["sjeng"])
         first = Pipeline(program)
         first._prewarm_regions()
-        # The same Program object with one more region: the new region
-        # must be warm, not the previous layout's image.
-        program.warm_regions.append((1 << 34, 64 * 1024))
+        # The same program with one more region: the new region must be
+        # warm, not the previous layout's image.
+        program = Program(program.name, program.insts,
+                          program.warm_regions + ((1 << 34, 64 * 1024),))
         grown = Pipeline(program)
         grown._prewarm_regions()
         assert grown.hierarchy.l2._sets != first.hierarchy.l2._sets

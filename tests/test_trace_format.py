@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.exec.serialize import CACHE_SCHEMA_VERSION
 from repro.isa.executor import FunctionalExecutor
 from repro.trace import (
-    REPLAY_MARGIN,
     Trace,
     TraceFormatError,
     capture_trace,
@@ -149,11 +148,11 @@ def test_extension_noop_when_already_long_enough():
 def test_store_acquire_rounds_and_memoizes(tmp_path):
     store = TraceStore(root=tmp_path, persistent=True)
     trace = store.acquire(PROGRAM, PROFILE.mem_seed, 5000, skip_hint=2000)
-    assert len(trace) == 2 * REPLAY_MARGIN  # rounded up to the margin
+    assert len(trace) == 5000  # exactly the need: no rounding
     assert store.acquire(PROGRAM, PROFILE.mem_seed, 3000) is trace
     assert store.captures == 1 and store.extensions == 0
-    longer = store.acquire(PROGRAM, PROFILE.mem_seed, 2 * REPLAY_MARGIN + 1)
-    assert len(longer) == 3 * REPLAY_MARGIN
+    longer = store.acquire(PROGRAM, PROFILE.mem_seed, 5001)
+    assert len(longer) == 5001
     assert store.extensions == 1
 
 
@@ -174,8 +173,8 @@ def test_store_memory_only_when_not_persistent(tmp_path):
     assert store.acquire(PROGRAM, PROFILE.mem_seed, 1000) is not None
     assert store.captures == 1
     # A longer need extends the memoized trace instead of re-recording.
-    longer = store.acquire(PROGRAM, PROFILE.mem_seed, 2 * REPLAY_MARGIN + 1)
-    assert len(longer) == 3 * REPLAY_MARGIN
+    longer = store.acquire(PROGRAM, PROFILE.mem_seed, 1001)
+    assert len(longer) == 1001
     assert store.captures == 1 and store.extensions == 1
 
 

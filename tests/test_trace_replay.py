@@ -188,10 +188,9 @@ def test_single_run_frees_released_records(store, monkeypatch):
 
 def test_region_decoding_stays_within_acquired_need(store, monkeypatch):
     """A short sampled region decodes no further than its acquired need
-    (``end`` plus the fetch-ahead margin) -- and in fact no more than
+    (``end`` plus the machine's fetch reach) -- and in fact no more than
     one tail chunk past the furthest record it fetched."""
-    from repro.core.pipeline import Pipeline
-    from repro.trace.store import REPLAY_MARGIN
+    from repro.core.pipeline import Pipeline, replay_reach
 
     furthest = [0]
     real_get = ReplayWindow.get
@@ -210,7 +209,7 @@ def test_region_decoding_stays_within_acquired_need(store, monkeypatch):
     cursor = pipe.cursor
     assert furthest[0] >= start + measure  # fetch ran ahead of commit
     assert cursor.decoded <= furthest[0] + 1 + TAIL
-    assert cursor.decoded <= start + measure + REPLAY_MARGIN
+    assert cursor.decoded <= start + measure + replay_reach(BASE)
 
 
 def test_frontend_mode_validated():
@@ -228,10 +227,9 @@ def test_max_cycles_bounds_the_capture(tmp_path):
     Fetch takes at most ``fetch_width`` correct-path records per cycle,
     so a run bounded to 400 cycles never needs more than ``fetch_width
     * 401`` records past its skip -- however many instructions it asks
-    for.  (The store rounds each capture up by up to ``REPLAY_MARGIN``.)
+    for -- plus the machine's fetch reach.
     """
-    from repro.core.pipeline import DeadlockError, Pipeline
-    from repro.trace.store import REPLAY_MARGIN
+    from repro.core.pipeline import DeadlockError, Pipeline, replay_reach
 
     store = TraceStore(root=tmp_path, persistent=False)
     profile = get_profile("sjeng")
@@ -241,4 +239,4 @@ def test_max_cycles_bounds_the_capture(tmp_path):
         pipe.run(10 ** 9, skip_instructions=500, max_cycles=400)
     assert store.captures == 1
     assert len(pipe.cursor.trace) <= \
-        500 + BASE.fetch_width * 401 + 2 * REPLAY_MARGIN
+        500 + BASE.fetch_width * 401 + replay_reach(BASE)
