@@ -78,22 +78,15 @@ def shared_executor() -> SweepExecutor:
 
 
 def _executor_for(jobs: Optional[int], cache: "Optional[bool]",
-                  batch: Optional[int] = None,
-                  backend: Optional[str] = None):
-    """Pick the shared executor or build a specialised one.
-
-    A ``backend`` spec always builds a dedicated executor: the shared
-    one fronts the default (env-selected) backend, and mixing dispatch
-    targets behind one dedup memo would misattribute its accounting.
-    """
-    if jobs is None and cache is None and batch is None and backend is None:
+                  batch: Optional[int] = None):
+    """Pick the shared executor or build a specialised one."""
+    if jobs is None and cache is None and batch is None:
         return shared_executor()
     if cache is None:
         return SweepExecutor(jobs=jobs,
                              cache=shared_executor().cache or False,
-                             batch=batch, backend=backend)
-    return SweepExecutor(jobs=jobs, cache=cache, batch=batch,
-                         backend=backend)
+                             batch=batch)
+    return SweepExecutor(jobs=jobs, cache=cache, batch=batch)
 
 
 def _merge_request(request: Optional[RunRequest], **explicit) -> RunRequest:
@@ -192,7 +185,6 @@ def run_workload(
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     batch: Optional[int] = None,
-    backend: Optional[str] = None,
     request: Optional[RunRequest] = None,
 ) -> "SimulationResult | WorkloadRun":
     """Simulate one named workload on one machine configuration.
@@ -204,19 +196,15 @@ def run_workload(
     sampled modes return a :class:`WorkloadRun` estimate instead.
     ``batch`` caps batched replay grouping (None defers to
     ``REPRO_BATCH``; a single cell has nothing to group with anyway).
-    ``backend`` picks the execution backend (None defers to
-    ``REPRO_BACKEND``, then the local process pool).  ``request``
-    supplies any of these as a bundled
+    ``request`` supplies any of these as a bundled
     :class:`~repro.core.config.RunRequest`; explicit keywords win.
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache,
-                         sampling=sampling, ci_target=ci_target, batch=batch,
-                         backend=backend)
+                         sampling=sampling, ci_target=ci_target, batch=batch)
     if req.sampling != "off":
         return _sampled_cell(workload, config, req,
-                             _executor_for(req.jobs, req.cache, req.batch,
-                                           req.backend))
+                             _executor_for(req.jobs, req.cache, req.batch))
     instructions, skip = _budget(req)
     job = SimJob.make(workload, config, instructions, skip)
     if req.cache is False:
@@ -228,8 +216,7 @@ def run_workload(
             skip_instructions=skip,
             mem_seed=job.profile.mem_seed,
         )
-    return _executor_for(req.jobs, req.cache, req.batch,
-                         req.backend).run_one(job)
+    return _executor_for(req.jobs, req.cache, req.batch).run_one(job)
 
 
 def _sampled_row(workload: "str | WorkloadProfile",
@@ -436,7 +423,6 @@ def run_pair(
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     batch: Optional[int] = None,
-    backend: Optional[str] = None,
     paired: Optional[bool] = None,
     request: Optional[RunRequest] = None,
     executor: Optional[SweepExecutor] = None,
@@ -455,10 +441,10 @@ def run_pair(
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache,
                          sampling=sampling, ci_target=ci_target, batch=batch,
-                         backend=backend, paired=paired)
+                         paired=paired)
     profile = get_profile(workload) if isinstance(workload, str) else workload
     runner = executor if executor is not None \
-        else _executor_for(req.jobs, req.cache, req.batch, req.backend)
+        else _executor_for(req.jobs, req.cache, req.batch)
     if req.sampling != "off":
         base_cell, variant_cell = _sampled_row(
             profile, [base_config, variant_config], req, runner)
@@ -484,7 +470,6 @@ def run_suite(
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     batch: Optional[int] = None,
-    backend: Optional[str] = None,
     paired: Optional[bool] = None,
     table_budget: Optional[bool] = None,
     request: Optional[RunRequest] = None,
@@ -510,12 +495,11 @@ def run_suite(
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache,
                          sampling=sampling, ci_target=ci_target, batch=batch,
-                         backend=backend, paired=paired,
-                         table_budget=table_budget)
+                         paired=paired, table_budget=table_budget)
     names = list(workloads) if workloads is not None else sorted(spec2006_profiles())
     profiles = [get_profile(name) for name in names]
     runner = executor if executor is not None \
-        else _executor_for(req.jobs, req.cache, req.batch, req.backend)
+        else _executor_for(req.jobs, req.cache, req.batch)
     if req.sampling == "adaptive" and req.table_budget is not False:
         return _sampled_table(profiles, configs, req, runner)
     if req.sampling != "off":

@@ -7,7 +7,8 @@ this facade is the surface that stays put.  Everything shares one
 keyword vocabulary:
 
 ``jobs``
-    parallel worker processes (None -> ``REPRO_JOBS`` -> serial);
+    parallel worker processes (None -> ``REPRO_JOBS`` -> the usable-CPU
+    count);
 ``cache``
     persistent result cache (None -> ``REPRO_CACHE`` policy);
 ``sampling``
@@ -16,11 +17,6 @@ keyword vocabulary:
 ``batch``
     max replay configs sharing one batched trace walk
     (None -> ``REPRO_BATCH`` -> 16; 0/1 disables batching);
-``backend``
-    where planned units execute: ``"inline"`` / ``"process"`` /
-    ``"queue"`` (None -> ``REPRO_BACKEND`` -> the local process pool);
-    every backend is bit-identical by construction, so this only
-    changes *where* the work runs;
 ``paired``
     report sampled comparisons with the common-regions paired CI
     (None -> ``REPRO_PAIRED`` -> on; off combines in quadrature);
@@ -59,15 +55,7 @@ from .analysis.topdown import (
 )
 from .batch import run_batch
 from .core.config import ProcessorConfig, RunRequest
-from .exec import (
-    ExecutionBackend,
-    JobQueue,
-    QueueBackend,
-    SweepExecutor,
-    backend_names,
-    create_backend,
-    run_worker,
-)
+from .exec import SweepExecutor
 from .sampling.adaptive import (
     AdaptiveRun,
     AdaptiveSession,
@@ -81,12 +69,9 @@ from .sampling.run import SampledRun, sample_workload, sample_workload_many
 __all__ = [
     "AdaptiveRun",
     "AdaptiveSession",
-    "ExecutionBackend",
-    "JobQueue",
     "PairedEstimate",
     "PairedRun",
     "ProcessorConfig",
-    "QueueBackend",
     "RunRequest",
     "SampledRun",
     "SweepExecutor",
@@ -94,12 +79,9 @@ __all__ = [
     "TopdownBreakdown",
     "TopdownDelta",
     "WorkloadRun",
-    "backend_names",
     "breakdown_of",
     "compare_topdown",
-    "create_backend",
     "paired_speedup",
-    "run_worker",
     "run_batch",
     "run_pair",
     "run_suite",

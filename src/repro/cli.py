@@ -19,49 +19,38 @@ Commands:
 * ``profile WORKLOAD``          -- cProfile one run, print top hotspots
 * ``stress list|run``           -- stress-kernel families vs their
   expected-bottleneck contracts (§13)
-* ``worker``                    -- lease and execute jobs from a shared
-  queue directory (the fabric's execution side, DESIGN.md §16)
-* ``submit``                    -- run a suite *through the shared
-  queue* (``--queue-dir``); renders the same table as ``suite``
-* ``status``                    -- queue counts plus recent cells with
-  their top-down movers
 
 Simulations run through the sweep executor: ``--jobs N`` (or ``REPRO_JOBS``)
 fans independent runs across worker processes, and results persist in the
 on-disk cache (``REPRO_CACHE_DIR``; ``--no-cache`` or ``REPRO_CACHE=0``
-disables it).  ``--backend inline|process|queue`` (or ``REPRO_BACKEND``)
-picks where planned units execute, and ``--queue-dir`` points the queue
-backend at a shared directory (or ``REPRO_QUEUE_DIR``).  The timing model
-always replays recorded traces (DESIGN.md §9); ``--no-cache`` bypasses
-only the result cache, so traces and warm checkpoints still persist unless
-``REPRO_CACHE=0``.  ``--sampling fixed|adaptive``
-(or ``REPRO_SAMPLING``) estimates whole-span metrics from sampled regions
-instead of simulating everything, annotating every figure with its ~95% CI;
-``--sampling adaptive`` keeps adding regions until the CI half-width falls
-below ``--ci-target`` (or ``REPRO_CI_TARGET``).  ``--batch N`` (or
+disables it).  The timing model always replays recorded traces
+(DESIGN.md §9); ``--no-cache`` bypasses only the result cache, so traces
+and warm checkpoints still persist unless ``REPRO_CACHE=0``.
+``--sampling fixed|adaptive`` (or ``REPRO_SAMPLING``) estimates
+whole-span metrics from sampled regions instead of simulating everything,
+annotating every figure with its ~95% CI; ``--sampling adaptive`` keeps
+adding regions until the CI half-width falls below ``--ci-target`` (or
+``REPRO_CI_TARGET``).  ``--batch N`` (or
 ``REPRO_BATCH``) lets up to N replay configs of one workload share a
 single batched trace walk (DESIGN.md §12); 0 disables batching.
-``--request-file FILE`` loads a serialized ``RunRequest`` (the wire
-JSON, DESIGN.md §16) as the baseline the flags override.  These shared
-flags are declared once per *flag family* (:func:`add_flag_families`)
-and follow one precedence everywhere: explicit flag > request file >
-environment > default.
+These shared flags are declared once per *flag family*
+(:func:`add_flag_families`) and follow one precedence everywhere:
+explicit flag > environment > default.
 
 Input errors -- an unknown workload, a non-positive ``-n`` or negative
-``--skip``, an unreadable or malformed ``--request-file``, a bad
-``REPRO_SAMPLING`` / ``REPRO_CI_TARGET`` value, a ``--queue-dir`` or a
-``trace record`` store directory that cannot be created -- exit 2 with
+``--skip``, a bad ``REPRO_SAMPLING`` / ``REPRO_CI_TARGET`` /
+``REPRO_JOBS`` / ``REPRO_BATCH`` value, a ``trace record`` store
+directory that cannot be created, or a ``trace record`` into a
+memory-only store (``REPRO_CACHE=0`` without ``--dir``) -- exit 2 with
 one ``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from .analysis import (
@@ -84,20 +73,7 @@ from .api import (
 from .core import ProcessorConfig
 from .core.config import EnvValueError
 from .core.stats import D_BP_BRANCH_MPKI_THRESHOLD
-from .exec import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_LEASE_TTL,
-    DEFAULT_MAX_ATTEMPTS,
-    JobQueue,
-    QueueBackend,
-    QueueDirError,
-    ResultCache,
-    SweepExecutor,
-    WireError,
-    backend_names,
-    create_backend,
-    run_worker,
-)
+from .exec import CACHE_SCHEMA_VERSION, ResultCache, SweepExecutor
 from .pubs import PubsConfig, pubs_hardware_cost
 from .verify import InvariantViolation
 from .workloads import build_program, get_profile, spec2006_profiles
@@ -155,8 +131,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for quantities that must be > 0 (--ci-target,
-    submit's --timeout).
+    """argparse type for quantities that must be > 0 (--ci-target).
 
     Raising :class:`argparse.ArgumentTypeError` makes argparse exit
     with status 2 and the flag's own usage message, instead of a deep
@@ -237,18 +212,6 @@ def _exec_flags(parser: argparse.ArgumentParser) -> None:
                              "disables batching)")
 
 
-@_flag_family("backend")
-def _backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None,
-                        choices=list(backend_names()),
-                        help="execution backend for planned units "
-                             "(default: REPRO_BACKEND, else process)")
-    parser.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="shared queue directory for the queue backend "
-                             "(default: REPRO_QUEUE_DIR, else the cache's "
-                             "queue namespace)")
-
-
 @_flag_family("sampling")
 def _sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampling", default=None,
@@ -272,37 +235,26 @@ def _sampling_flags(parser: argparse.ArgumentParser) -> None:
                              "(default: table-wide, or REPRO_TABLE_BUDGET)")
 
 
-@_flag_family("request")
-def _request_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--request-file", default=None, metavar="FILE",
-                        help="baseline RunRequest as wire JSON (see "
-                             "RunRequest.to_json); explicit flags override "
-                             "its fields")
-
-
 def _shared_parent() -> argparse.ArgumentParser:
     """The execution flags every simulating subcommand shares.
 
     One parent parser instead of per-command copies, so run / compare /
     suite / sample / verify / profile stay flag-compatible and the
-    flag > request file > environment > default precedence is
-    implemented (and tested) exactly once, in
-    :func:`_request_from_args` + ``RunRequest``.
+    flag > environment > default precedence is implemented (and tested)
+    exactly once, in :func:`_request_from_args` + ``RunRequest``.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    return add_flag_families(parent, "exec", "backend", "sampling",
-                             "request")
+    return add_flag_families(parent, "exec", "sampling")
 
 
-#: Budget the simulating subcommands apply when neither a flag nor a
-#: request file provides one (distinct from the library's 20k/2k).
+#: Budget the simulating subcommands apply when no flag provides one
+#: (distinct from the library's 20k/2k).
 CLI_INSTRUCTIONS = 10_000
 CLI_SKIP = 10_000
 
 
 def _add_budget_args(parser: argparse.ArgumentParser) -> None:
-    # default=None so a request file can supply the budget; the CLI
-    # default applies last, in _request_from_args.
+    # default=None: the CLI default applies last, in _request_from_args.
     parser.add_argument("-n", "--instructions", type=_positive_int,
                         default=None,
                         help="committed instructions to simulate "
@@ -318,32 +270,19 @@ def _cache_flag(args) -> Optional[bool]:
 
 
 def _executor_from_args(args) -> SweepExecutor:
-    """The executor a fabric-aware subcommand's flags describe.
-
-    ``--backend`` / ``--queue-dir`` build an explicit backend (a bare
-    ``--queue-dir`` implies the queue backend); without either the
-    executor follows ``REPRO_BACKEND``, preserving the classic local
-    process pool.
-    """
-    spec = getattr(args, "backend", None)
-    queue_dir = getattr(args, "queue_dir", None)
-    backend = None
-    if spec is not None or queue_dir is not None:
-        backend = create_backend(spec if spec is not None else "queue",
-                                 jobs=args.jobs, queue_dir=queue_dir)
+    """The executor a subcommand's exec flags describe."""
     return SweepExecutor(jobs=args.jobs, cache=_cache_flag(args),
-                         batch=args.batch, backend=backend)
+                         batch=args.batch)
 
 
 def _request_from_args(args) -> RunRequest:
     """One :class:`RunRequest` from whatever flags the command carries.
 
-    ``--request-file`` (when the command takes one) supplies the
-    baseline; explicit flags override its fields; unset fields stay
-    None, so the request's :meth:`~repro.core.config.RunRequest.
-    resolved` step (inside the runner) lets the environment fill them
-    and the library defaults apply last -- the flag > request file >
-    env > default precedence, in one place for every subcommand.
+    Unset fields stay None, so the request's
+    :meth:`~repro.core.config.RunRequest.resolved` step (inside the
+    runner) lets the environment fill them and the library defaults
+    apply last -- the flag > env > default precedence, in one place for
+    every subcommand.
     """
     flags = RunRequest(
         instructions=getattr(args, "instructions", None),
@@ -351,7 +290,6 @@ def _request_from_args(args) -> RunRequest:
         jobs=getattr(args, "jobs", None),
         cache=False if getattr(args, "no_cache", False) else None,
         batch=getattr(args, "batch", None),
-        backend=getattr(args, "backend", None),
         sampling=getattr(args, "sampling", None),
         ci_target=getattr(args, "ci_target", None),
         regions=getattr(args, "regions", None),
@@ -363,20 +301,8 @@ def _request_from_args(args) -> RunRequest:
         table_budget=False if getattr(args, "no_table_budget", False)
         else None,
     )
-    request_file = getattr(args, "request_file", None)
-    if request_file:
-        try:
-            text = Path(request_file).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise WireError(f"cannot read --request-file {request_file}: "
-                            f"{getattr(exc, 'strerror', None) or exc}"
-                            ) from exc
-        base = RunRequest.from_json(text)
-        flags = base.with_overrides(**{
-            field.name: getattr(flags, field.name)
-            for field in dataclasses.fields(RunRequest)})
     # The CLI's classic budget applies only to commands that expose
-    # budget flags, and only when nothing else supplied one.
+    # budget flags, and only when no flag supplied one.
     if hasattr(args, "instructions"):
         flags = flags.with_overrides(
             instructions=CLI_INSTRUCTIONS if flags.instructions is None
@@ -552,7 +478,7 @@ def _print_topdown_delta(workload: str, base_cell: WorkloadRun,
 
 
 def _suite_configs(args) -> "tuple[ProcessorConfig, ProcessorConfig]":
-    """suite/submit's base and variant machines (default variant: PUBS)."""
+    """suite's base and variant machines (default variant: PUBS)."""
     base = ProcessorConfig.cortex_a72_like()
     variant = _machine_from_args(args)
     if variant == base:
@@ -562,12 +488,7 @@ def _suite_configs(args) -> "tuple[ProcessorConfig, ProcessorConfig]":
 
 def _render_suite_table(names, results, use_paired: bool,
                         executor: SweepExecutor) -> int:
-    """Render a base-vs-variant suite result table (suite *and* submit).
-
-    One rendering path for both transports: results computed locally
-    or via the queue land here, which is what makes "the submit table
-    is bit-identical to the suite table" checkable with a plain diff.
-    """
+    """Render a base-vs-variant suite result table."""
     sampled_mode = any(isinstance(cell, WorkloadRun)
                        for cell in results["base"].values())
     rows = []
@@ -684,14 +605,12 @@ def _cmd_cache(args) -> int:
         print(f"removed {removed} cached result(s) from {cache.directory}")
         return 0
     # One row pair per namespace: simulation results live at the root;
-    # traces, warm checkpoints and the shared queue's results in their
-    # own subdirectories (see ResultCache.for_namespace), so usage is
-    # reported where it accrues.  The queue namespace doubles as the
-    # default fabric queue directory (repro worker / submit).
+    # traces and warm checkpoints in their own subdirectories (see
+    # ResultCache.for_namespace), so usage is reported where it accrues.
     root = cache.directory
     namespaces = [("results", cache)] + [
         (name, ResultCache.for_namespace(name, root))
-        for name in ("traces", "warm", "queue")]
+        for name in ("traces", "warm")]
     rows = [["directory", str(root)],
             ["schema version", str(CACHE_SCHEMA_VERSION)]]
     total_entries = 0
@@ -766,9 +685,14 @@ def _cmd_trace(args) -> int:
               "(0 disables interval checkpoints)", file=sys.stderr)
         return 2
     store = _trace_store_for(args)
-    if args.action == "record" and store.trace_dir is not None:
+    if args.action == "record":
         # The cache swallows an unusable directory (results re-simulate),
         # but a record that cannot persist would silently record nothing.
+        if store.trace_dir is None:
+            print("error: trace record would keep nothing: REPRO_CACHE=0 "
+                  "makes the trace store memory-only; pass --dir DIR to "
+                  "record to disk", file=sys.stderr)
+            return 2
         try:
             store.trace_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -960,83 +884,6 @@ def _cmd_stress(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_worker(args) -> int:
-    if args.lease_ttl <= 0:
-        print("error: --lease-ttl must be positive", file=sys.stderr)
-        return 2
-    if args.max_attempts < 1:
-        print("error: --max-attempts must be a positive count",
-              file=sys.stderr)
-        return 2
-    log = None if args.quiet \
-        else (lambda message: print(message, file=sys.stderr))
-    try:
-        executed = run_worker(
-            args.queue_dir, lease_ttl=args.lease_ttl,
-            max_attempts=args.max_attempts, poll=args.poll,
-            drain=args.drain, idle_timeout=args.idle_timeout,
-            max_jobs=args.max_jobs, log=log)
-    except KeyboardInterrupt:
-        print("worker interrupted", file=sys.stderr)
-        return 130
-    print(f"worker exit: {executed} unit(s) executed")
-    return 0
-
-
-def _cmd_submit(args) -> int:
-    if _reject_sampling(args, "submit",
-                        "runs full per-cell simulations; run sampled "
-                        "estimation locally (e.g. suite --sampling) "
-                        "over the queue backend"):
-        return 2
-    base, variant = _suite_configs(args)
-    names = args.workloads or sorted(spec2006_profiles())
-    req = _request_from_args(args)
-    backend = QueueBackend(root=args.queue_dir,
-                           local_workers=args.local_workers,
-                           timeout=args.timeout)
-    executor = SweepExecutor(jobs=args.jobs, cache=_cache_flag(args),
-                             batch=args.batch, backend=backend)
-    try:
-        results = run_suite({"base": base, "variant": variant}, names,
-                            request=req, executor=executor)
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _render_suite_table(names, results,
-                               use_paired=req.resolved().paired is not False,
-                               executor=executor)
-
-
-def _cmd_status(args) -> int:
-    queue = JobQueue(args.queue_dir)
-    counts = queue.counts()
-    results = ResultCache(queue.root)
-    rows = [["queue directory", str(queue.root)]]
-    rows += [[state, str(counts.get(state, 0))]
-             for state in ("pending", "leased", "done", "failed")]
-    rows.append(["results cached", str(len(results))])
-    print(render_table(["property", "value"], rows))
-    cell_rows = []
-    for _job_id, unit in queue.recent_done(args.cells):
-        for key, job in unit:
-            result = results.get(key)
-            if result is None:
-                continue
-            # The top mover: the dominant non-retiring top-down bucket.
-            breakdown = breakdown_of(result)
-            mover = breakdown.dominant_bucket
-            cell_rows.append([
-                job.profile.name, f"{breakdown.cpi:.4f}",
-                "none" if mover is None else
-                f"{mover} {breakdown.cpi_contribution(mover):.3f} CPI"])
-    if cell_rows:
-        print()
-        print(render_table(["workload", "CPI", "top mover"],
-                           cell_rows[:args.cells]))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1202,58 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_args(p_prof)
     _add_budget_args(p_prof)
 
-    p_wk = sub.add_parser(
-        "worker",
-        help="lease and execute jobs from a shared queue directory "
-             "(DESIGN.md §16)")
-    p_wk.add_argument("--queue-dir", default=None, metavar="DIR",
-                      help="queue directory (default: REPRO_QUEUE_DIR or "
-                           "the cache's queue namespace)")
-    p_wk.add_argument("--poll", type=float, default=0.1, metavar="SEC",
-                      help="idle sleep between lease attempts")
-    p_wk.add_argument("--drain", action="store_true",
-                      help="exit as soon as no job is leasable")
-    p_wk.add_argument("--idle-timeout", type=float, default=None,
-                      metavar="SEC",
-                      help="exit after this many idle seconds")
-    p_wk.add_argument("--max-jobs", type=_positive_int, default=None,
-                      metavar="N", help="exit after executing N units")
-    p_wk.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL,
-                      metavar="SEC",
-                      help="seconds a lease survives without a heartbeat "
-                           f"(default {DEFAULT_LEASE_TTL:g})")
-    p_wk.add_argument("--max-attempts", type=int,
-                      default=DEFAULT_MAX_ATTEMPTS, metavar="N",
-                      help="lease attempts before a job parks as failed "
-                           f"(default {DEFAULT_MAX_ATTEMPTS})")
-    p_wk.add_argument("--quiet", action="store_true",
-                      help="no per-lease progress on stderr")
-
-    p_sm = sub.add_parser(
-        "submit", help="run a suite through the shared queue",
-        parents=shared)
-    p_sm.add_argument("--workloads", nargs="*", default=None)
-    p_sm.add_argument("--local-workers", type=_non_negative_int, default=0,
-                      metavar="N",
-                      help="also spawn N local drain workers (0 relies on "
-                           "external repro worker processes)")
-    p_sm.add_argument("--timeout", type=_positive_float, default=None,
-                      metavar="SEC",
-                      help="give up after this many seconds "
-                           "(default: wait forever)")
-    _add_machine_args(p_sm)
-    _add_budget_args(p_sm)
-
-    p_stat = sub.add_parser(
-        "status", help="queue counts and recent cells' top-down movers")
-    p_stat.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="inspect this queue directory (default: "
-                             "REPRO_QUEUE_DIR or the cache's queue "
-                             "namespace)")
-    p_stat.add_argument("--cells", type=_positive_int, default=8,
-                        metavar="N",
-                        help="recent cells to summarize (default 8)")
-
     return parser
 
 
@@ -1271,9 +1066,6 @@ _COMMANDS = {
     "sample": _cmd_sample,
     "profile": _cmd_profile,
     "stress": _cmd_stress,
-    "worker": _cmd_worker,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
 }
 
 
@@ -1315,8 +1107,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
-    except (WireError, QueueDirError, EnvValueError) as exc:
-        # A bad --request-file or queue payload, an unusable --queue-dir,
-        # or an unusable REPRO_SAMPLING / REPRO_CI_TARGET value.
+    except EnvValueError as exc:
+        # An unusable REPRO_SAMPLING / REPRO_CI_TARGET / REPRO_JOBS /
+        # REPRO_BATCH value.
         print(f"error: {exc}", file=sys.stderr)
         return 2

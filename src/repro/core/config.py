@@ -229,8 +229,10 @@ SAMPLING_MODES = ("off", "fixed", "adaptive")
 
 
 class EnvValueError(ValueError):
-    """An environment variable :meth:`RunRequest.resolved` reads holds an
-    unusable value (the message names the variable and the value)."""
+    """An environment variable a run reads (``REPRO_SAMPLING`` and
+    ``REPRO_CI_TARGET`` in :meth:`RunRequest.resolved`, ``REPRO_JOBS``
+    and ``REPRO_BATCH`` in :mod:`repro.exec.executor`) holds an unusable
+    value; the message names the variable and the value."""
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,7 @@ class RunRequest:
 
     :class:`ProcessorConfig` describes the simulated processor;
     ``RunRequest`` carries everything about the run itself -- budgets,
-    execution policy (worker count, result cache, backend) and the
+    execution policy (worker count, result cache, batching) and the
     sampling mode -- so the high-level entry points
     (:mod:`repro.api`) share one plan object instead of re-growing the
     same keyword list.
@@ -257,18 +259,14 @@ class RunRequest:
     instructions: Optional[int] = None
     #: Functional fast-forward before timing starts.
     skip: Optional[int] = None
-    #: Parallel worker processes (None -> ``REPRO_JOBS`` -> serial).
+    #: Parallel worker processes (None -> ``REPRO_JOBS`` -> the
+    #: usable-CPU count).
     jobs: Optional[int] = None
     #: Persistent result cache (None -> ``REPRO_CACHE`` policy).
     cache: Optional[bool] = None
     #: Max members per batched replay unit (None -> ``REPRO_BATCH`` ->
     #: the executor default; 0 or 1 disables batched grouping).
     batch: Optional[int] = None
-    #: Execution backend spec: ``"inline"`` / ``"process"`` / ``"queue"``
-    #: (None -> ``REPRO_BACKEND`` -> the local process pool).  The
-    #: executor layer resolves the name; an unknown spec fails there
-    #: with the registered names listed.
-    backend: Optional[str] = None
     #: One of :data:`SAMPLING_MODES` (None -> ``REPRO_SAMPLING`` -> off).
     sampling: Optional[str] = None
     #: Relative CI half-width adaptive sampling drives toward
@@ -299,8 +297,6 @@ class RunRequest:
             raise ValueError(
                 f"unknown sampling mode: {self.sampling!r} "
                 f"(expected one of {', '.join(SAMPLING_MODES)})")
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ValueError("backend must be a registered spec name")
         if self.ci_target is not None:
             if self.ci_target <= 0:
                 raise ValueError("ci_target must be positive")
@@ -363,44 +359,6 @@ class RunRequest:
         """A copy with the given fields replaced (None leaves a field)."""
         changed = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **changed) if changed else self
-
-    # ------------------------------------------------------------------
-    # Wire codec (DESIGN.md §16): the canonical serialization for queue
-    # payloads and the CLI --request-file flag.
-    # ------------------------------------------------------------------
-
-    def to_wire(self) -> dict:
-        """This request as a versioned wire envelope (JSON-ready)."""
-        from ..exec.wire import envelope  # late: repro.exec imports core
-        return envelope("RunRequest", self)
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "RunRequest":
-        """Decode a :meth:`to_wire` envelope (validates version + kind)."""
-        from ..exec.wire import WireError, open_envelope
-        request = open_envelope(data, kind="RunRequest")
-        if not isinstance(request, cls):
-            raise WireError(
-                f"RunRequest envelope carried {type(request).__name__}")
-        return request
-
-    def to_json(self) -> str:
-        """Compact one-line JSON text of :meth:`to_wire`."""
-        import json
-        return json.dumps(self.to_wire(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRequest":
-        """Decode :meth:`to_json` output (or a ``--request-file`` body)."""
-        import json
-
-        from ..exec.wire import WireError
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise WireError(f"malformed request JSON: {exc}") from None
-        return cls.from_wire(data)
 
 
 def size_models() -> Dict[str, ProcessorConfig]:

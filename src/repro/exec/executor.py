@@ -16,16 +16,15 @@ deterministic (workload, config, budget) simulations.
    :func:`~repro.exec.jobs.execute_unit` as one batched trace walk (see
    :mod:`repro.batch`), so N same-window configs walk their trace once
    instead of N times;
-4. hands the resulting units to an :class:`~repro.exec.backend.
-   ExecutionBackend` -- inline, a local process pool sized by ``--jobs`` /
-   ``REPRO_JOBS``, or the shared job queue that ``repro worker``
-   processes drain (``--backend`` / ``REPRO_BACKEND``);
+4. hands the resulting units to a backend (:mod:`repro.exec.backend`)
+   -- inline, or a local process pool sized by ``--jobs`` /
+   ``REPRO_JOBS``;
 5. returns results in request order, so callers are oblivious to
-   scheduling *and* to which backend (or which host) simulated what.
+   scheduling.
 
 Because each simulation is deterministic (seeded generators, fixed dynamic
 stream) and batch members keep private microarchitectural state, a parallel,
-cached, batched or queued run is *identical* to a serial fresh one -- the
+cached or batched run is *identical* to a serial fresh one -- the
 property the backend-conformance suite pins down.  Every batch member keeps
 its own job key, so warm-cache behavior is unchanged: cached members are
 served before grouping and never re-simulated.
@@ -40,8 +39,9 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.config import EnvValueError
 from ..core.simulator import SimulationResult
-from .backend import ExecutionBackend, ProcessPoolBackend, create_backend
+from .backend import InlineBackend, ProcessPoolBackend
 from .cache import ResultCache, cache_enabled_by_env
 from .jobs import SimJob, batch_signature, job_key
 
@@ -52,23 +52,19 @@ DEFAULT_BATCH_LIMIT = 16
 
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set and positive, else the CPUs
-    *this process may actually use*.
+    """Worker count: ``REPRO_JOBS`` if set, else the CPUs *this process
+    may actually use*.
 
-    Containers and shared queue hosts routinely pin processes to a CPU
-    subset (and some report ``os.cpu_count() is None``), so the
-    affinity mask -- when the platform exposes one -- is the honest
-    parallelism bound: trusting the raw CPU count oversubscribes every
-    worker on the host.  Falls back to ``os.cpu_count()``, then 1.
+    Containers routinely pin processes to a CPU subset (and some report
+    ``os.cpu_count() is None``), so the affinity mask -- when the
+    platform exposes one -- is the honest parallelism bound: trusting
+    the raw CPU count oversubscribes every worker on the host.  Falls
+    back to ``os.cpu_count()``, then 1.  A ``REPRO_JOBS`` that is not a
+    positive integer raises :class:`~repro.core.config.EnvValueError`.
     """
     env = os.environ.get("REPRO_JOBS")
     if env:
-        try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
+        return _env_int("REPRO_JOBS", env, minimum=1)
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # non-Linux, or query refused
@@ -76,32 +72,42 @@ def default_jobs() -> int:
 
 
 def default_batch_limit() -> int:
-    """Batch cap: ``REPRO_BATCH`` if set and valid, else the default.
+    """Batch cap: ``REPRO_BATCH`` if set, else the default.
 
-    ``0`` (or ``1``) disables batched grouping; invalid values fall back
-    to :data:`DEFAULT_BATCH_LIMIT`, mirroring :func:`default_jobs`.
+    ``0`` (or ``1``) disables batched grouping.  A ``REPRO_BATCH`` that
+    is not a non-negative integer raises
+    :class:`~repro.core.config.EnvValueError`.
     """
     env = os.environ.get("REPRO_BATCH")
-    if env is not None:
-        try:
-            value = int(env)
-            if value >= 0:
-                return value
-        except ValueError:
-            pass
+    if env:
+        return _env_int("REPRO_BATCH", env, minimum=0)
     return DEFAULT_BATCH_LIMIT
+
+
+def _env_int(name: str, raw: str, minimum: int) -> int:
+    """``raw`` (the value of environment variable ``name``) as an int
+    of at least ``minimum``, or :class:`EnvValueError` naming both."""
+    try:
+        value = int(raw)
+        if value >= minimum:
+            return value
+    except ValueError:
+        pass
+    kind = "positive" if minimum == 1 else "non-negative"
+    raise EnvValueError(f"{name}={raw!r} is not a {kind} integer")
 
 
 _Entry = Tuple[str, SimJob]
 
 
 class SweepExecutor:
-    """Batch planner: dedup + cache + batching over a pluggable backend."""
+    """Batch planner: dedup + cache + batching, then inline or a pool."""
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: "Optional[ResultCache | bool]" = None,
                  batch: Optional[int] = None,
-                 backend: "Optional[ExecutionBackend | str]" = None):
+                 backend: "Optional[str | InlineBackend | ProcessPoolBackend]"
+                 = None):
         """``jobs``: worker count (None -> :func:`default_jobs`).
 
         ``cache``: a :class:`ResultCache` to use, ``False`` to disable
@@ -112,19 +118,24 @@ class SweepExecutor:
         disables grouping, None follows ``REPRO_BATCH`` (default
         :data:`DEFAULT_BATCH_LIMIT`).
 
-        ``backend``: where planned units execute -- an
-        :class:`ExecutionBackend` instance, a registered spec name
-        (``"inline"`` / ``"process"`` / ``"queue"``), or None to follow
-        ``REPRO_BACKEND`` (default: the local process pool, which
-        preserves the classic executor behavior bit for bit).
+        ``backend``: where planned units execute -- ``"inline"`` (this
+        process, in order), ``"process"`` or None (the local process
+        pool sized by ``jobs``), or any object with a ``run_units``
+        method like those in :mod:`repro.exec.backend`.  Any other name
+        raises :class:`ValueError`.
         """
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.batch = default_batch_limit() if batch is None \
             else max(0, int(batch))
-        if isinstance(backend, ExecutionBackend):
-            self.backend = backend
+        if backend is None or backend == "process":
+            self.backend = ProcessPoolBackend(self.jobs)
+        elif backend == "inline":
+            self.backend = InlineBackend()
+        elif isinstance(backend, str):
+            raise ValueError(f"unknown execution backend {backend!r} "
+                             "(expected 'inline' or 'process')")
         else:
-            self.backend = create_backend(backend, jobs=self.jobs)
+            self.backend = backend
         if cache is None:
             self.cache: Optional[ResultCache] = (
                 ResultCache() if cache_enabled_by_env() else None)
@@ -227,10 +238,6 @@ class SweepExecutor:
         parts = [f"jobs={self.jobs}",
                  f"simulations={self.simulations_run}",
                  f"deduplicated={self.deduplicated}"]
-        if not isinstance(self.backend, ProcessPoolBackend):
-            # The classic local pool stays implicit; anything else is
-            # worth a word in the spend line.
-            parts.insert(1, f"backend={self.backend.describe()}")
         if self.batch >= 2:
             parts.append(f"batched={self.batched_jobs}"
                          f"(in {self.batches_run} batches)")

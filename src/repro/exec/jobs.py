@@ -108,10 +108,10 @@ def batch_signature(job: SimJob) -> str:
 def execute_unit(unit) -> "List[Tuple[str, SimulationResult]]":
     """Run one planned unit of keyed jobs (module-level for pickling).
 
-    The primitive every execution backend -- and every ``repro
-    worker`` -- runs: a unit is one or more same-signature ``(job_key,
-    SimJob)`` entries, replayed by one :func:`~repro.batch.run_batch`
-    walk of their trace (a one-job unit is a batch of one).
+    The primitive both execution backends run: a unit is one or more
+    same-signature ``(job_key, SimJob)`` entries, replayed by one
+    :func:`~repro.batch.run_batch` walk of their trace (a one-job unit
+    is a batch of one).
     """
     from ..batch import run_batch  # deferred: repro.batch builds on repro.exec
     keys, jobs = zip(*unit)

@@ -39,94 +39,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "sjeng", "--iq-org", "bogus"])
 
-    def test_backend_flags_parse(self):
-        args = build_parser().parse_args(
-            ["suite", "--backend", "inline", "--workloads", "sjeng"])
-        assert args.backend == "inline" and args.queue_dir is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["suite", "--backend", "warp"])
-
-    def test_fabric_subcommands_parse(self):
-        parser = build_parser()
-        worker = parser.parse_args(["worker", "--queue-dir", "/tmp/q",
-                                    "--drain", "--max-jobs", "3"])
-        assert worker.drain and worker.max_jobs == 3
-        submit = parser.parse_args(["submit", "--workloads", "mcf",
-                                    "--timeout", "30"])
-        assert submit.workloads == ["mcf"] and submit.timeout == 30.0
-        status = parser.parse_args(["status", "--queue-dir", "/tmp/q"])
-        assert status.queue_dir == "/tmp/q"
-        # The queue is the only cross-client path (no server, no --host),
-        # and a submit wait must be able to end.
-        for argv in (["serve"], ["submit", "--host", "127.0.0.1"],
-                     ["status", "--port", "8723"],
-                     ["submit", "--timeout", "0"],
-                     ["submit", "--timeout", "-1"]):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv)
-            assert exc.value.code == 2
-
-
-class TestRequestFile:
-    def _request_for(self, argv):
-        from repro.cli import _request_from_args
-        return _request_from_args(build_parser().parse_args(argv))
-
-    def test_request_file_supplies_unset_fields(self, tmp_path):
-        from repro.core.config import RunRequest
-        path = tmp_path / "req.json"
-        path.write_text(RunRequest(instructions=777, skip=11,
-                                   backend="inline").to_json())
-        request = self._request_for(["run", "sjeng",
-                                     "--request-file", str(path)])
-        assert request.instructions == 777 and request.skip == 11
-        assert request.backend == "inline"
-
-    def test_explicit_flags_beat_the_request_file(self, tmp_path):
-        from repro.core.config import RunRequest
-        path = tmp_path / "req.json"
-        path.write_text(RunRequest(instructions=777, jobs=4).to_json())
-        request = self._request_for(["run", "sjeng", "-n", "1500",
-                                     "--request-file", str(path)])
-        assert request.instructions == 1500  # flag wins
-        assert request.jobs == 4             # file fills the rest
-
-    @pytest.mark.parametrize("contents", ["{not json", None],
-                             ids=["malformed", "missing"])
-    def test_malformed_request_file_exits_two(self, contents, tmp_path,
-                                              capsys):
-        path = tmp_path / "req.json"
-        if contents is not None:
-            path.write_text(contents)
-        assert main(["run", "sjeng", "--request-file", str(path)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error:")
-        assert len(err.splitlines()) == 1  # one line, no traceback
-
-
-def _table_cells(out: str) -> "list[list[str]]":
-    """The stripped cells of every row of the rendered tables in ``out``."""
-    return [[cell.strip() for cell in line.split("|")]
-            for line in out.splitlines() if "|" in line]
-
-
-class TestFabricCommands:
     @pytest.mark.parametrize("argv", [
-        ["worker", "--drain"],
-        ["submit", "--workloads", "mcf"],
+        ["serve"],
+        ["worker"],
+        ["submit"],
         ["status"],
-    ], ids=lambda argv: argv[0])
-    def test_unusable_queue_dir_exits_two(self, argv, tmp_path, capsys):
-        blocker = tmp_path / "a-file"
-        blocker.write_text("")
-        queue_dir = blocker / "q"  # cannot exist: its parent is a file
-        assert main(argv + ["--queue-dir", str(queue_dir)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error:")
-        assert len(err.splitlines()) == 1  # one line, no traceback
-        assert str(queue_dir) in err
+        ["suite", "--backend", "inline"],
+        ["suite", "--queue-dir", "q"],
+        ["run", "sjeng", "--request-file", "f"],
+    ], ids=["serve", "worker", "submit", "status", "backend", "queue-dir",
+            "request-file"])
+    def test_removed_surface_exits_two(self, argv):
+        # One local executor runs everything: there is no server, no
+        # shared queue and no serialized request to load.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
-    @pytest.mark.parametrize("via", ["flag", "env"])
+
+class TestTraceStoreErrors:
+    @pytest.mark.parametrize("via", ["flag", "env", "cache-off"])
     def test_unusable_trace_dir_exits_two(self, via, tmp_path, monkeypatch,
                                           capsys):
         blocker = tmp_path / "a-file"
@@ -134,17 +66,24 @@ class TestFabricCommands:
         store_dir = blocker / "store"  # cannot exist: its parent is a file
         argv = ["trace", "record", "--workload", "gcc", "-n", "500",
                 "--skip", "100"]
+        named = [str(store_dir)]
         if via == "flag":
             argv += ["--dir", str(store_dir)]
-        else:
+        elif via == "env":
             monkeypatch.delenv("REPRO_CACHE", raising=False)  # persistent
             monkeypatch.setenv("REPRO_CACHE_DIR", str(store_dir))
+        else:
+            # A memory-only store would record nothing that outlives
+            # the command.
+            monkeypatch.setenv("REPRO_CACHE", "0")
+            named = ["REPRO_CACHE=0", "--dir"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         err = captured.err.strip()
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1  # one line, no traceback
-        assert str(store_dir) in err
+        for text in named:
+            assert text in err
         assert captured.out == ""  # nothing captured, no table printed
         # A query still reports the unusable store as holding no trace.
         info = ["trace", "info", "--workload", "gcc"]
@@ -152,41 +91,6 @@ class TestFabricCommands:
             info += ["--dir", str(store_dir)]
         assert main(info) == 0
         assert "no trace recorded" in capsys.readouterr().out
-
-    def test_submit_timeout_is_one_error_line(self, tmp_path, capsys):
-        # No worker is attached, so the wait must give up cleanly.
-        assert main(["submit", "--queue-dir", str(tmp_path / "q"),
-                     "--timeout", "0.2", "--workloads", "mcf",
-                     "-n", "300", "--skip", "100", "--no-cache"]) == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error:")
-        assert len(err.splitlines()) == 1  # one line, no traceback
-        assert "are any workers attached" in err
-
-    def test_status_reports_done_cells_and_their_top_mover(self, tmp_path,
-                                                           capsys):
-        from repro import ProcessorConfig
-        from repro.analysis import breakdown_of
-        from repro.exec import (JobQueue, ResultCache, SimJob, job_key,
-                                run_worker)
-
-        job = SimJob.make("sjeng", ProcessorConfig.cortex_a72_like(),
-                          300, 200)
-        key = job_key(job)
-        JobQueue(tmp_path).submit([(key, job)])
-        assert run_worker(tmp_path, drain=True) == 1
-
-        assert main(["status", "--queue-dir", str(tmp_path)]) == 0
-        rows = _table_cells(capsys.readouterr().out)
-        assert ["done", "1"] in rows
-        header = ["workload", "CPI", "top mover"]
-        assert header in rows
-        (cell,) = [row for row in rows if row[0] == "sjeng"]
-        breakdown = breakdown_of(ResultCache(tmp_path).get(key))
-        bucket = breakdown.dominant_bucket
-        assert cell[2] == (f"{bucket} "
-                           f"{breakdown.cpi_contribution(bucket):.3f} CPI")
-        assert cell[1] == f"{breakdown.cpi:.4f}"
 
 
 class TestCommands:
@@ -272,13 +176,19 @@ class TestCommands:
     @pytest.mark.parametrize("variable,value", [
         ("REPRO_SAMPLING", "bogus"),
         ("REPRO_CI_TARGET", "abc"),
+        ("REPRO_JOBS", "x"),
+        ("REPRO_JOBS", "-3"),
+        ("REPRO_BATCH", "-1"),
     ])
     def test_bad_environment_value_exits_two(self, variable, value,
                                              monkeypatch, capsys):
         if variable == "REPRO_CI_TARGET":
             monkeypatch.setenv("REPRO_SAMPLING", "adaptive")
         monkeypatch.setenv(variable, value)
-        assert main(["run", "sjeng", "-n", "500", "--skip", "100"]) == 2
+        # suite builds its own executor; run would reuse the shared one,
+        # which an earlier test may already have built.
+        assert main(["suite", "--workloads", "sjeng", "-n", "500",
+                     "--skip", "100"]) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1  # one line, no traceback
         assert err.startswith("error:")
@@ -334,18 +244,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "sampled CPI" in out and "coverage" in out
 
-    def test_trace_record_with_interval(self, capsys, isolated_store):
+    def test_trace_record_with_interval(self, capsys, isolated_store,
+                                        monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)  # persistent
         assert main(["trace", "record", "--workload", "mcf", "-n", "2000",
                      "--skip", "500", "--interval", "1024"]) == 0
         out = capsys.readouterr().out
         assert "interval ckpts" in out and "1024" in out
 
     def test_trace_record_covers_exactly_what_run_replays(
-            self, capsys, isolated_store):
+            self, capsys, isolated_store, monkeypatch):
         """``trace record`` records the need ``run`` acquires for the
         same budget on the default machine -- 500 + 1000 plus its fetch
         reach of 156 -- so the run neither extends nor re-records it."""
         from repro.trace.store import shared_store
+        monkeypatch.delenv("REPRO_CACHE", raising=False)  # persistent
         assert main(["trace", "record", "--workload", "sjeng",
                      "-n", "1000", "--skip", "500"]) == 0
         row = next(line for line in capsys.readouterr().out.splitlines()
@@ -388,8 +301,9 @@ class TestVerifyCommand:
         assert argv[-2].lstrip("-") in err  # names the offending flag
 
     def test_trace_interval_zero_still_allowed(self, capsys,
-                                               isolated_store):
+                                               isolated_store, monkeypatch):
         # 0 means "no interval checkpoints", which is a valid request.
+        monkeypatch.delenv("REPRO_CACHE", raising=False)  # persistent
         assert main(["trace", "record", "--workload", "mcf", "-n", "1500",
                      "--skip", "500", "--interval", "0"]) == 0
 

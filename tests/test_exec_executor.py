@@ -2,8 +2,11 @@
 
 import os
 
+import pytest
+
 from repro import ProcessorConfig
 from repro.analysis import run_pair, run_suite
+from repro.core.config import EnvValueError
 from repro.exec import ResultCache, SimJob, SweepExecutor, default_jobs
 
 INSTRUCTIONS = 300
@@ -72,19 +75,20 @@ class TestSweepExecutor:
         assert "hits=0" in on
 
     def test_default_jobs_env_override(self, monkeypatch):
-        # Unset (or garbage), the default is the CPUs this process may
-        # actually use -- the affinity mask where the platform has one,
-        # not the raw host count -- and never less than 1.
+        # Unset, the default is the CPUs this process may actually use
+        # -- the affinity mask where the platform has one, not the raw
+        # host count -- and never less than 1.  A value that is not a
+        # positive integer is an error, not a silent fallback.
         try:
             usable = max(1, len(os.sched_getaffinity(0)))
         except (AttributeError, OSError):
             usable = os.cpu_count() or 1
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert default_jobs() == 3
-        monkeypatch.setenv("REPRO_JOBS", "garbage")
-        assert default_jobs() == usable
-        monkeypatch.setenv("REPRO_JOBS", "-2")
-        assert default_jobs() == usable
+        for bad in ("garbage", "-2"):
+            monkeypatch.setenv("REPRO_JOBS", bad)
+            with pytest.raises(EnvValueError, match=f"REPRO_JOBS={bad!r}"):
+                default_jobs()
         monkeypatch.delenv("REPRO_JOBS")
         assert default_jobs() == usable
 
