@@ -28,8 +28,9 @@ These experiments share ``benchmarks/artifacts/perf_throughput.json``:
     Batched multi-config replay (DESIGN.md §12) vs sequential replay on
     a Fig. 10-style sweep: 8 PUBS priority-entry configs replaying one
     region window with a warmup-heavy budget.  Sequential replay trains
-    the warm spans once per config; the batched walk decodes the trace
-    and trains warm state once for the whole batch.  Batched must take
+    the warm spans once per config; the batched walk acquires the trace
+    and trains warm state once for the whole batch, and every member
+    reads the same trace arrays.  Batched must take
     at least 3x less CPU time end to end -- the CI batched-replay gate
     -- and be bit-identical per member (asserted).
 
@@ -67,6 +68,7 @@ from repro.analysis import render_table
 from repro.core.pipeline import replay_reach
 from repro.core.simulator import simulate
 from repro.exec import SimJob, SweepExecutor
+from repro.isa.instruction import INST_BYTES
 from repro.sampling import (
     CPI_ERROR_GATE,
     DEFAULT_DETAIL,
@@ -78,7 +80,6 @@ from repro.sampling import (
     sampled_vs_full_error,
 )
 from repro.trace import TraceStore
-from repro.trace.replay import INST_BYTES
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 

@@ -3,9 +3,9 @@
 All experiments run at a reduced instruction budget by default so the full
 harness finishes in minutes on a laptop; the trends are stable at this
 scale.  The budget's single source of truth is
-:mod:`repro.analysis.runner`: ``BENCH_INSTRUCTIONS`` (default 8000 timed
-instructions) and ``BENCH_SKIP`` (default 16000 warm-up instructions),
-overridable via ``REPRO_BENCH_INSTRUCTIONS`` / ``REPRO_BENCH_SKIP``.
+:func:`repro.analysis.bench_budget`: 8000 timed instructions after 16000
+warm-up instructions by default, overridable via
+``REPRO_BENCH_INSTRUCTIONS`` / ``REPRO_BENCH_SKIP``.
 ``REPRO_BENCH_FULL_SWEEPS=1`` sweeps all D-BP programs in the
 parameter-sweep figures instead of the representative subset.
 
@@ -23,12 +23,11 @@ import os
 from typing import Dict, Iterable, List, Optional
 
 from repro import ProcessorConfig
-from repro.analysis import BENCH_INSTRUCTIONS as INSTRUCTIONS
-from repro.analysis import BENCH_SKIP as SKIP
-from repro.analysis import geometric_mean
+from repro.analysis import bench_budget, geometric_mean
 from repro.core import SimulationResult
 from repro.exec import SimJob, SweepExecutor, job_key
 
+INSTRUCTIONS, SKIP = bench_budget()
 FULL_SWEEPS = os.environ.get("REPRO_BENCH_FULL_SWEEPS", "0") == "1"
 
 #: Expected D-BP set (verified against measured MPKI by bench_fig08).

@@ -28,12 +28,13 @@ both defined here and nowhere else:
 * ``DEFAULT_INSTRUCTIONS`` / ``DEFAULT_SKIP`` (20000 / 2000) -- the library
   defaults for ad-hoc ``run_workload`` / ``run_pair`` / ``run_suite`` calls
   and the examples: a quick, representative run.
-* ``BENCH_INSTRUCTIONS`` / ``BENCH_SKIP`` (8000 / 16000, overridable via
+* :func:`bench_budget` (8000 / 16000, overridable via
   ``REPRO_BENCH_INSTRUCTIONS`` / ``REPRO_BENCH_SKIP``) -- the benchmark
   harness budget used by everything under ``benchmarks/``: a shorter timed
   sample after a *longer* warm-up, so the reduced-scale figure
   reproductions start from a representative microarchitectural state.
-  The environment overrides affect the bench harness only.
+  The environment overrides affect the bench harness only, and are read
+  when it asks, not at import.
 
 (Historically the two pairs lived in different modules, both read the same
 environment variables with different fallbacks, and the bench docstring
@@ -43,11 +44,10 @@ disagreed with both -- reconciled here.)
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
 
-from ..core.config import ProcessorConfig, RunRequest
+from ..core.config import ProcessorConfig, RunRequest, env_int
 from ..core.simulator import SimulationResult, simulate
 from ..exec import SimJob, SweepExecutor
 from ..trace.format import TraceFormatError
@@ -61,10 +61,19 @@ if TYPE_CHECKING:  # repro.sampling imports this package; avoid the cycle
 DEFAULT_INSTRUCTIONS = 20_000
 DEFAULT_SKIP = 2_000
 
-#: Benchmark-harness budgets (the ``benchmarks/`` suite); override via the
-#: environment for longer, smoother runs.
-BENCH_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "8000"))
-BENCH_SKIP = int(os.environ.get("REPRO_BENCH_SKIP", "16000"))
+
+def bench_budget() -> Tuple[int, int]:
+    """The benchmark harness's ``(instructions, skip)`` budget.
+
+    8000 timed instructions after 16000 warm-up ones, unless
+    ``REPRO_BENCH_INSTRUCTIONS`` / ``REPRO_BENCH_SKIP`` say otherwise
+    (for longer, smoother runs).  An instruction count that is not a
+    positive integer, or a skip that is not a non-negative one, raises
+    :class:`~repro.core.config.EnvValueError` naming the variable.
+    """
+    return (env_int("REPRO_BENCH_INSTRUCTIONS", 8000, minimum=1),
+            env_int("REPRO_BENCH_SKIP", 16000, minimum=0))
+
 
 _EXECUTOR: Optional[SweepExecutor] = None
 

@@ -4,20 +4,20 @@ Every design-space figure (Figs. 10/11/16: priority entries, confidence
 bits, processor size) replays the *same* committed instruction stream
 once per configuration.  Replaying each config on its own would repeat,
 per config, work that depends only on the (workload, budget,
-warm-class) triple: acquiring and decoding the trace, materializing
-:class:`~repro.isa.executor.DynamicOp` records, building the program,
-and training (or unpickling) the warm microarchitectural state.
+warm-class) triple: acquiring the trace, building the program, and
+training (or unpickling) the warm microarchitectural state.
 
 :func:`run_batch` hoists all of that out of the per-config loop, and is
 how every unit of the sweep executor runs -- a lone job is a batch of
 one.  Each member is seated by the one seat,
 :meth:`~repro.core.pipeline.Pipeline._prepare_replay`.  The first member
-opens one :class:`~repro.trace.replay.ReplayWindow` for the whole batch,
-which materializes each trace record once (the pipeline never mutates
-them), and trains or restores the warm state; when another member
-follows, that state is pickled once and every later member is built
-from an unpickled copy, exactly as the warm-checkpoint store would hand
-it over.  Each member then runs to completion on its own
+acquires the :class:`~repro.trace.format.Trace` for the whole batch and
+hands it to the later members (fetch only reads its arrays, so nothing
+is decoded or buffered per member), and trains or restores the warm
+state; when another member follows, that state is pickled once and
+every later member is built from an unpickled copy, exactly as the
+warm-checkpoint store would hand it over.  Each member then runs to
+completion on its own
 :class:`~repro.core.pipeline.Pipeline` -- private IQ, ROB, predictor,
 caches, wrong-path fetch -- so results are bit-identical to running
 each job alone, which the golden and property tests pin down.
@@ -68,7 +68,7 @@ def run_batch(jobs: Sequence[SimJob],
     # The first member acquires the trace for the widest window, so no
     # later member runs past it.
     reach = max(replay_reach(job.config) for job in jobs)
-    window = None
+    trace = None
     warm_blob: Optional[bytes] = None
     results: List[SimulationResult] = []
     for n, job in enumerate(jobs, 1):
@@ -78,9 +78,9 @@ def run_batch(jobs: Sequence[SimJob],
         warm = pickle.loads(warm_blob) if warm_blob is not None else None
         pipeline = Pipeline(program, job.config, mem_seed=profile.mem_seed,
                             trace_source=store, warm=warm)
-        pipeline._prepare_replay(job.instructions, job.skip, window,
-                                 readers=len(jobs), reach=reach)
-        window = pipeline.cursor
+        pipeline._prepare_replay(job.instructions, job.skip, trace,
+                                 reach=reach)
+        trace = pipeline.trace
         if warm_blob is None and n < len(jobs):
             warm_blob = pickle.dumps(
                 tuple(getattr(pipeline, name) for name in WARM_FIELDS),

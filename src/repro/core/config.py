@@ -231,8 +231,27 @@ SAMPLING_MODES = ("off", "fixed", "adaptive")
 class EnvValueError(ValueError):
     """An environment variable a run reads (``REPRO_SAMPLING`` and
     ``REPRO_CI_TARGET`` in :meth:`RunRequest.resolved`, ``REPRO_JOBS``
-    and ``REPRO_BATCH`` in :mod:`repro.exec.executor`) holds an unusable
-    value; the message names the variable and the value."""
+    and ``REPRO_BATCH`` in :mod:`repro.exec.executor`,
+    ``REPRO_BENCH_INSTRUCTIONS`` and ``REPRO_BENCH_SKIP`` in
+    :func:`repro.analysis.bench_budget`) holds an unusable value; the
+    message names the variable and the value."""
+
+
+def env_int(name: str, default: Optional[int], minimum: int) -> Optional[int]:
+    """Environment variable ``name`` as an int of at least ``minimum``,
+    or ``default`` when it is unset or empty; any other value raises
+    :class:`EnvValueError` naming the variable and the value."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+        if value >= minimum:
+            return value
+    except ValueError:
+        pass
+    kind = "positive" if minimum == 1 else "non-negative"
+    raise EnvValueError(f"{name}={raw!r} is not a {kind} integer")
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ function-unit mix, a reorder buffer committing in order, a load/store queue
 with store-to-load forwarding, checkpointed misprediction recovery, and the
 two-level cache hierarchy with a stream prefetcher.
 
-Execution is trace-driven: a :class:`~repro.trace.replay.ReplayWindow`
-over a recorded trace (DESIGN.md §9) supplies the
-architecturally-correct instruction stream from typed arrays, and warmup
-restores cached post-skip checkpoints of the memory hierarchy and the
-predictor complex instead of re-training them.  :meth:`Pipeline.
-_prepare_replay` seats every run -- a lone one or a batch member
-(:mod:`repro.batch`) -- and a pipeline runs once.  On a branch misprediction
+Execution is trace-driven: the fetch stage reads the
+architecturally-correct instruction stream straight from the typed
+arrays of a recorded :class:`~repro.trace.format.Trace` (DESIGN.md §9),
+building no per-record object, and warmup restores cached post-skip
+checkpoints of the memory hierarchy and the predictor complex instead of
+re-training them.  :meth:`Pipeline._prepare_replay` seats every run -- a
+lone one or a batch member (:mod:`repro.batch`, whose members share one
+``Trace``) -- and a pipeline runs once.  On a branch misprediction
 the front end walks the *static* code along the predicted path, injecting
 wrong-path uops that occupy rename registers, IQ entries, LSQ entries and
 function units until recovery -- the resource contention that makes issue
@@ -50,6 +51,7 @@ the legacy full-scan loop (slots there are not stable handles).
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from operator import itemgetter
 from typing import Deque, Dict, List, Optional
 
@@ -182,9 +184,9 @@ class Pipeline:
         #: inject a temp-dir store; None => the shared environment-selected
         #: store).
         self._trace_source = trace_source
-        #: The run's :class:`~repro.trace.replay.ReplayWindow`, opened
-        #: (or, in a batch, shared) by :meth:`_prepare_replay`.
-        self.cursor = None
+        #: The :class:`~repro.trace.format.Trace` fetch reads, acquired
+        #: (or, in a batch, handed over) by :meth:`_prepare_replay`.
+        self.trace = None
         #: Built from a warm snapshot: the seat trains nothing.
         self._warm_given = warm is not None
         if warm is None:
@@ -241,7 +243,10 @@ class Pipeline:
         self._bubble_reason = "fetch"
         self._frontend: Deque[Uop] = deque()
         self._frontend_capacity = cfg.fetch_width * (cfg.frontend_depth + 2)
-        # Fetch-stage constants of the program and the machine.
+        # Fetch-stage constants of the program, the machine and the
+        # trace format.
+        from ..trace.format import FLAG_TAKEN_TABLE  # deferred: import cycle
+        self._taken_of = FLAG_TAKEN_TABLE
         self._fetch_width = cfg.fetch_width
         self._insts = program.insts
         self._end_pc = len(program.insts) * INST_BYTES
@@ -316,7 +321,7 @@ class Pipeline:
             raise RuntimeError(
                 "a Pipeline runs once: build a new one for the next run")
         self._ran = True
-        if self.cursor is None:
+        if self.trace is None:
             timed = max_instructions
             if max_cycles is not None:
                 timed = min(timed,
@@ -484,9 +489,8 @@ class Pipeline:
     # ------------------------------------------------------------------
 
     def _prepare_replay(self, max_instructions: int, skip_instructions: int,
-                        window=None, readers: int = 1,
-                        reach: Optional[int] = None) -> None:
-        """Seat a run: open its trace window and warm up to the seat.
+                        trace=None, reach: Optional[int] = None) -> None:
+        """Seat a run: bind its trace and warm up to the seat.
 
         Timing starts at the *seat*: ``skip_instructions``, or a sampled
         region's start less its detail window.  The warm phase models
@@ -507,15 +511,13 @@ class Pipeline:
         nothing.  The differential oracle, when enabled, is seated at
         the same record.
 
-        ``window`` is the shared :class:`~repro.trace.replay.ReplayWindow`
-        of a batch whose earlier member opened it.  Without one the run
-        acquires its trace -- ``max_instructions`` past the timed start,
-        plus ``reach`` records of fetch-ahead (default: this machine's
-        :func:`replay_reach`; a batch passes its widest member's) -- and
-        opens a window for ``readers`` runs.
+        ``trace`` is the :class:`~repro.trace.format.Trace` of a batch
+        whose earlier member acquired it.  Without one the run acquires
+        its trace -- ``max_instructions`` past the timed start, plus
+        ``reach`` records of fetch-ahead (default: this machine's
+        :func:`replay_reach`; a batch passes its widest member's).
         """
-        from ..trace.replay import ReplayWindow  # deferred: import cycle
-        from ..trace.store import shared_store
+        from ..trace.store import shared_store  # deferred: import cycle
         store = self._trace_source if self._trace_source is not None \
             else shared_store()
         region = self.config.replay_region
@@ -531,14 +533,12 @@ class Pipeline:
             seat = region.start - region.detail
             end = region.start + max_instructions
             self._pending_detail = region.detail
-        if window is None:
+        if trace is None:
             if reach is None:
                 reach = replay_reach(self.config)
             trace = store.acquire(self.program, self.mem_seed, end + reach,
                                   skip_hint=skip_instructions)
-            window = ReplayWindow(trace, self.program, seat, end, readers)
-        self.cursor = window
-        trace = window.trace
+        self.trace = trace
         if not self._warm_given:
             warmup = seat if region is None else region.warmup
             if warmup == seat and seat:
@@ -550,7 +550,6 @@ class Pipeline:
         self._next_trace_seq = seat
         if self.verifier is not None:
             self.verifier.on_seat(trace, seat)
-        window.seat(seat)
 
     def _restore_or_train_warm(self, store, trace, skip: int) -> None:
         """Restore warm components from checkpoints, training on a miss."""
@@ -582,58 +581,36 @@ class Pipeline:
         """Warm the memory hierarchy over trace records ``[start, end)``.
 
         Each new I-line is an instruction fetch and each memory record a
-        data access.  Most records are neither; when numpy is available
-        the warm events are extracted vectorized, so the Python loop only
-        visits records that touch the hierarchy -- same calls in the same
-        order, so the resulting warm state is bit-identical to the
-        per-record walk.
+        data access.  The walk reads the PC array and a memory mask
+        translated from the flag bytes; the addresses of the memory
+        records come, in order, from the address array compressed by
+        that mask.
         """
-        from ..trace.format import FLAG_MEM  # deferred: import cycle
-        if end <= start:
-            return
-        pcs = trace.pcs
-        flags = trace.flags
-        mem_addrs = trace.mem_addrs
-        hierarchy = self.hierarchy
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None:
-            lines = np.frombuffer(pcs, dtype=np.uint32)[start:end] >> 6
-            chg = np.empty(len(lines), dtype=bool)
-            chg[0] = lines[0] != self._last_ifetch_line
-            np.not_equal(lines[1:], lines[:-1], out=chg[1:])
-            mem = (np.frombuffer(flags, dtype=np.uint8)[start:end]
-                   & FLAG_MEM) != 0
-            for off in np.nonzero(chg | mem)[0].tolist():
-                i = start + off
-                if chg[off]:
-                    hierarchy.warm_ifetch(pcs[i])
-                if mem[off]:
-                    hierarchy.warm_data(mem_addrs[i])
-            self._last_ifetch_line = int(lines[-1])
-            return
+        from ..trace.format import FLAG_MEM_TABLE  # deferred: import cycle
+        is_mem = trace.flags[start:end].translate(FLAG_MEM_TABLE)
+        next_addr = compress(trace.mem_addrs[start:end], is_mem).__next__
+        warm_ifetch = self.hierarchy.warm_ifetch
+        warm_data = self.hierarchy.warm_data
         last_line = self._last_ifetch_line
-        for i in range(start, end):
-            pc = pcs[i]
+        for pc, mem in zip(trace.pcs[start:end], is_mem):
             line = pc >> 6
             if line != last_line:
-                hierarchy.warm_ifetch(pc)
+                warm_ifetch(pc)
                 last_line = line
-            if flags[i] & FLAG_MEM:
-                hierarchy.warm_data(mem_addrs[i])
+            if mem:
+                warm_data(next_addr())
         self._last_ifetch_line = last_line
 
     def _warm_front_span(self, trace, start: int, end: int) -> None:
         """Train the predictor complex over trace records ``[start, end)``.
 
-        Vectorizes the branch-record scan like :meth:`_warm_mem_span`:
-        only conditional branches train the predictor, the BTB and (with
-        PUBS) the confidence table, so the Python loop skips straight to
-        them.
+        Only conditional branches train the predictor, the BTB and (with
+        PUBS) the confidence table, so the loop visits just their
+        indices: a mask translated from the flag bytes compresses the
+        span's index range.
         """
-        from ..trace.format import FLAG_COND_BRANCH, FLAG_TAKEN  # deferred
+        from ..trace.format import (  # deferred: import cycle
+            FLAG_COND_BRANCH_TABLE, FLAG_TAKEN_TABLE)
         pcs = trace.pcs
         flags = trace.flags
         next_pcs = trace.next_pcs
@@ -641,21 +618,10 @@ class Pipeline:
         btb = self.btb
         tracker = self.slice_tracker
         pubs_on = self.config.pubs.enabled
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None and end > start:
-            seg = np.frombuffer(flags, dtype=np.uint8)[start:end]
-            indices = np.nonzero(seg & FLAG_COND_BRANCH)[0].tolist()
-        else:
-            indices = (i - start for i in range(start, end)
-                       if flags[i] & FLAG_COND_BRANCH)
-        for off in indices:
-            i = start + off
-            f = flags[i]
+        for i in compress(range(start, end),
+                          flags[start:end].translate(FLAG_COND_BRANCH_TABLE)):
             pc = pcs[i]
-            taken = bool(f & FLAG_TAKEN)
+            taken = FLAG_TAKEN_TABLE[flags[i]]
             predicted = predictor.predict(pc)
             predictor.update(pc, taken, predicted)
             if taken:
@@ -683,7 +649,6 @@ class Pipeline:
             limit = self._commit_limit
             verifier = self.verifier
             smt = self._smt
-            released = -1
             for _ in range(self.config.commit_width):
                 if limit is not None and stats.committed >= limit:
                     break
@@ -713,12 +678,6 @@ class Pipeline:
                     verifier.on_commit(uop)
                 if self.commit_hook is not None:
                     self.commit_hook(uop)
-                if uop.trace_seq >= 0:
-                    released = uop.trace_seq
-            # Committed trace records leave in order: one release per
-            # cycle moves the low-water mark as far as per-commit ones.
-            if released >= 0:
-                self.cursor.release(released)
             # The mode switch decides on commit progress alone, so a
             # cycle that commits nothing cannot change its state.
             mode_switch = self.mode_switch
@@ -1096,7 +1055,10 @@ class Pipeline:
         A group is either all correct-path (trace records, up to and
         including a mispredicted branch, which redirects fetch) or all
         wrong-path (the static code along the predicted path): the path
-        only switches back at a recovery, between fetch groups.  Returns
+        only switches back at a recovery, between fetch groups.
+        Correct-path records are read straight from the trace arrays at
+        ``_next_trace_seq``; one at or past the end of the trace raises
+        :class:`~repro.trace.format.TraceExhaustedError`.  Returns
         whether fetch ran (it may still fetch nothing on an I-cache
         miss); False when a fetch stall or a full front end blocked it.
         """
@@ -1116,7 +1078,10 @@ class Pipeline:
         l1i_hit = self._l1i_hit
         predictor = self.predictor
         btb = self.btb
-        get = self.cursor.get
+        trace = self.trace
+        pcs, flags, next_pcs, mem_addrs = (
+            trace.pcs, trace.flags, trace.next_pcs, trace.mem_addrs)
+        taken_of = self._taken_of
         stats = self.stats
         wrong_pc = self._wrong_path_pc
         on_trace = wrong_pc is None
@@ -1126,11 +1091,18 @@ class Pipeline:
         fetched = 0
         while fetched < width:
             if on_trace:
-                record = get(trace_seq)
-                inst = record.inst
+                try:
+                    pc = pcs[trace_seq]
+                except IndexError:
+                    from ..trace.format import TraceExhaustedError
+                    raise TraceExhaustedError(
+                        f"trace exhausted at record {trace_seq} "
+                        f"(captured {len(pcs)}); acquire a longer trace"
+                    ) from None
+                inst = insts[pc // INST_BYTES]
             else:
                 inst = insts[wrong_pc // INST_BYTES]
-            pc = inst.pc
+                pc = inst.pc
             # Instruction cache: one access per new line.
             line = pc >> 6
             if line != last_line:
@@ -1162,11 +1134,12 @@ class Pipeline:
                     predicted_next = entry_pc
                 uop.predicted_next_pc = predicted_next
                 if on_trace:  # correct path: train with the truth
-                    next_pc = record.next_pc
-                    predictor.update(pc, record.taken, predicted_taken)
-                    if record.taken:
+                    taken = taken_of[flags[trace_seq]]
+                    next_pc = next_pcs[trace_seq]
+                    predictor.update(pc, taken, predicted_taken)
+                    if taken:
                         btb.install(pc, next_pc)
-                    uop.actual_taken = record.taken
+                    uop.actual_taken = taken
                     uop.actual_next_pc = next_pc
                     if predicted_next != next_pc:
                         # The front end redirects down the predicted
@@ -1181,11 +1154,11 @@ class Pipeline:
                 uop.predicted_next_pc = next_pc = inst.target
                 if on_trace:
                     uop.actual_taken = True
-                    uop.actual_next_pc = record.next_pc
+                    uop.actual_next_pc = next_pcs[trace_seq]
             elif on_trace:
                 if inst.is_mem:
-                    uop.mem_addr = record.mem_addr
-                next_pc = record.next_pc
+                    uop.mem_addr = mem_addrs[trace_seq]
+                next_pc = next_pcs[trace_seq]
             else:
                 next_pc = fall if fall < end_pc else entry_pc
             if on_trace:

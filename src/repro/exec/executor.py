@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import EnvValueError
+from ..core.config import env_int
 from ..core.simulator import SimulationResult
 from .backend import InlineBackend, ProcessPoolBackend
 from .cache import ResultCache, cache_enabled_by_env
@@ -62,9 +62,9 @@ def default_jobs() -> int:
     back to ``os.cpu_count()``, then 1.  A ``REPRO_JOBS`` that is not a
     positive integer raises :class:`~repro.core.config.EnvValueError`.
     """
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return _env_int("REPRO_JOBS", env, minimum=1)
+    jobs = env_int("REPRO_JOBS", None, minimum=1)
+    if jobs is not None:
+        return jobs
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # non-Linux, or query refused
@@ -78,23 +78,7 @@ def default_batch_limit() -> int:
     is not a non-negative integer raises
     :class:`~repro.core.config.EnvValueError`.
     """
-    env = os.environ.get("REPRO_BATCH")
-    if env:
-        return _env_int("REPRO_BATCH", env, minimum=0)
-    return DEFAULT_BATCH_LIMIT
-
-
-def _env_int(name: str, raw: str, minimum: int) -> int:
-    """``raw`` (the value of environment variable ``name``) as an int
-    of at least ``minimum``, or :class:`EnvValueError` naming both."""
-    try:
-        value = int(raw)
-        if value >= minimum:
-            return value
-    except ValueError:
-        pass
-    kind = "positive" if minimum == 1 else "non-negative"
-    raise EnvValueError(f"{name}={raw!r} is not a {kind} integer")
+    return env_int("REPRO_BATCH", DEFAULT_BATCH_LIMIT, minimum=0)
 
 
 _Entry = Tuple[str, SimJob]

@@ -31,14 +31,12 @@ cacheable.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress, repeat
+from operator import rshift
 from typing import Dict, List, Sequence, Tuple
 
-try:  # optional fast path; the image ships numpy but nothing requires it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-from ..trace.format import FLAG_COND_BRANCH, FLAG_MEM, FLAG_TAKEN
+from ..trace.format import (FLAG_COND_BRANCH_TABLE, FLAG_MEM_TABLE,
+                            FLAG_TAKEN_TABLE)
 
 #: Instruction-bucket granularity (64 B of code per feature).
 PC_SHIFT = 6
@@ -49,56 +47,36 @@ Signature = Dict[tuple, float]
 
 
 def window_signature(trace, start: int, length: int) -> Signature:
-    """The signature of ``trace`` records ``[start, start + length)``."""
-    if _np is not None:
-        return _signature_numpy(trace, start, length)
-    return _signature_python(trace, start, length)
+    """The signature of ``trace`` records ``[start, start + length)``.
 
-
-def _signature_python(trace, start: int, length: int) -> Signature:
-    counts: Counter = Counter()
-    pcs, flags, addrs = trace.pcs, trace.flags, trace.mem_addrs
-    branches = taken = 0
-    for i in range(start, start + length):
-        counts[("pc", pcs[i] >> PC_SHIFT)] += 1
-        f = flags[i]
-        if f & FLAG_MEM:
-            counts[("mem", addrs[i] >> ADDR_SHIFT)] += 1
-        elif f & FLAG_COND_BRANCH:
-            outcome = bool(f & FLAG_TAKEN)
-            branches += 1
-            taken += outcome
-            counts[("br", pcs[i], outcome)] += 1
-    sig = {key: value / length for key, value in counts.items()}
-    if branches:
-        sig[("taken-rate",)] = taken / branches
-    return sig
-
-
-def _signature_numpy(trace, start: int, length: int) -> Signature:
+    Features come in groups -- ``pc``, then ``mem``, then ``br`` -- each
+    in ascending key order, then the taken rate; the order is part of
+    the result, since :func:`signature_distance` sums in it.
+    """
     end = start + length
-    pcs = _np.frombuffer(trace.pcs, dtype=_np.uint32)[start:end]
-    flags = _np.frombuffer(trace.flags, dtype=_np.uint8)[start:end]
-    addrs = _np.frombuffer(trace.mem_addrs, dtype=_np.uint64)[start:end]
+    pcs = trace.pcs[start:end]
+    flags = trace.flags[start:end]
+    is_mem = flags.translate(FLAG_MEM_TABLE)
+    # A memory record is never a conditional branch: capture sets both
+    # bits from the static instruction.
+    is_branch = flags.translate(FLAG_COND_BRANCH_TABLE)
+    groups = (
+        ("pc", Counter(map(rshift, pcs, repeat(PC_SHIFT)))),
+        ("mem", Counter(map(rshift,
+                            compress(trace.mem_addrs[start:end], is_mem),
+                            repeat(ADDR_SHIFT)))),
+    )
     sig: Signature = {}
-    buckets, counts = _np.unique(pcs >> PC_SHIFT, return_counts=True)
-    for bucket, count in zip(buckets.tolist(), counts.tolist()):
-        sig[("pc", bucket)] = count / length
-    is_mem = (flags & FLAG_MEM) != 0
-    buckets, counts = _np.unique(addrs[is_mem] >> _np.uint64(ADDR_SHIFT),
-                                 return_counts=True)
-    for bucket, count in zip(buckets.tolist(), counts.tolist()):
-        sig[("mem", bucket)] = count / length
-    is_branch = ~is_mem & ((flags & FLAG_COND_BRANCH) != 0)
-    branch_pcs = pcs[is_branch]
-    outcomes = (flags[is_branch] & FLAG_TAKEN) != 0
-    if branch_pcs.size:
-        pairs = _np.stack([branch_pcs.astype(_np.int64),
-                           outcomes.astype(_np.int64)], axis=1)
-        uniq, counts = _np.unique(pairs, axis=0, return_counts=True)
-        for (pc, outcome), count in zip(uniq.tolist(), counts.tolist()):
-            sig[("br", pc, bool(outcome))] = count / length
-        sig[("taken-rate",)] = float(outcomes.mean())
+    for group, counts in groups:
+        for bucket, count in sorted(counts.items()):
+            sig[(group, bucket)] = count / length
+    outcomes = list(map(FLAG_TAKEN_TABLE.__getitem__,
+                        compress(flags, is_branch)))
+    if outcomes:
+        sites = Counter(zip(compress(pcs, is_branch), outcomes))
+        for (pc, outcome), count in sorted(sites.items()):
+            sig[("br", pc, outcome)] = count / length
+        sig[("taken-rate",)] = sum(outcomes) / len(outcomes)
     return sig
 
 

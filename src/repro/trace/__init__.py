@@ -7,11 +7,10 @@ See DESIGN.md §9.  Public surface:
   dynamic stream via one functional-execution pass;
 * :class:`~repro.trace.format.Trace` / :class:`~repro.trace.format.
   ArchCheckpoint` and the encode/decode pair -- the versioned,
-  checksummed on-disk format;
-* :class:`~repro.trace.replay.ReplayWindow` -- the one cursor the
-  pipeline fetches correct-path records from, shared by the members of
-  a batch (replay is the only timed front end; the functional executor
-  feeds capture and the verification oracle);
+  checksummed on-disk format.  The pipeline's fetch stage reads the
+  trace's typed arrays directly (replay is the only timed front end;
+  the functional executor feeds capture and the verification oracle),
+  and the members of a batch share one ``Trace``;
 * :class:`~repro.trace.store.TraceStore` / :func:`~repro.trace.store.
   shared_store` -- content-addressed persistence for traces and warm
   microarchitectural checkpoints.
@@ -23,12 +22,12 @@ from .format import (
     TRACE_FORMAT_VERSION,
     ArchCheckpoint,
     Trace,
+    TraceExhaustedError,
     TraceFormatError,
     decode_trace,
     encode_trace,
     trace_metadata,
 )
-from .replay import ReplayWindow, TraceExhaustedError
 from .store import (
     TraceStore,
     program_fingerprint,
@@ -43,7 +42,6 @@ __all__ = [
     "Trace",
     "TraceFormatError",
     "TraceExhaustedError",
-    "ReplayWindow",
     "TraceStore",
     "adopt_skip_checkpoint",
     "capture_trace",

@@ -65,9 +65,29 @@ FLAG_COND_BRANCH = 2  #: the instruction is a conditional branch
 FLAG_MEM = 4  #: the record carries an effective memory address
 FLAG_WB = 8  #: the record carries a register write-back value
 
+#: Flag-byte tables, indexed by a record's flag byte.  The two ``bytes``
+#: tables hold 1 where their bit is set, so ``flags[a:b].translate(t)``
+#: turns a span of flag bytes into a mask for :func:`itertools.compress`.
+FLAG_MEM_TABLE = bytes(1 if f & FLAG_MEM else 0 for f in range(256))
+FLAG_COND_BRANCH_TABLE = bytes(1 if f & FLAG_COND_BRANCH else 0
+                               for f in range(256))
+#: The branch outcome each flag byte records, as a bool.
+FLAG_TAKEN_TABLE = tuple(bool(f & FLAG_TAKEN) for f in range(256))
+
 
 class TraceFormatError(ValueError):
     """A trace payload failed validation (version, checksum, layout)."""
+
+
+class TraceExhaustedError(RuntimeError):
+    """The pipeline fetched a correct-path record past the captured stream.
+
+    Should never fire when the trace was acquired through
+    :meth:`repro.trace.store.TraceStore.acquire` with the pipeline's
+    fetch reach (:func:`~repro.core.pipeline.replay_reach`); it exists
+    so an undersized hand-built trace fails loudly instead of silently
+    desynchronizing the simulation.
+    """
 
 
 @dataclass(frozen=True)
@@ -102,7 +122,8 @@ class Trace:
     """A decoded trace: record arrays plus the checkpoints.
 
     The object is program-agnostic (records reference instructions by PC);
-    the replay front end binds it to a concrete :class:`Program` at use.
+    the pipeline's fetch stage reads the arrays directly and looks each
+    PC up in its own :class:`Program`.
     """
 
     __slots__ = ("pcs", "flags", "next_pcs", "mem_addrs", "wb_values",

@@ -99,7 +99,7 @@ class PipelineVerifier:
         # it sits at or past every committed record, and functional
         # execution is deterministic.
         self.oracle.finish_against_checkpoint(
-            self.pipeline.cursor.trace.end_checkpoint,
+            self.pipeline.trace.end_checkpoint,
             cycle=self.pipeline.cycle)
         if self.level == "full":
             self.check_invariants()

@@ -44,6 +44,13 @@ Built-in invariants:
     dispatch-stall counters are disjoint and sum to
     ``dispatch_stall_cycles``; and the three Sec. II-A misspeculation
     components sum to ``missspec_penalty_cycles``.
+``trace-sequence-continuity``
+    Fetch reads each correct-path trace record once: the correct-path
+    uops in the ROB, followed by those in the front-end buffer, carry
+    consecutive ``trace_seq`` values, and the next record fetch reads
+    (``_next_trace_seq``) is one past the last of them.  A fetch that
+    re-read a record or skipped one, or a recovery that rewound to the
+    wrong record, breaks the chain.
 
 The table-level checks are also exposed standalone
 (:func:`check_conf_tab`, :func:`check_brslice_tab`, :func:`check_def_tab`)
@@ -466,6 +473,30 @@ def check_topdown_accounting(pipeline) -> None:
                       "execute": s.missspec_execute_cycles})
 
 
+def check_trace_sequence(pipeline) -> None:
+    """In-flight correct-path uops hold consecutive trace records, and
+    fetch resumes right after the last of them."""
+    name = "trace-sequence-continuity"
+    cycle = pipeline.cycle
+    expected = None
+    for where, uops in (("ROB", pipeline.rob),
+                        ("front end", pipeline._frontend)):
+        for uop in uops:
+            if not uop.on_correct_path:
+                continue
+            if expected is not None and uop.trace_seq != expected:
+                raise InvariantViolation(
+                    name,
+                    f"{where} uop holds trace record {uop.trace_seq}, "
+                    f"expected {expected}", cycle=cycle, uop=uop)
+            expected = uop.trace_seq + 1
+    if expected is not None and pipeline._next_trace_seq != expected:
+        raise InvariantViolation(
+            name,
+            f"fetch resumes at trace record {pipeline._next_trace_seq}, "
+            f"one past the last in flight is {expected}", cycle=cycle)
+
+
 def default_registry() -> InvariantRegistry:
     """A fresh registry holding every built-in invariant."""
     registry = InvariantRegistry()
@@ -476,4 +507,5 @@ def default_registry() -> InvariantRegistry:
     registry.register("conf-counter-range", check_confidence_counters)
     registry.register("scheduler-wakeup-consistency", check_scheduler_wakeup)
     registry.register("topdown-cycle-accounting", check_topdown_accounting)
+    registry.register("trace-sequence-continuity", check_trace_sequence)
     return registry

@@ -117,7 +117,7 @@ class CommitOracle:
                cycle: int = None) -> None:
         """End-of-run differential state check against the main executor.
 
-        The main executor runs ahead of commit (the trace cursor materializes
+        The main executor runs ahead of commit (it has also executed the
         in-flight records); the oracle is advanced to the same sequence
         number and the complete architectural state is compared.
         """

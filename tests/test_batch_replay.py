@@ -2,10 +2,10 @@
 
 The tentpole guarantee of :mod:`repro.batch` (DESIGN.md §12): feeding N
 same-warm-class configs from one shared
-:class:`~repro.trace.replay.ReplayWindow` produces *exactly* the results
-N lone runs produce -- same ``SimStats``, same side-structure
-counters, pinned against the seed goldens -- while decoding the trace
-and training warm state once for the whole batch.
+:class:`~repro.trace.format.Trace` produces *exactly* the results N lone
+runs produce -- same ``SimStats``, same side-structure counters, pinned
+against the seed goldens -- while acquiring the trace and training warm
+state once for the whole batch.
 """
 
 import dataclasses
@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.batch.replay as batch_replay
-import repro.trace.replay as trace_replay
 from repro.batch import run_batch
 from repro.core.config import ProcessorConfig
 from repro.core.pipeline import Pipeline
@@ -26,8 +25,7 @@ from repro.exec import SimJob, batch_signature, execute_unit
 from repro.exec.cache import ResultCache
 from repro.exec.executor import SweepExecutor
 from repro.pubs import PubsConfig
-from repro.trace import ReplayWindow, TraceExhaustedError
-from repro.trace.replay import CHUNK
+from repro.trace import TraceExhaustedError, capture_trace
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
@@ -168,17 +166,6 @@ def test_later_members_are_built_from_the_snapshot(store, monkeypatch):
     assert len(results) == 3 and len(built) == 1
 
 
-def test_python_fallback_matches_numpy(store, monkeypatch):
-    """The no-numpy record materialization (in the chunk decoder both
-    replay paths share) is semantically identical."""
-    jobs = _jobs("mcf", FAMILIES["pubs"][:2])
-    with_numpy = run_batch(jobs, trace_source=store)
-    monkeypatch.setattr(trace_replay, "_np", None)
-    without = run_batch(jobs, trace_source=store)
-    for a, b in zip(with_numpy, without):
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-
 # ----------------------------------------------------------------------
 # Batch admission rules
 # ----------------------------------------------------------------------
@@ -210,40 +197,22 @@ def test_region_and_skip_are_mutually_exclusive(store):
 
 
 # ----------------------------------------------------------------------
-# Shared window / cursor mechanics
+# Shared trace and warm snapshot mechanics
 # ----------------------------------------------------------------------
 
-def _window(store, workload="sjeng", records=3000, base=0, readers=2):
-    profile = get_profile(workload)
-    program = build_program(profile)
-    trace = store.acquire(program, profile.mem_seed, records)
-    return ReplayWindow(trace, program, base, readers=readers), trace
-
-
-def test_window_materializes_lazily_and_once(store):
-    window, _ = _window(store)
-    assert window.decoded == window.base
-    first = window.get(10)
-    assert window.decoded >= 11
-    assert window.get(10) is first  # same shared object, not a re-decode
-
-
 def test_window_exhaustion_raises(store):
-    window, trace = _window(store)
-    with pytest.raises(TraceExhaustedError):
-        window.get(len(trace))
-
-
-def test_cursor_release_is_per_member(store):
-    window, _ = _window(store)
-    window.seat(0)
-    first = window.get(5)
-    window.release(6)
-    with pytest.raises(IndexError):
-        window.get(5)
-    # The next member starts over at the seat, on the same records.
-    window.seat(0)
-    assert window.get(5) is first
+    """A run seated on a trace shorter than ``end + replay_reach`` fails
+    loudly in fetch when it reaches the end of the captured stream."""
+    profile = get_profile("sjeng")
+    program = build_program(profile)
+    trace = capture_trace(program, profile.mem_seed, SKIP + INSTRUCTIONS)
+    pipeline = Pipeline(program, BASE, mem_seed=profile.mem_seed,
+                        trace_source=store)
+    pipeline._prepare_replay(INSTRUCTIONS, SKIP, trace)
+    with pytest.raises(TraceExhaustedError, match=(
+            f"trace exhausted at record {SKIP + INSTRUCTIONS} "
+            rf"\(captured {SKIP + INSTRUCTIONS}\)")):
+        pipeline.run(INSTRUCTIONS, SKIP)
 
 
 def _counting_pickle(monkeypatch):
@@ -266,26 +235,6 @@ def test_batch_pickles_one_snapshot(store, monkeypatch):
     dumps = _counting_pickle(monkeypatch)
     run_batch(_jobs("sjeng", FAMILIES["pubs"]), trace_source=store)
     assert len(dumps) == 1
-
-
-def test_last_member_frees_released_records(store, monkeypatch):
-    """Earlier members keep the span their successors re-read; the last
-    member frees records as it commits them."""
-    retained = []
-    real_run = Pipeline.run
-
-    def run(self, *args, **kwargs):
-        stats = real_run(self, *args, **kwargs)
-        retained.append(self.cursor.retained)
-        return stats
-
-    monkeypatch.setattr(Pipeline, "run", run)
-    instructions = 2 * CHUNK
-    run_batch(_jobs("sjeng", FAMILIES["base"], instructions=instructions),
-              trace_source=store)
-    *kept, last = retained
-    assert all(count > instructions for count in kept)
-    assert last < CHUNK + BASE.rob_size
 
 
 # ----------------------------------------------------------------------

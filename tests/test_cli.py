@@ -417,3 +417,33 @@ class TestOptionalDependencies:
             env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "sjeng" in proc.stdout and "IPC" in proc.stdout
+
+    def test_commands_never_import_numpy(self):
+        """No command path tries to import numpy: a run, an adaptive
+        sampled suite and a top-down report, all in one process (inline,
+        so every path runs under the finder).  The finder records every
+        attempt and refuses it, so the test holds whether or not numpy
+        is installed, and a guarded ``try: import numpy`` fails it too."""
+        script = (
+            "import sys\n"
+            "attempts = []\n"
+            "class RefuseNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'numpy':\n"
+            "            attempts.append(name)\n"
+            "            raise ImportError(f'{name} refused')\n"
+            "sys.meta_path.insert(0, RefuseNumpy())\n"
+            "from repro.cli import main\n"
+            "for argv in (['run', 'sjeng', '-n', '500', '--skip', '500'],\n"
+            "             ['suite', '--workloads', 'sjeng', '--sampling',\n"
+            "              'adaptive', '-n', '8000', '--skip', '1000'],\n"
+            "             ['report', '--topdown', 'sjeng', '-n', '500',\n"
+            "              '--skip', '500']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert not attempts, f'numpy import attempted: {attempts}'\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), REPRO_JOBS="1"),
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr

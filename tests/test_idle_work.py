@@ -21,7 +21,6 @@ from repro.core.pipeline import DeadlockError, Pipeline, replay_reach
 from repro.exec.jobs import SimJob
 from repro.memory import CacheConfig
 from repro.pubs import PubsConfig
-from repro.trace.replay import ReplayWindow
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
@@ -180,11 +179,12 @@ def test_no_run_fetches_past_its_reach(workload, pubs, tmp_path,
     fetches a record at or past ``end + replay_reach`` of its own."""
     store = TraceStore(root=tmp_path, persistent=False)
     furthest = []
-    real_get = ReplayWindow.get
+    real_fetch = Pipeline._fetch
 
-    def get(self, seq):
-        furthest[-1] = max(furthest[-1], seq)
-        return real_get(self, seq)
+    def fetch(self):
+        ran = real_fetch(self)
+        furthest[-1] = max(furthest[-1], self._next_trace_seq - 1)
+        return ran
 
     real_run = Pipeline.run
 
@@ -192,7 +192,7 @@ def test_no_run_fetches_past_its_reach(workload, pubs, tmp_path,
         furthest.append(-1)
         return real_run(self, *args, **kwargs)
 
-    monkeypatch.setattr(ReplayWindow, "get", get)
+    monkeypatch.setattr(Pipeline, "_fetch", fetch)
     monkeypatch.setattr(Pipeline, "run", run)
     profile = get_profile(workload)
     machines = sorted(size_models().values(), key=replay_reach)

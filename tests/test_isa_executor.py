@@ -1,8 +1,6 @@
-"""Unit and property tests for the functional executor and the trace
-cursor the timing model reads its captured stream through."""
+"""Unit and property tests for the functional executor."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.isa import (
     FunctionalExecutor,
@@ -15,7 +13,6 @@ from repro.isa import (
     mix64,
     to_signed,
 )
-from repro.trace import ReplayWindow, capture_trace
 
 
 def _prog(*insts):
@@ -183,58 +180,8 @@ class TestExecution:
 
 
 class TestTraceCursor:
-    """The fetch stage's cursor contract, on the replay window: random
-    access above the release mark, rewind within the retained window."""
-
-    def _looping_cursor(self, end=None):
-        prog = _prog(
-            StaticInst(0, Opcode.ADDI, dest=1, src1=1, imm=1),
-            StaticInst(4, Opcode.JUMP, target=0),
-        )
-        cursor = ReplayWindow(capture_trace(prog, 0, 200), prog, end=end)
-        cursor.seat(0)  # its only reader
-        return cursor
-
-    def test_sequential_get(self):
-        cursor = self._looping_cursor()
-        assert cursor.get(0).seq == 0
-        assert cursor.get(3).seq == 3
-
-    def test_rewind_within_window(self):
-        cursor = self._looping_cursor()
-        first = cursor.get(0)
-        cursor.get(10)
-        assert cursor.get(0) is first  # same record object, no re-decode
-
-    def test_release_frees_records(self):
-        cursor = self._looping_cursor(end=10)
-        cursor.get(9)
-        assert cursor.retained == 10
-        cursor.release(5)
-        assert cursor.retained == 5
-        with pytest.raises(IndexError):
-            cursor.get(4)
-
-    def test_release_past_buffer_jumps_base(self):
-        cursor = self._looping_cursor()
-        cursor.release(100)  # warmup fast-forward past everything decoded
-        assert cursor.get(100).seq == 100
-
-    def test_release_is_idempotent(self):
-        cursor = self._looping_cursor()
-        cursor.get(5)
-        cursor.release(3)
-        cursor.release(3)
-        assert cursor.get(3).seq == 3
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=30))
-    @settings(max_examples=25, deadline=None)
-    def test_random_access_monotone_release(self, seqs):
-        """Any access pattern above the release point returns consistent
-        records (seq matches the request)."""
-        cursor = self._looping_cursor()
-        for seq in seqs:
-            assert cursor.get(seq).seq == seq
+    """The timing model reads its captured stream straight from the
+    trace arrays; no executor-stepping cursor remains."""
 
     def test_live_cursor_removed(self):
         """Replay is the only timed front end: the executor-stepping

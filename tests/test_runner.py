@@ -1,16 +1,23 @@
 """Tests for the high-level experiment runner."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import ProcessorConfig
 from repro.analysis import (
     EXPECTED_D_BP,
     PairedRun,
+    bench_budget,
     dbp_workloads,
     run_pair,
     run_suite,
     run_workload,
 )
+from repro.core.config import EnvValueError
 from repro.workloads import WorkloadProfile
 
 BASE = ProcessorConfig.cortex_a72_like()
@@ -68,3 +75,39 @@ class TestRunSuite:
         # Only check the wiring (not running all 28 here).
         assert len(dbp_workloads()) == len(EXPECTED_D_BP) == 11
         assert "sjeng" in dbp_workloads() and "mcf" in dbp_workloads()
+
+
+class TestBenchBudget:
+    def test_defaults_and_overrides(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_INSTRUCTIONS", raising=False)
+        monkeypatch.delenv("REPRO_BENCH_SKIP", raising=False)
+        assert bench_budget() == (8000, 16000)
+        monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", "500")
+        monkeypatch.setenv("REPRO_BENCH_SKIP", "0")
+        assert bench_budget() == (500, 0)
+
+    @pytest.mark.parametrize("name,bad", [
+        ("REPRO_BENCH_INSTRUCTIONS", "x"),
+        ("REPRO_BENCH_INSTRUCTIONS", "0"),
+        ("REPRO_BENCH_SKIP", "-5"),
+    ])
+    def test_bad_value_names_the_variable(self, name, bad, monkeypatch):
+        monkeypatch.setenv(name, bad)
+        with pytest.raises(EnvValueError, match=f"{name}={bad!r}"):
+            bench_budget()
+
+    def test_bad_budget_never_breaks_import_or_run(self):
+        """The budget is read when the bench harness asks for it, so a
+        bad value cannot break ``import repro`` or any command."""
+        script = ("import repro\n"
+                  "from repro.cli import main\n"
+                  "raise SystemExit(main(['run', 'sjeng', '-n', '500', "
+                  "'--skip', '500']))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     REPRO_BENCH_INSTRUCTIONS="x", REPRO_BENCH_SKIP="-5"),
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "sjeng" in proc.stdout

@@ -14,8 +14,6 @@ import pytest
 
 from repro.core.config import ProcessorConfig
 from repro.core.simulator import simulate
-from repro.trace import ReplayWindow, TraceExhaustedError, capture_trace
-from repro.trace.replay import CHUNK, TAIL
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
@@ -113,103 +111,28 @@ def test_replay_with_full_verification(store):
     assert result.invariant_sweeps > 0
 
 
-def test_replay_frontend_cursor_semantics():
-    """Chunked decoding bounded by the window end; released records stay
-    released and, once the window's last reader is seated, are freed."""
-    profile = get_profile("sjeng")
-    program = build_program(profile)
-    trace = capture_trace(program, profile.mem_seed, 3 * CHUNK)
-    end = CHUNK + 100
-    cursor = ReplayWindow(trace, program, 0, end)
-    cursor.seat(0)
-    first = cursor.get(0)
-    assert first.seq == 0 and first.inst.pc == trace.pcs[0]
-    assert cursor.get(10).seq == 10
-    assert cursor.decoded == CHUNK  # one whole chunk below the end
-    cursor.release(5)
-    with pytest.raises(IndexError):
-        cursor.get(4)  # below the low-water mark
-    assert cursor.get(5) is not None
-    # A chunk never crosses the window end; past it, decoding advances
-    # TAIL records at a time.
-    assert cursor.get(end + 3).seq == end + 3
-    assert cursor.decoded == end + 4
-    cursor.get(end + 4)
-    assert cursor.decoded == end + 4 + TAIL
-    # Releases free the records below the mark.
-    cursor.release(end)
-    assert cursor.retained == cursor.decoded - end
-    with pytest.raises(IndexError):
-        cursor.get(end - 1)
-    cursor.release(2 * CHUNK)  # jump past the decoded window
-    assert cursor.retained == 0 and cursor.base == 2 * CHUNK
-    assert cursor.get(2 * CHUNK).seq == 2 * CHUNK
-    with pytest.raises(TraceExhaustedError):
-        cursor.get(3 * CHUNK)  # past the captured stream
-
-
-def test_window_keeps_records_for_a_later_reader():
-    """Records one reader released stay buffered while another reader
-    will re-read them; the last reader's releases free them."""
-    profile = get_profile("sjeng")
-    program = build_program(profile)
-    trace = capture_trace(program, profile.mem_seed, 3 * CHUNK)
-    window = ReplayWindow(trace, program, 100, 2 * CHUNK, readers=2)
-    window.seat(100)
-    first = window.get(CHUNK)
-    window.release(CHUNK + 1)
-    assert window.base == 100  # kept: the next reader starts over
-    window.seat(100)
-    assert window.get(100).seq == 100
-    assert window.get(CHUNK) is first  # decoded once for both readers
-    window.release(CHUNK + 1)
-    assert window.base == CHUNK + 1
-    assert window.retained == window.decoded - (CHUNK + 1)
-    with pytest.raises(IndexError):
-        window.seat(100)  # the span before the mark is gone
-
-
-def test_single_run_frees_released_records(store, monkeypatch):
-    """A long run keeps only its in-flight span, not every record it
-    replayed: a retained record costs about 120 B."""
-    windows = []
-    real_seat = ReplayWindow.seat
-
-    def seat(self, seq):
-        windows.append(self)
-        real_seat(self, seq)
-
-    monkeypatch.setattr(ReplayWindow, "seat", seat)
-    result = _run("sjeng", BASE, store, instructions=20_000, skip=2000)
-    assert result.stats.committed == 20_000
-    (window,) = windows
-    assert window.retained < CHUNK + BASE.rob_size
-
-
 def test_region_decoding_stays_within_acquired_need(store, monkeypatch):
-    """A short sampled region decodes no further than its acquired need
-    (``end`` plus the machine's fetch reach) -- and in fact no more than
-    one tail chunk past the furthest record it fetched."""
+    """A short sampled region reads no further than its acquired need
+    (``end`` plus the machine's fetch reach)."""
     from repro.core.pipeline import Pipeline, replay_reach
 
     furthest = [0]
-    real_get = ReplayWindow.get
+    real_fetch = Pipeline._fetch
 
-    def get(self, seq):
-        furthest[0] = max(furthest[0], seq)
-        return real_get(self, seq)
+    def fetch(self):
+        ran = real_fetch(self)
+        furthest[0] = max(furthest[0], self._next_trace_seq - 1)
+        return ran
 
-    monkeypatch.setattr(ReplayWindow, "get", get)
+    monkeypatch.setattr(Pipeline, "_fetch", fetch)
     profile = get_profile("gcc")
     start, measure = 6000, 500
     pipe = Pipeline(build_program(profile),
                     BASE.with_region(start, warmup=2000, detail=300),
                     mem_seed=profile.mem_seed, trace_source=store)
     pipe.run(measure)
-    cursor = pipe.cursor
     assert furthest[0] >= start + measure  # fetch ran ahead of commit
-    assert cursor.decoded <= furthest[0] + 1 + TAIL
-    assert cursor.decoded <= start + measure + replay_reach(BASE)
+    assert furthest[0] < start + measure + replay_reach(BASE)
 
 
 def test_frontend_mode_validated():
@@ -238,5 +161,5 @@ def test_max_cycles_bounds_the_capture(tmp_path):
     with pytest.raises(DeadlockError):
         pipe.run(10 ** 9, skip_instructions=500, max_cycles=400)
     assert store.captures == 1
-    assert len(pipe.cursor.trace) <= \
+    assert len(pipe.trace) <= \
         500 + BASE.fetch_width * 401 + replay_reach(BASE)

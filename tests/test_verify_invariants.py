@@ -54,7 +54,8 @@ class TestRegistry:
                          "priority-partition-bounds",
                          "brslice-pointer-validity", "conf-counter-range",
                          "scheduler-wakeup-consistency",
-                         "topdown-cycle-accounting")
+                         "topdown-cycle-accounting",
+                         "trace-sequence-continuity")
 
     def test_register_unregister_and_decorator(self):
         registry = InvariantRegistry()
@@ -218,3 +219,47 @@ class TestSchedulerWakeup:
             BASE.with_overrides(iq_organization="shifting"))
         assert not pipeline._incremental_issue
         default_registry().run(pipeline)  # wakeup check is a no-op there
+
+
+class TestTraceSequence:
+    def test_refetch_of_an_in_flight_record_detected(self, base_pipeline):
+        base_pipeline._next_trace_seq -= 1  # fetch would re-read a record
+        violation = expect_violation(base_pipeline,
+                                     "trace-sequence-continuity")
+        assert "fetch resumes" in violation.detail
+
+    def test_skipped_record_detected(self, base_pipeline):
+        second = [u for u in base_pipeline.rob if u.on_correct_path][1]
+        second.trace_seq += 1
+        violation = expect_violation(base_pipeline,
+                                     "trace-sequence-continuity")
+        assert "expected" in violation.detail
+
+    @pytest.mark.parametrize("mutant", ["recover-rewinds-too-far",
+                                        "fetch-stops-advancing"])
+    def test_mutated_pipeline_caught(self, mutant, monkeypatch):
+        """A run whose fetch re-reads a record stops at the next sweep,
+        before the duplicate can commit."""
+        if mutant == "recover-rewinds-too-far":
+            real_recover = Pipeline._recover
+
+            def recover(self, branch):
+                real_recover(self, branch)
+                self._next_trace_seq -= 1
+
+            monkeypatch.setattr(Pipeline, "_recover", recover)
+        else:
+            real_fetch = Pipeline._fetch
+
+            def fetch(self):
+                seq = self._next_trace_seq
+                ran = real_fetch(self)
+                self._next_trace_seq = seq
+                return ran
+
+            monkeypatch.setattr(Pipeline, "_fetch", fetch)
+        config = BASE.with_verification("full", interval=1)
+        pipeline = Pipeline(build_program(get_profile("sjeng")), config)
+        with pytest.raises(InvariantViolation) as excinfo:
+            pipeline.run(2000, skip_instructions=500)
+        assert excinfo.value.invariant == "trace-sequence-continuity"
