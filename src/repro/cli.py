@@ -1108,7 +1108,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
     except EnvValueError as exc:
-        # An unusable REPRO_SAMPLING / REPRO_CI_TARGET / REPRO_JOBS /
-        # REPRO_BATCH value.
+        # An unusable REPRO_SAMPLING / REPRO_CI_TARGET / REPRO_PAIRED /
+        # REPRO_TABLE_BUDGET / REPRO_JOBS / REPRO_BATCH value.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -231,6 +231,9 @@ class Pipeline:
         self.cycle = 0
         self._next_seq = 0
         self._next_trace_seq = 0
+        #: Index in ``trace.mem_addrs`` of the next correct-path memory
+        #: record fetch reads: ``trace.mem_rank(_next_trace_seq)``.
+        self._next_mem_seq = 0
         self._wrong_path_pc: Optional[int] = None  # None => fetching the trace
         self._fetch_resume_cycle = 0  # recovery redirect / I-miss stall
         #: Why fetch is stalled while ``cycle < _fetch_resume_cycle``
@@ -548,6 +551,7 @@ class Pipeline:
                 self._warm_mem_span(trace, seat - warmup, seat)
                 self._warm_front_span(trace, seat - warmup, seat)
         self._next_trace_seq = seat
+        self._next_mem_seq = trace.mem_rank(seat)
         if self.verifier is not None:
             self.verifier.on_seat(trace, seat)
 
@@ -583,12 +587,13 @@ class Pipeline:
         Each new I-line is an instruction fetch and each memory record a
         data access.  The walk reads the PC array and a memory mask
         translated from the flag bytes; the addresses of the memory
-        records come, in order, from the address array compressed by
-        that mask.
+        records come, in order, from the span's slice of the address
+        array (its memory records, ranked).
         """
         from ..trace.format import FLAG_MEM_TABLE  # deferred: import cycle
         is_mem = trace.flags[start:end].translate(FLAG_MEM_TABLE)
-        next_addr = compress(trace.mem_addrs[start:end], is_mem).__next__
+        next_addr = iter(trace.mem_addrs[trace.mem_rank(start):
+                                         trace.mem_rank(end)]).__next__
         warm_ifetch = self.hierarchy.warm_ifetch
         warm_data = self.hierarchy.warm_data
         last_line = self._last_ifetch_line
@@ -607,13 +612,13 @@ class Pipeline:
         Only conditional branches train the predictor, the BTB and (with
         PUBS) the confidence table, so the loop visits just their
         indices: a mask translated from the flag bytes compresses the
-        span's index range.
+        span's index range.  A taken branch installs its static target.
         """
         from ..trace.format import (  # deferred: import cycle
             FLAG_COND_BRANCH_TABLE, FLAG_TAKEN_TABLE)
         pcs = trace.pcs
         flags = trace.flags
-        next_pcs = trace.next_pcs
+        insts = self._insts
         predictor = self.predictor
         btb = self.btb
         tracker = self.slice_tracker
@@ -625,7 +630,7 @@ class Pipeline:
             predicted = predictor.predict(pc)
             predictor.update(pc, taken, predicted)
             if taken:
-                btb.install(pc, next_pcs[i])
+                btb.install(pc, insts[pc // INST_BYTES].target)
             if pubs_on:
                 tracker.on_branch_resolved(pc,
                                            correct=predicted == taken)
@@ -732,6 +737,7 @@ class Pipeline:
         branch.checkpoint = None
 
         self._next_trace_seq = branch.trace_seq + 1
+        self._next_mem_seq = self.trace.mem_rank(branch.trace_seq + 1)
         self._wrong_path_pc = None
         self._fetch_resume_cycle = cycle + self.config.recovery_penalty
         self._fetch_stall_reason = "recovery"
@@ -1057,8 +1063,11 @@ class Pipeline:
         wrong-path (the static code along the predicted path): the path
         only switches back at a recovery, between fetch groups.
         Correct-path records are read straight from the trace arrays at
-        ``_next_trace_seq``; one at or past the end of the trace raises
-        :class:`~repro.trace.format.TraceExhaustedError`.  Returns
+        ``_next_trace_seq`` (a memory record's address at
+        ``_next_mem_seq``); one at or past the end of the trace raises
+        :class:`~repro.trace.format.TraceExhaustedError`.  A record's
+        successor comes from its static instruction: the target of a
+        taken branch or a jump, else the fall-through.  Returns
         whether fetch ran (it may still fetch nothing on an I-cache
         miss); False when a fetch stall or a full front end blocked it.
         """
@@ -1079,13 +1088,13 @@ class Pipeline:
         predictor = self.predictor
         btb = self.btb
         trace = self.trace
-        pcs, flags, next_pcs, mem_addrs = (
-            trace.pcs, trace.flags, trace.next_pcs, trace.mem_addrs)
+        pcs, flags, mem_addrs = trace.pcs, trace.flags, trace.mem_addrs
         taken_of = self._taken_of
         stats = self.stats
         wrong_pc = self._wrong_path_pc
         on_trace = wrong_pc is None
         trace_seq = self._next_trace_seq
+        mem_seq = self._next_mem_seq
         seq = self._next_seq
         last_line = self._last_ifetch_line
         fetched = 0
@@ -1135,7 +1144,8 @@ class Pipeline:
                 uop.predicted_next_pc = predicted_next
                 if on_trace:  # correct path: train with the truth
                     taken = taken_of[flags[trace_seq]]
-                    next_pc = next_pcs[trace_seq]
+                    next_pc = inst.target if taken \
+                        else fall if fall < end_pc else entry_pc
                     predictor.update(pc, taken, predicted_taken)
                     if taken:
                         btb.install(pc, next_pc)
@@ -1154,12 +1164,11 @@ class Pipeline:
                 uop.predicted_next_pc = next_pc = inst.target
                 if on_trace:
                     uop.actual_taken = True
-                    uop.actual_next_pc = next_pcs[trace_seq]
-            elif on_trace:
-                if inst.is_mem:
-                    uop.mem_addr = mem_addrs[trace_seq]
-                next_pc = next_pcs[trace_seq]
+                    uop.actual_next_pc = next_pc
             else:
+                if on_trace and inst.is_mem:
+                    uop.mem_addr = mem_addrs[mem_seq]
+                    mem_seq += 1
                 next_pc = fall if fall < end_pc else entry_pc
             if on_trace:
                 trace_seq += 1
@@ -1169,6 +1178,7 @@ class Pipeline:
                 break  # taken-transfer fetch break
         self._next_seq = seq
         self._next_trace_seq = trace_seq
+        self._next_mem_seq = mem_seq
         self._wrong_path_pc = wrong_pc
         self._last_ifetch_line = last_line
         stats.fetched += fetched

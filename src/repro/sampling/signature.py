@@ -35,8 +35,7 @@ from itertools import compress, repeat
 from operator import rshift
 from typing import Dict, List, Sequence, Tuple
 
-from ..trace.format import (FLAG_COND_BRANCH_TABLE, FLAG_MEM_TABLE,
-                            FLAG_TAKEN_TABLE)
+from ..trace.format import FLAG_COND_BRANCH_TABLE, FLAG_TAKEN_TABLE
 
 #: Instruction-bucket granularity (64 B of code per feature).
 PC_SHIFT = 6
@@ -56,15 +55,13 @@ def window_signature(trace, start: int, length: int) -> Signature:
     end = start + length
     pcs = trace.pcs[start:end]
     flags = trace.flags[start:end]
-    is_mem = flags.translate(FLAG_MEM_TABLE)
-    # A memory record is never a conditional branch: capture sets both
-    # bits from the static instruction.
+    # The window's memory records hold the addresses ranked between
+    # its two ends.
+    addrs = trace.mem_addrs[trace.mem_rank(start):trace.mem_rank(end)]
     is_branch = flags.translate(FLAG_COND_BRANCH_TABLE)
     groups = (
         ("pc", Counter(map(rshift, pcs, repeat(PC_SHIFT)))),
-        ("mem", Counter(map(rshift,
-                            compress(trace.mem_addrs[start:end], is_mem),
-                            repeat(ADDR_SHIFT)))),
+        ("mem", Counter(map(rshift, addrs, repeat(ADDR_SHIFT)))),
     )
     sig: Signature = {}
     for group, counts in groups:

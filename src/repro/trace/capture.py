@@ -26,41 +26,35 @@ from .format import (
     FLAG_COND_BRANCH,
     FLAG_MEM,
     FLAG_TAKEN,
-    FLAG_WB,
     ArchCheckpoint,
     Trace,
 )
 
 
 def _record_stream(executor: FunctionalExecutor, count: int,
-                   pcs: array, flags: bytearray, next_pcs: array,
-                   mem_addrs: array, wb_values: array) -> None:
+                   pcs: array, flags: bytearray, mem_addrs: array) -> None:
     """Append ``count`` records of ``executor``'s stream to the arrays.
 
     Runs the executor's compiled closures directly (what
     :meth:`~repro.isa.executor.FunctionalExecutor.step_raw` does one
     call at a time) and writes its PC and sequence number back at the
-    end.
+    end.  A memory record appends its address; no other record does.
     """
-    # Per static instruction: its closure, the flag bits fixed by
-    # decode, and the write-back register (None when it writes none).
+    # Per static instruction: its closure and the flag bits fixed by
+    # decode.
     static = [(op, (FLAG_COND_BRANCH if inst.is_conditional_branch else 0)
-               | (FLAG_MEM if inst.is_mem else 0)
-               | (FLAG_WB if inst.dest is not None else 0), inst.dest)
+               | (FLAG_MEM if inst.is_mem else 0))
               for op, inst in zip(executor._ops, executor.program.insts)]
     regs = executor.regs
-    add_pc, add_flag, add_next = pcs.append, flags.append, next_pcs.append
-    add_addr, add_wb = mem_addrs.append, wb_values.append
+    add_pc, add_flag, add_addr = pcs.append, flags.append, mem_addrs.append
     pc = executor.pc
     for _ in range(count):
-        op, f, dest = static[pc >> 2]
-        next_pc, taken, mem_addr = op(regs)
-        add_flag(f | FLAG_TAKEN if taken else f)
-        add_addr(0 if mem_addr is None else mem_addr)
-        add_wb(0 if dest is None else regs[dest])
+        op, f = static[pc >> 2]
         add_pc(pc)
-        add_next(next_pc)
-        pc = next_pc
+        pc, taken, mem_addr = op(regs)
+        add_flag(f | FLAG_TAKEN if taken else f)
+        if mem_addr is not None:
+            add_addr(mem_addr)
     executor.pc = pc
     executor._seq += count
 
@@ -102,15 +96,12 @@ def capture_trace(program: Program, mem_seed: int, length: int,
     executor = FunctionalExecutor(program, mem_seed=mem_seed)
     pcs = array("I")
     flags = bytearray()
-    next_pcs = array("I")
     mem_addrs = array("Q")
-    wb_values = array("Q")
     skip_checkpoint = None
     intervals = []
     pos = 0
     for point in _snapshot_points(0, length, checkpoint_interval, skip):
-        _record_stream(executor, point - pos, pcs, flags, next_pcs,
-                       mem_addrs, wb_values)
+        _record_stream(executor, point - pos, pcs, flags, mem_addrs)
         ckpt = ArchCheckpoint.of(executor)
         if point == skip:
             skip_checkpoint = ckpt
@@ -118,12 +109,10 @@ def capture_trace(program: Program, mem_seed: int, length: int,
                 and point < length:
             intervals.append(ckpt)
         pos = point
-    _record_stream(executor, length - pos, pcs, flags, next_pcs,
-                   mem_addrs, wb_values)
+    _record_stream(executor, length - pos, pcs, flags, mem_addrs)
     end = ArchCheckpoint.of(executor)
-    return Trace(pcs, flags, next_pcs, mem_addrs, wb_values,
-                 skip_checkpoint, end, skip, mem_seed,
-                 checkpoint_interval, tuple(intervals))
+    return Trace(pcs, flags, mem_addrs, skip_checkpoint, end, skip,
+                 mem_seed, checkpoint_interval, tuple(intervals))
 
 
 def adopt_skip_checkpoint(trace: Trace, skip_hint: int) -> Trace:
@@ -142,10 +131,9 @@ def adopt_skip_checkpoint(trace: Trace, skip_hint: int) -> Trace:
     ckpt = trace.checkpoint_at(skip_hint)
     if ckpt is None or ckpt.seq != skip_hint:
         return trace
-    return Trace(trace.pcs, trace.flags, trace.next_pcs, trace.mem_addrs,
-                 trace.wb_values, ckpt, trace.end_checkpoint, skip_hint,
-                 trace.mem_seed, trace.checkpoint_interval,
-                 trace.interval_checkpoints)
+    return Trace(trace.pcs, trace.flags, trace.mem_addrs, ckpt,
+                 trace.end_checkpoint, skip_hint, trace.mem_seed,
+                 trace.checkpoint_interval, trace.interval_checkpoints)
 
 
 def extend_trace(trace: Trace, program: Program, length: int,
@@ -165,9 +153,7 @@ def extend_trace(trace: Trace, program: Program, length: int,
     executor = trace.end_checkpoint.restore(program)
     pcs = array("I", trace.pcs)
     flags = bytearray(trace.flags)
-    next_pcs = array("I", trace.next_pcs)
     mem_addrs = array("Q", trace.mem_addrs)
-    wb_values = array("Q", trace.wb_values)
     interval = trace.checkpoint_interval
     intervals = list(trace.interval_checkpoints)
     # A fresh capture of ``length`` records snapshots the splice point
@@ -182,8 +168,7 @@ def extend_trace(trace: Trace, program: Program, length: int,
     pos = start
     for point in _snapshot_points(start, length, interval,
                                   skip_hint if want_skip else 0):
-        _record_stream(executor, point - pos, pcs, flags, next_pcs,
-                       mem_addrs, wb_values)
+        _record_stream(executor, point - pos, pcs, flags, mem_addrs)
         ckpt = ArchCheckpoint.of(executor)
         if want_skip and point == skip_hint:
             skip_checkpoint = ckpt
@@ -191,10 +176,9 @@ def extend_trace(trace: Trace, program: Program, length: int,
         if interval and point % interval == 0 and point < length:
             intervals.append(ckpt)
         pos = point
-    _record_stream(executor, length - pos, pcs, flags, next_pcs,
-                   mem_addrs, wb_values)
+    _record_stream(executor, length - pos, pcs, flags, mem_addrs)
     end = ArchCheckpoint.of(executor)
-    extended = Trace(pcs, flags, next_pcs, mem_addrs, wb_values,
-                     skip_checkpoint, end, captured_skip, trace.mem_seed,
-                     interval, tuple(intervals))
+    extended = Trace(pcs, flags, mem_addrs, skip_checkpoint, end,
+                     captured_skip, trace.mem_seed, interval,
+                     tuple(intervals))
     return adopt_skip_checkpoint(extended, skip_hint)

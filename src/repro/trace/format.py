@@ -3,29 +3,34 @@
 A trace is the committed dynamic instruction stream of one (program,
 ``mem_seed``) pair, captured once by running the
 :class:`~repro.isa.executor.FunctionalExecutor` and replayed by every
-machine configuration in a sweep.  Records are stored as parallel typed
-arrays rather than per-record objects:
+machine configuration in a sweep.  Records are stored as three typed
+arrays rather than per-record objects, about 6 B per record:
 
 * ``pcs``        -- ``array('I')``, the PC of record *i*;
 * ``flags``      -- one byte per record (taken / conditional-branch /
-  memory-op / has-writeback bits);
-* ``next_pcs``   -- ``array('I')``, the architectural successor PC;
-* ``mem_addrs``  -- ``array('Q')``, the effective address of loads and
-  stores (0 for non-memory records; the flag bit disambiguates);
-* ``wb_values``  -- ``array('Q')``, the register write-back value (0 for
-  records without a destination; the flag bit disambiguates).
+  memory-op bits);
+* ``mem_addrs``  -- ``array('Q')``, the effective address of each memory
+  record (load or store), one per memory record in stream order.
+
+Nothing else is needed.  A trace is the committed stream, so the
+successor of record *i* is ``pcs[i + 1]``: replay derives it from the
+static instruction and the taken bit (the branch target, or the
+fall-through), exactly as the executor computed it.  The address of
+memory record *i* sits at ``mem_addrs[mem_rank(i)]``, where
+:meth:`Trace.mem_rank` counts the memory records before *i* from a
+per-trace table of cumulative counts, one every
+:data:`MEM_RANK_BLOCK` records, built on construction and never stored.
 
 Architectural-state checkpoints ride along with the arrays: one taken
 after the capture-time ``skip`` (warmup fast-forward), one at the end of
-the captured stream, and -- since format version 2 -- one every
-``checkpoint_interval`` records.  The end checkpoint makes a trace
-*extendable* (a later request for more records resumes functional
-execution from it instead of re-executing from scratch) and gives the
-differential oracle a reference state to diff replayed runs against.
-The interval checkpoints let a replayed run *start* anywhere: the
-nearest checkpoint at or below a requested region start seats the
-oracle, and only the residue up to the region needs fast-forwarding
-(SimPoint/SMARTS-style mid-run sampling).
+the captured stream, and one every ``checkpoint_interval`` records.  The
+end checkpoint makes a trace *extendable* (a later request for more
+records resumes functional execution from it instead of re-executing
+from record 0) and gives the differential oracle a reference state to
+diff replayed runs against.  The interval checkpoints let a replayed
+run *start* anywhere: the nearest checkpoint at or below a requested
+region start seats the oracle, and only the residue up to the region
+needs fast-forwarding (SimPoint/SMARTS-style mid-run sampling).
 
 The serialized payload is a plain dict of primitives (arrays rendered as
 bytes) so it pickles compactly, carries ``TRACE_FORMAT_VERSION``, and is
@@ -51,10 +56,12 @@ from ..isa.instruction import Program
 #:
 #: v2: interval checkpoints (``ArchCheckpoint`` every
 #: ``checkpoint_interval`` records) for mid-run region sampling.
-TRACE_FORMAT_VERSION = 2
+#: v3: three arrays -- no successor PCs or write-back values, and one
+#: address per memory record instead of one per record.
+TRACE_FORMAT_VERSION = 3
 
 #: Default spacing of interval checkpoints.  8192 records keeps the
-#: checkpoint overhead small (one register/memory snapshot per ~200 KB of
+#: checkpoint overhead small (one register/memory snapshot per ~50 KB of
 #: record arrays) while bounding the oracle's fast-forward residue for
 #: any region start.  0 disables interval checkpoints.
 DEFAULT_CHECKPOINT_INTERVAL = 8192
@@ -62,17 +69,22 @@ DEFAULT_CHECKPOINT_INTERVAL = 8192
 #: Per-record flag bits.
 FLAG_TAKEN = 1  #: branch outcome (conditional branches and jumps)
 FLAG_COND_BRANCH = 2  #: the instruction is a conditional branch
-FLAG_MEM = 4  #: the record carries an effective memory address
-FLAG_WB = 8  #: the record carries a register write-back value
+FLAG_MEM = 4  #: the record has an address in ``mem_addrs``
 
 #: Flag-byte tables, indexed by a record's flag byte.  The two ``bytes``
 #: tables hold 1 where their bit is set, so ``flags[a:b].translate(t)``
-#: turns a span of flag bytes into a mask for :func:`itertools.compress`.
+#: turns a span of flag bytes into a mask for :func:`itertools.compress`
+#: (and ``.count(1)`` counts the span's records of that kind).
 FLAG_MEM_TABLE = bytes(1 if f & FLAG_MEM else 0 for f in range(256))
 FLAG_COND_BRANCH_TABLE = bytes(1 if f & FLAG_COND_BRANCH else 0
                                for f in range(256))
 #: The branch outcome each flag byte records, as a bool.
 FLAG_TAKEN_TABLE = tuple(bool(f & FLAG_TAKEN) for f in range(256))
+
+#: Records per entry of :meth:`Trace.mem_rank`'s table of cumulative
+#: memory-record counts: one call scans at most this many flag bytes
+#: less one.
+MEM_RANK_BLOCK = 4096
 
 
 class TraceFormatError(ValueError):
@@ -126,12 +138,11 @@ class Trace:
     PC up in its own :class:`Program`.
     """
 
-    __slots__ = ("pcs", "flags", "next_pcs", "mem_addrs", "wb_values",
+    __slots__ = ("pcs", "flags", "mem_addrs", "_mem_ranks",
                  "skip_checkpoint", "end_checkpoint", "captured_skip",
                  "mem_seed", "checkpoint_interval", "interval_checkpoints")
 
-    def __init__(self, pcs: array, flags: bytearray, next_pcs: array,
-                 mem_addrs: array, wb_values: array,
+    def __init__(self, pcs: array, flags: bytearray, mem_addrs: array,
                  skip_checkpoint: Optional[ArchCheckpoint],
                  end_checkpoint: ArchCheckpoint,
                  captured_skip: int, mem_seed: int,
@@ -139,9 +150,14 @@ class Trace:
                  interval_checkpoints: Tuple[ArchCheckpoint, ...] = ()):
         self.pcs = pcs
         self.flags = flags
-        self.next_pcs = next_pcs
+        #: One address per memory record, in stream order.
         self.mem_addrs = mem_addrs
-        self.wb_values = wb_values
+        #: ``_mem_ranks[k]``: memory records among the first
+        #: ``k * MEM_RANK_BLOCK`` records.
+        self._mem_ranks = ranks = [0]
+        for base in range(MEM_RANK_BLOCK, len(flags) + 1, MEM_RANK_BLOCK):
+            ranks.append(ranks[-1] + flags[base - MEM_RANK_BLOCK:base]
+                         .translate(FLAG_MEM_TABLE).count(1))
         #: State after ``captured_skip`` records (None when skip was 0).
         self.skip_checkpoint = skip_checkpoint
         #: State after the final captured record (extension/verify anchor).
@@ -156,6 +172,15 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.pcs)
+
+    def mem_rank(self, seq: int) -> int:
+        """Memory records before record ``seq`` (``0 <= seq <= len``):
+        the index in :attr:`mem_addrs` of the first memory record at or
+        after ``seq``."""
+        block = seq // MEM_RANK_BLOCK
+        base = block * MEM_RANK_BLOCK
+        return self._mem_ranks[block] + self.flags[base:seq].translate(
+            FLAG_MEM_TABLE).count(1)
 
     def checkpoint_at(self, seq: int) -> Optional[ArchCheckpoint]:
         """The nearest checkpoint with ``ckpt.seq <= seq``, or None.
@@ -176,18 +201,18 @@ class Trace:
         return best
 
     def payload_bytes(self) -> int:
-        """Approximate in-memory size of the record arrays."""
-        return (self.pcs.itemsize * len(self.pcs)
-                + len(self.flags)
-                + self.next_pcs.itemsize * len(self.next_pcs)
-                + self.mem_addrs.itemsize * len(self.mem_addrs)
-                + self.wb_values.itemsize * len(self.wb_values))
+        """In-memory size of the record arrays."""
+        return (self.pcs.itemsize * len(self.pcs) + len(self.flags)
+                + self.mem_addrs.itemsize * len(self.mem_addrs))
 
 
-def _checksum(pcs: bytes, flags: bytes, next_pcs: bytes,
-              mem_addrs: bytes, wb_values: bytes) -> str:
+#: The payload fields holding the record arrays, in checksum order.
+_ARRAYS = ("pcs", "flags", "mem_addrs")
+
+
+def _checksum(*arrays: bytes) -> str:
     h = hashlib.sha256()
-    for chunk in (pcs, flags, next_pcs, mem_addrs, wb_values):
+    for chunk in arrays:
         h.update(len(chunk).to_bytes(8, "little"))
         h.update(chunk)
     return h.hexdigest()
@@ -197,9 +222,7 @@ def encode_trace(trace: Trace) -> dict:
     """Render ``trace`` as a picklable, self-checking payload dict."""
     pcs = trace.pcs.tobytes()
     flags = bytes(trace.flags)
-    next_pcs = trace.next_pcs.tobytes()
     mem_addrs = trace.mem_addrs.tobytes()
-    wb_values = trace.wb_values.tobytes()
     return {
         "format": TRACE_FORMAT_VERSION,
         "count": len(trace),
@@ -207,10 +230,8 @@ def encode_trace(trace: Trace) -> dict:
         "mem_seed": trace.mem_seed,
         "pcs": pcs,
         "flags": flags,
-        "next_pcs": next_pcs,
         "mem_addrs": mem_addrs,
-        "wb_values": wb_values,
-        "checksum": _checksum(pcs, flags, next_pcs, mem_addrs, wb_values),
+        "checksum": _checksum(pcs, flags, mem_addrs),
         "skip_checkpoint": trace.skip_checkpoint,
         "end_checkpoint": trace.end_checkpoint,
         "checkpoint_interval": trace.checkpoint_interval,
@@ -222,8 +243,9 @@ def decode_trace(payload: dict) -> Trace:
     """Validate and decode a payload produced by :func:`encode_trace`.
 
     Raises :class:`TraceFormatError` on any inconsistency -- unknown
-    version, checksum mismatch (truncation/corruption), or array-length
-    disagreement with the recorded count.
+    version, checksum mismatch (truncation/corruption), array lengths
+    that disagree with the recorded count, or an address count that
+    disagrees with the memory flags.
     """
     if not isinstance(payload, dict):
         raise TraceFormatError("trace payload is not a mapping")
@@ -233,8 +255,7 @@ def decode_trace(payload: dict) -> Trace:
             f"{TRACE_FORMAT_VERSION}")
     try:
         count = payload["count"]
-        raw = tuple(payload[k] for k in
-                    ("pcs", "flags", "next_pcs", "mem_addrs", "wb_values"))
+        raw = tuple(payload[k] for k in _ARRAYS)
         checksum = payload["checksum"]
         skip_ckpt = payload["skip_checkpoint"]
         end_ckpt = payload["end_checkpoint"]
@@ -248,15 +269,10 @@ def decode_trace(payload: dict) -> Trace:
         raise TraceFormatError("trace checksum mismatch (corrupt payload)")
     pcs = array("I")
     pcs.frombytes(raw[0])
-    next_pcs = array("I")
-    next_pcs.frombytes(raw[2])
-    mem_addrs = array("Q")
-    mem_addrs.frombytes(raw[3])
-    wb_values = array("Q")
-    wb_values.frombytes(raw[4])
     flags = bytearray(raw[1])
-    if not (len(pcs) == len(flags) == len(next_pcs) == len(mem_addrs)
-            == len(wb_values) == count):
+    mem_addrs = array("Q")
+    mem_addrs.frombytes(raw[2])
+    if not len(pcs) == len(flags) == count:
         raise TraceFormatError("trace array lengths disagree with count")
     if not isinstance(end_ckpt, ArchCheckpoint) or end_ckpt.seq != count:
         raise TraceFormatError("trace end checkpoint out of position")
@@ -271,9 +287,14 @@ def decode_trace(payload: dict) -> Trace:
             raise TraceFormatError(
                 f"interval checkpoint at seq {ckpt.seq} out of position")
         prev = ckpt.seq
-    return Trace(pcs, flags, next_pcs, mem_addrs, wb_values,
-                 skip_ckpt, end_ckpt, captured_skip, mem_seed,
-                 interval, interval_ckpts)
+    trace = Trace(pcs, flags, mem_addrs, skip_ckpt, end_ckpt,
+                  captured_skip, mem_seed, interval, interval_ckpts)
+    mem_records = trace.mem_rank(count)
+    if mem_records != len(mem_addrs):
+        raise TraceFormatError(
+            f"trace holds {len(mem_addrs)} addresses for {mem_records} "
+            f"memory records")
+    return trace
 
 
 def trace_metadata(payload: dict) -> dict:
@@ -304,9 +325,7 @@ def trace_metadata(payload: dict) -> dict:
             "end_checkpoint_seq": payload["end_checkpoint"].seq,
             "interval_checkpoint_seqs": tuple(
                 ckpt.seq for ckpt in payload["interval_checkpoints"]),
-            "payload_bytes": sum(
-                len(payload[k]) for k in
-                ("pcs", "flags", "next_pcs", "mem_addrs", "wb_values")),
+            "payload_bytes": sum(len(payload[k]) for k in _ARRAYS),
         }
     except (KeyError, AttributeError) as exc:
         raise TraceFormatError(f"trace payload lacks field {exc}") from exc

@@ -474,8 +474,9 @@ def check_topdown_accounting(pipeline) -> None:
 
 
 def check_trace_sequence(pipeline) -> None:
-    """In-flight correct-path uops hold consecutive trace records, and
-    fetch resumes right after the last of them."""
+    """In-flight correct-path uops hold consecutive trace records, fetch
+    resumes right after the last of them, and its memory-record cursor
+    ranks that resume point."""
     name = "trace-sequence-continuity"
     cycle = pipeline.cycle
     expected = None
@@ -495,6 +496,13 @@ def check_trace_sequence(pipeline) -> None:
             name,
             f"fetch resumes at trace record {pipeline._next_trace_seq}, "
             f"one past the last in flight is {expected}", cycle=cycle)
+    rank = pipeline.trace.mem_rank(pipeline._next_trace_seq)
+    if pipeline._next_mem_seq != rank:
+        raise InvariantViolation(
+            name,
+            f"fetch reads the next address at memory record "
+            f"{pipeline._next_mem_seq}, trace record "
+            f"{pipeline._next_trace_seq} ranks {rank}", cycle=cycle)
 
 
 def default_registry() -> InvariantRegistry:

@@ -6,7 +6,7 @@ instruction into a closure.  This module keeps the straightforward
 the compiled executor -- and every trace captured with it -- to match
 it record for record.  :func:`reference_capture` records a trace the
 way capture did before: one :class:`~repro.isa.executor.DynamicOp` per
-record, unpacked into the arrays.
+record, unpacked into the arrays (an address only for a memory record).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.trace.format import (
     FLAG_COND_BRANCH,
     FLAG_MEM,
     FLAG_TAKEN,
-    FLAG_WB,
     ArchCheckpoint,
 )
 
@@ -128,9 +127,7 @@ class ReferenceTrace:
     def __init__(self):
         self.pcs = array("I")
         self.flags = bytearray()
-        self.next_pcs = array("I")
         self.mem_addrs = array("Q")
-        self.wb_values = array("Q")
         #: Architectural state by sequence number.
         self.checkpoints: Dict[int, ArchCheckpoint] = {}
 
@@ -160,13 +157,5 @@ def reference_capture(program: Program, mem_seed: int, length: int,
         if record.mem_addr is not None:
             f |= FLAG_MEM
             out.mem_addrs.append(record.mem_addr)
-        else:
-            out.mem_addrs.append(0)
-        if inst.dest is not None:
-            f |= FLAG_WB
-            out.wb_values.append(executor.regs[inst.dest])
-        else:
-            out.wb_values.append(0)
         out.pcs.append(inst.pc)
         out.flags.append(f)
-        out.next_pcs.append(record.next_pc)

@@ -195,6 +195,19 @@ class TestCommands:
         assert f"{variable}={value!r}" in err
 
 
+    def test_switch_typo_exits_two_in_a_fresh_process(self):
+        # A typo in a switch is refused, not read as "on".
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "sjeng", "-n", "500",
+             "--skip", "500"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), REPRO_PAIRED="of"),
+            timeout=300)
+        assert proc.returncode == 2
+        err = proc.stderr.strip()
+        assert len(err.splitlines()) == 1  # one line, no traceback
+        assert err.startswith("error:") and "REPRO_PAIRED='of'" in err
+
+
 class TestVerifyCommand:
     def test_verify_single_workload_full(self, capsys):
         assert main(["verify", "--workload", "sjeng", "-n", "1200",

@@ -1,10 +1,11 @@
 """The compiled executor and trace capture against the reference stepper.
 
 :mod:`tests.reference_executor` keeps the opcode-chain interpretation
-the compiled closures replaced.  Every record ``step()`` returns, every
-trace array ``capture_trace`` fills and every checkpoint it takes must
-equal what the reference produces, on the SPEC-like profiles, on the
-stress kernels and on random programs that use every opcode.
+the compiled closures replaced.  Every record ``step()`` returns, the
+register file after every step, every trace array ``capture_trace``
+fills and every checkpoint it takes must equal what the reference
+produces, on the SPEC-like profiles, on the stress kernels and on random
+programs that use every opcode.
 """
 
 import pytest
@@ -44,9 +45,7 @@ def _assert_capture_matches(program, mem_seed, length, skip, interval):
                             snapshot_at=inner + [skip])
     assert trace.pcs == ref.pcs
     assert trace.flags == ref.flags
-    assert trace.next_pcs == ref.next_pcs
     assert trace.mem_addrs == ref.mem_addrs
-    assert trace.wb_values == ref.wb_values
     if skip:
         assert trace.skip_checkpoint == ref.checkpoints[skip]
     assert trace.interval_checkpoints == tuple(
@@ -61,6 +60,7 @@ def test_step_matches_reference(program, mem_seed):
     reference = ReferenceExecutor(program, mem_seed=mem_seed)
     for _ in range(RECORDS):
         assert executor.step() == reference.step()
+        assert executor.regs == reference.regs
     _assert_same_state(executor, reference)
 
 
@@ -71,11 +71,11 @@ def test_capture_matches_reference(program, mem_seed):
 
 
 #: ``encode_trace(capture_trace(p, mem_seed, 12288, skip=4000))``
-#: checksums recorded with the opcode-chain executor.
+#: checksums recorded with the opcode-chain executor (format 3).
 PINNED_CHECKSUMS = {
-    "sjeng": "c26421aa9956f3848710e58b5a231d4891f94159c0530589c074164429e7cd56",
-    "mcf": "a1810f97ff75b0cdc11ab4adf5480d26cd5c0e894435aacb1529319e2920a24c",
-    "gcc": "6dedef67427a09bad151015c9ed46ff1c6346a0c72271d2fd134530430b4b616",
+    "sjeng": "04a3910842a34045ec67841e73b05ee3d9b8087697cae9c4eb19f306d3934f2a",
+    "mcf": "cc9fe3504a186f4274aa1f2fb462099bc6f8cc770acc2543f496802eefd895ad",
+    "gcc": "d0eddc4c44bfb2e1d5cabaa9bae32fff0db91bb23ec8373a5513216d13900c89",
 }
 
 
@@ -157,6 +157,7 @@ def test_random_programs_match_reference(program, mem_seed):
     reference = ReferenceExecutor(program, mem_seed=mem_seed)
     for _ in range(300):
         assert executor.step() == reference.step()
+        assert executor.regs == reference.regs
     _assert_same_state(executor, reference)
     _assert_capture_matches(program, mem_seed, 300, skip=50, interval=64)
 

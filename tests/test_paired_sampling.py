@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
-from repro.core.config import ProcessorConfig, RunRequest
+from repro.core.config import EnvValueError, ProcessorConfig, RunRequest
 from repro.sampling import (
     CI_RELATIVE_FLOOR,
     AdaptiveSession,
@@ -416,13 +416,24 @@ class TestRequestKnobs:
 
     @pytest.mark.parametrize("raw,expected", [
         ("0", False), ("false", False), ("off", False), ("", False),
-        ("1", True), ("on", True)])
+        ("no", False), ("1", True), ("on", True), ("true", True),
+        ("yes", True)])
     def test_env_resolution(self, monkeypatch, raw, expected):
         monkeypatch.setenv("REPRO_PAIRED", raw)
         monkeypatch.setenv("REPRO_TABLE_BUDGET", raw)
         resolved = RunRequest().resolved()
         assert resolved.paired is expected
         assert resolved.table_budget is expected
+
+    @pytest.mark.parametrize("variable", ["REPRO_PAIRED",
+                                          "REPRO_TABLE_BUDGET"])
+    @pytest.mark.parametrize("raw", ["of", "2", "bogus"])
+    def test_env_typo_rejected(self, monkeypatch, variable, raw):
+        monkeypatch.delenv("REPRO_PAIRED", raising=False)
+        monkeypatch.delenv("REPRO_TABLE_BUDGET", raising=False)
+        monkeypatch.setenv(variable, raw)
+        with pytest.raises(EnvValueError, match=f"{variable}={raw!r}"):
+            RunRequest().resolved()
 
     def test_explicit_field_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_PAIRED", "1")

@@ -6,8 +6,10 @@ survive a truncated file, a schema bump, or garbage bytes without user
 intervention.
 """
 
+import functools
 import multiprocessing
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given
@@ -16,16 +18,23 @@ from hypothesis import strategies as st
 from repro.exec.serialize import CACHE_SCHEMA_VERSION
 from repro.isa.executor import FunctionalExecutor
 from repro.trace import (
-    Trace,
+    TRACE_FORMAT_VERSION,
     TraceFormatError,
     capture_trace,
     decode_trace,
     encode_trace,
     extend_trace,
+    trace_metadata,
+)
+from repro.trace.format import (
+    FLAG_MEM,
+    FLAG_MEM_TABLE,
+    MEM_RANK_BLOCK,
+    _checksum,
 )
 from repro.trace.store import TraceStore, program_fingerprint
 from repro.workloads.generator import build_program
-from repro.workloads.profiles import get_profile
+from repro.workloads.profiles import get_profile, spec2006_profiles
 
 PROFILE = get_profile("sjeng")
 PROGRAM = build_program(PROFILE)
@@ -39,17 +48,23 @@ def _capture(length=1000, skip=400):
 # Capture correctness
 # ----------------------------------------------------------------------
 
+def _successor(trace, i):
+    """The PC after record ``i``: the next record's, or the end state's."""
+    return trace.pcs[i + 1] if i + 1 < len(trace) \
+        else trace.end_checkpoint.pc
+
+
 def test_capture_matches_functional_execution():
     trace = _capture(length=600, skip=0)
     executor = FunctionalExecutor(PROGRAM, mem_seed=PROFILE.mem_seed)
     for i in range(600):
         record = executor.step()
         assert trace.pcs[i] == record.inst.pc
-        assert trace.next_pcs[i] == record.next_pc
+        assert _successor(trace, i) == record.next_pc
         assert bool(trace.flags[i] & 1) == record.taken
         if record.mem_addr is not None:
             assert trace.flags[i] & 4
-            assert trace.mem_addrs[i] == record.mem_addr
+            assert trace.mem_addrs[trace.mem_rank(i)] == record.mem_addr
         else:
             assert not (trace.flags[i] & 4)
 
@@ -90,9 +105,7 @@ def test_encode_decode_round_trip():
     loaded = decode_trace(payload)
     assert list(loaded.pcs) == list(trace.pcs)
     assert bytes(loaded.flags) == bytes(trace.flags)
-    assert list(loaded.next_pcs) == list(trace.next_pcs)
     assert list(loaded.mem_addrs) == list(trace.mem_addrs)
-    assert list(loaded.wb_values) == list(trace.wb_values)
     assert loaded.skip_checkpoint == trace.skip_checkpoint
     assert loaded.end_checkpoint == trace.end_checkpoint
     assert loaded.captured_skip == trace.captured_skip
@@ -118,6 +131,96 @@ def test_decode_rejects_non_mapping():
         decode_trace([1, 2, 3])
 
 
+def test_decode_rejects_an_address_count_off_the_memory_flags():
+    payload = encode_trace(_capture())
+    payload["mem_addrs"] = payload["mem_addrs"][:-8]  # one address short
+    payload["checksum"] = _checksum(payload["pcs"], payload["flags"],
+                                    payload["mem_addrs"])
+    with pytest.raises(TraceFormatError, match="addresses"):
+        decode_trace(payload)
+
+
+def _v2_payload(trace):
+    """``trace`` in the format-2 layout: five per-record arrays --
+    successor PCs, one address slot per record and write-back values
+    beside the PCs and flags -- checksummed the way format 2 was."""
+    payload = encode_trace(trace)
+    successors = array("I", trace.pcs[1:])
+    successors.append(trace.end_checkpoint.pc)
+    addrs = iter(trace.mem_addrs)
+    dense = array("Q", (next(addrs) if f & FLAG_MEM else 0
+                        for f in trace.flags))
+    arrays = (payload["pcs"], payload["flags"], successors.tobytes(),
+              dense.tobytes(), bytes(8 * len(trace)))
+    payload.update(format=2, next_pcs=arrays[2], mem_addrs=arrays[3],
+                   wb_values=arrays[4], checksum=_checksum(*arrays))
+    return payload
+
+
+def test_decode_rejects_the_v2_layout():
+    payload = _v2_payload(_capture())
+    with pytest.raises(TraceFormatError, match="version 2"):
+        decode_trace(payload)
+    # Relabelled as the current format, its dense addresses fail the
+    # checksum over the three arrays.
+    payload["format"] = TRACE_FORMAT_VERSION
+    with pytest.raises(TraceFormatError):
+        decode_trace(payload)
+
+
+# ----------------------------------------------------------------------
+# Layout: three arrays, one address per memory record
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(spec2006_profiles()))
+def test_payload_is_five_bytes_a_record_plus_an_address_a_memory_record(
+        name):
+    """A 4-byte PC and a flag byte per record, 8 bytes per load or
+    store: an array brought back per record fails here."""
+    profile = get_profile(name)
+    program = build_program(profile)
+    trace = capture_trace(program, profile.mem_seed, 3000)
+    mem_records = sum(program.at(pc).is_mem for pc in trace.pcs)
+    assert trace.payload_bytes() == 5 * len(trace) + 8 * mem_records
+    assert trace_metadata(encode_trace(trace))["payload_bytes"] \
+        == trace.payload_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _ranked_capture(workload, length):
+    profile = get_profile(workload)
+    program = build_program(profile)
+    return program, capture_trace(program, profile.mem_seed, length)
+
+
+#: Short traces, and lengths either side of the rank table's blocks.
+_RANK_LENGTHS = st.one_of(
+    st.integers(min_value=1, max_value=600),
+    st.sampled_from([MEM_RANK_BLOCK * k + d for k in (1, 2, 3)
+                     for d in (-1, 0, 1)]))
+
+
+@given(workload=st.sampled_from(["lbm", "mcf", "sjeng"]),
+       length=_RANK_LENGTHS)
+def test_mem_rank_counts_memory_flags_and_finds_each_address(workload,
+                                                             length):
+    """``mem_rank(seq)`` is the number of memory flags before ``seq``, at
+    every seq including the end, and ranks each memory record onto the
+    address the functional executor computed for it."""
+    program, trace = _ranked_capture(workload, length)
+    flags = trace.flags
+    for seq in range(length + 1):
+        assert trace.mem_rank(seq) == \
+            flags[:seq].translate(FLAG_MEM_TABLE).count(1)
+    assert trace.mem_rank(length) == len(trace.mem_addrs)
+    executor = FunctionalExecutor(program,
+                                  mem_seed=get_profile(workload).mem_seed)
+    for i in range(length):
+        record = executor.step()
+        if record.mem_addr is not None:
+            assert trace.mem_addrs[trace.mem_rank(i)] == record.mem_addr
+
+
 # ----------------------------------------------------------------------
 # Extension
 # ----------------------------------------------------------------------
@@ -128,9 +231,7 @@ def test_extension_is_bit_identical_to_fresh_capture():
     fresh = capture_trace(PROGRAM, PROFILE.mem_seed, 1500, skip=300)
     assert list(extended.pcs) == list(fresh.pcs)
     assert bytes(extended.flags) == bytes(fresh.flags)
-    assert list(extended.next_pcs) == list(fresh.next_pcs)
     assert list(extended.mem_addrs) == list(fresh.mem_addrs)
-    assert list(extended.wb_values) == list(fresh.wb_values)
     assert extended.end_checkpoint == fresh.end_checkpoint
     # The input trace was not mutated.
     assert len(short) == 700
@@ -184,7 +285,11 @@ def test_store_memory_only_when_not_persistent(tmp_path):
     lambda path: path.write_bytes(
         pickle.dumps({"schema": CACHE_SCHEMA_VERSION, "key": "k",
                       "result": {"format": 0}})),
-], ids=["truncated", "garbage", "stale-version"])
+    lambda path: path.write_bytes(
+        pickle.dumps({"schema": CACHE_SCHEMA_VERSION, "key": "k",
+                      "result": _v2_payload(_capture(length=1000,
+                                                     skip=0))})),
+], ids=["truncated", "garbage", "stale-version", "v2-layout"])
 def test_store_rerecords_after_damage(tmp_path, damage):
     """A damaged on-disk trace is silently re-recorded, never a crash."""
     store = TraceStore(root=tmp_path, persistent=True)
@@ -231,7 +336,7 @@ def test_program_fingerprint_pinned():
         StaticInst(20, Opcode.JUMP, target=4),
     ], warm_regions=[(1 << 20, 4096)])
     assert program_fingerprint(program, 7) == (
-        "f0cf4d019874f75e6c407d151b10e19dc232ac208eb8ec209d6dd276c0191458")
+        "96f788090c052d9b30772bd0dd89974f15ee847ab60e246483cfa751ee6c8366")
     # Memoized per (program, mem_seed): equal programs share a key.
     twin = Program("pinned", list(program.insts), program.warm_regions)
     assert program_fingerprint(twin, 7) == program_fingerprint(program, 7)
@@ -305,7 +410,7 @@ def test_interval_checkpoints_round_trip_and_resume(interval, length, seat):
     executor.run(seat - executor.seq)
     record = executor.step()
     assert record.inst.pc == trace.pcs[seat]
-    assert record.next_pc == trace.next_pcs[seat]
+    assert record.next_pc == _successor(trace, seat)
     assert record.taken == bool(trace.flags[seat] & 1)
 
 

@@ -228,6 +228,12 @@ class TestTraceSequence:
                                      "trace-sequence-continuity")
         assert "fetch resumes" in violation.detail
 
+    def test_memory_cursor_off_its_rank_detected(self, base_pipeline):
+        base_pipeline._next_mem_seq += 1  # fetch would skip an address
+        violation = expect_violation(base_pipeline,
+                                     "trace-sequence-continuity")
+        assert "memory record" in violation.detail
+
     def test_skipped_record_detected(self, base_pipeline):
         second = [u for u in base_pipeline.rob if u.on_correct_path][1]
         second.trace_seq += 1
@@ -236,10 +242,12 @@ class TestTraceSequence:
         assert "expected" in violation.detail
 
     @pytest.mark.parametrize("mutant", ["recover-rewinds-too-far",
-                                        "fetch-stops-advancing"])
+                                        "fetch-stops-advancing",
+                                        "seat-ranks-one-late"])
     def test_mutated_pipeline_caught(self, mutant, monkeypatch):
-        """A run whose fetch re-reads a record stops at the next sweep,
-        before the duplicate can commit."""
+        """A run whose fetch re-reads a record, or would read a memory
+        record's address at the wrong rank, stops at the next sweep,
+        before the record can commit."""
         if mutant == "recover-rewinds-too-far":
             real_recover = Pipeline._recover
 
@@ -248,6 +256,14 @@ class TestTraceSequence:
                 self._next_trace_seq -= 1
 
             monkeypatch.setattr(Pipeline, "_recover", recover)
+        elif mutant == "seat-ranks-one-late":
+            real_prepare = Pipeline._prepare_replay
+
+            def prepare(self, *args, **kwargs):
+                real_prepare(self, *args, **kwargs)
+                self._next_mem_seq += 1
+
+            monkeypatch.setattr(Pipeline, "_prepare_replay", prepare)
         else:
             real_fetch = Pipeline._fetch
 
