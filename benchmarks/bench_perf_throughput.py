@@ -36,12 +36,14 @@ These experiments share ``benchmarks/artifacts/perf_throughput.json``:
 
 ``paired``
     Paired differential estimation + whole-table budget control
-    (DESIGN.md §14) vs per-cell independent adaptive sampling, at the
-    same CI target on the base-vs-PUBS mcf/sjeng/gcc table.  The
-    independent leg drives every (config, workload) cell's own CPI CI
-    to the target; the paired leg lets the :class:`TableController`
-    stop each workload as soon as the *paired speedup* CI -- the
-    table's actual deliverable -- meets the same target.  Gates: the
+    (DESIGN.md §14) vs independent one-config tables, at the same CI
+    target on the base-vs-PUBS mcf/sjeng/gcc table.  The independent
+    leg runs every (config, workload) cell as its own one-config
+    :class:`TableController` table, which drives the cell's CPI CI to
+    the target; the paired leg puts both configs of a workload in one
+    session and lets the controller stop each workload as soon as the
+    *paired speedup* CI -- the table's actual deliverable -- meets the
+    same target.  Gates: the
     paired leg must simulate at least 2x fewer timed records in total,
     its speedup point estimates must land within ``CPI_ERROR_GATE``
     (3%) of the full-simulation speedups, and every workload's paired
@@ -76,7 +78,6 @@ from repro.sampling import (
     DEFAULT_MEASURE,
     DEFAULT_REGIONS,
     sample_workload,
-    sample_workload_adaptive,
     sampled_vs_full_error,
 )
 from repro.trace import TraceStore
@@ -370,9 +371,10 @@ def test_adaptive_sampling_honesty(report):
                             max_instructions=SAMPLING_INSTRUCTIONS,
                             skip_instructions=SAMPLING_SKIP,
                             mem_seed=profile.mem_seed, trace_source=store)
-            run = sample_workload_adaptive(
+            run = sample_workload(
                 workload, cfg, instructions=SAMPLING_INSTRUCTIONS,
-                skip=SAMPLING_SKIP, jobs=1, cache=False, store=store)
+                skip=SAMPLING_SKIP, sampling="adaptive", jobs=1,
+                cache=False, store=store)
             golden = full.stats.cycles / full.stats.committed
             lo, hi = run.cpi.ci95
             inside = lo <= golden <= hi
@@ -548,7 +550,7 @@ def test_batched_replay_speedup(report):
 
 
 # ----------------------------------------------------------------------
-# Paired estimation + table budget control vs per-cell adaptive
+# Paired estimation + table budget control vs one-config tables
 # ----------------------------------------------------------------------
 
 #: The whole-table precision target both legs are driven to.  Tight
@@ -579,12 +581,7 @@ PAIRED_MEASURE = int(os.environ.get("REPRO_BENCH_PAIRED_MEASURE", "512"))
 
 
 def test_paired_budget_reduction(report):
-    from repro.sampling import (
-        AdaptiveSession,
-        TableController,
-        paired_speedup,
-        sample_workload_adaptive_many,
-    )
+    from repro.sampling import AdaptiveSession, TableController, paired_speedup
 
     base = ProcessorConfig.cortex_a72_like()
     configs = {"base": base,
@@ -594,7 +591,7 @@ def test_paired_budget_reduction(report):
 
     full_speedups = {}
     independent = {}
-    controller = TableController(PAIRED_CI_TARGET, paired=True)
+    controller = TableController(PAIRED_CI_TARGET)
     for workload in SAMPLING_WORKLOADS:
         profile = get_profile(workload)
         program = build_program(profile)
@@ -611,13 +608,18 @@ def test_paired_budget_reduction(report):
         first, second = configs
         full_speedups[workload] = full_cpi[first] / full_cpi[second]
 
-        # Leg A: every cell escalates to its own CPI CI target.
-        runs = sample_workload_adaptive_many(
-            workload, list(configs.values()),
-            instructions=SAMPLING_INSTRUCTIONS, skip=SAMPLING_SKIP,
-            ci_target=PAIRED_CI_TARGET, measure=PAIRED_MEASURE,
-            jobs=1, cache=False, store=store)
-        independent[workload] = sum(run.simulated_records for run in runs)
+        # Leg A: every cell is its own one-config table, escalating to
+        # its own CPI CI target.
+        independent[workload] = 0
+        for cfg in configs.values():
+            cell = TableController(PAIRED_CI_TARGET)
+            cell.add(workload, AdaptiveSession(
+                workload, [cfg],
+                instructions=SAMPLING_INSTRUCTIONS, skip=SAMPLING_SKIP,
+                ci_target=PAIRED_CI_TARGET, measure=PAIRED_MEASURE,
+                jobs=1, cache=False, store=store))
+            cell.run()
+            independent[workload] += cell.simulated_records
 
         # Leg B: the controller stops on the paired speedup CI instead.
         controller.add(workload, AdaptiveSession(
@@ -684,7 +686,7 @@ def test_paired_budget_reduction(report):
     rows.append(["total", "", "", "", "", str(independent_records),
                  f"{paired_records} ({reduction:.2f}x less, "
                  f"gate: {PAIRED_MIN_REDUCTION}x)"])
-    report(f"Paired + table-budget vs per-cell adaptive at CI target "
+    report(f"Paired + table-budget vs one-config tables at CI target "
            f"{PAIRED_CI_TARGET:.1%} (artifact: {ARTIFACT.name})",
            render_table(["workload", "full speedup", "paired speedup",
                          "error", "paired CI", "indep records",
@@ -693,4 +695,4 @@ def test_paired_budget_reduction(report):
     assert reduction >= PAIRED_MIN_REDUCTION, \
         f"paired/table-budget estimation must reach the {PAIRED_CI_TARGET:.2%} " \
         f"whole-table target with >= {PAIRED_MIN_REDUCTION}x fewer simulated " \
-        f"records than per-cell adaptive, measured {reduction:.2f}x"
+        f"records than one-config tables, measured {reduction:.2f}x"

@@ -17,6 +17,9 @@ whole :class:`~repro.core.config.RunRequest`): ``"off"`` (default)
 simulates the entire timed span as before; ``"fixed"`` estimates it from
 a fixed SimPoint representative set; ``"adaptive"`` escalates
 representatives until the CI target (:mod:`repro.sampling.adaptive`).
+Both run as one table under one budget controller
+(:func:`_sampled_table`): a cell is a one-cell table, a pair a one-row
+table.
 Sampled cells come back as :class:`WorkloadRun` estimates with CI
 annotations; when a workload cannot be trace-sampled the cell falls back
 to a full simulation and says so in
@@ -45,7 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..core.config import ProcessorConfig, RunRequest, env_int
 from ..core.simulator import SimulationResult, simulate
@@ -212,8 +216,11 @@ def run_workload(
                          jobs=jobs, cache=cache,
                          sampling=sampling, ci_target=ci_target, batch=batch)
     if req.sampling != "off":
-        return _sampled_cell(workload, config, req,
-                             _executor_for(req.jobs, req.cache, req.batch))
+        profile = get_profile(workload) if isinstance(workload, str) \
+            else workload
+        cell, = _sampled_table([profile], [config], req, _executor_for(
+            req.jobs, req.cache, req.batch))[profile.name]
+        return cell
     instructions, skip = _budget(req)
     job = SimJob.make(workload, config, instructions, skip)
     if req.cache is False:
@@ -228,102 +235,75 @@ def run_workload(
     return _executor_for(req.jobs, req.cache, req.batch).run_one(job)
 
 
-def _sampled_row(workload: "str | WorkloadProfile",
-                 configs: "list[Optional[ProcessorConfig]]",
-                 req: RunRequest,
-                 executor: SweepExecutor) -> "list[WorkloadRun]":
-    """One workload's sampled cells for several configs, submitted together.
-
-    All configs sample the *same* trace-derived windows, so their region
-    jobs go through the executor in one submission per escalation step
-    -- which is what lets the batched replay path group every config of
-    one region window into a single trace walk.  Falls back to full
-    simulation honestly, and only on trace-availability failures -- the
-    capture/load errors ``OSError`` and
-    :class:`~repro.trace.format.TraceFormatError`.  Anything else (bad
-    parameters, simulator bugs) propagates.
-    """
-    from ..sampling.run import sample_workload_many  # runner <-> sampling
-    profile = get_profile(workload) if isinstance(workload, str) else workload
-    instructions, skip = _budget(req)
-    try:
-        sampled = sample_workload_many(
-            profile, configs, instructions=instructions, skip=skip,
-            strategy="adaptive" if req.sampling == "adaptive"
-            else "simpoint",
-            measure=req.measure, warmup=req.warmup, detail=req.detail,
-            regions=req.regions, max_fraction=req.max_fraction,
-            checkpoint_interval=req.checkpoint_interval,
-            ci_target=req.ci_target if req.sampling == "adaptive" else None,
-            executor=executor)
-        return [WorkloadRun(profile.name, sampled=run) for run in sampled]
-    except (OSError, TraceFormatError) as exc:
-        fulls = executor.run([SimJob.make(profile, cfg, instructions, skip)
-                              for cfg in configs])
-        reason = f"{type(exc).__name__}: {exc}"
-        return [WorkloadRun(profile.name, full=full, fallback_reason=reason)
-                for full in fulls]
-
-
-def _sampled_cell(workload: "str | WorkloadProfile",
-                  config: Optional[ProcessorConfig],
-                  req: RunRequest,
-                  executor: SweepExecutor) -> WorkloadRun:
-    """One sampled cell (a single-config :func:`_sampled_row`)."""
-    return _sampled_row(workload, [config], req, executor)[0]
-
-
 def _sampled_table(profiles: "list[WorkloadProfile]",
-                   configs: "Mapping[str, ProcessorConfig]",
+                   configs: "Sequence[Optional[ProcessorConfig]]",
                    req: RunRequest,
-                   executor: SweepExecutor
-                   ) -> "Dict[str, Dict[str, WorkloadRun]]":
-    """A whole adaptive table under one budget controller.
+                   executor: SweepExecutor,
+                   store=None,
+                   fallback: bool = True,
+                   ) -> "Dict[str, list[WorkloadRun]]":
+    """Every sampled estimate: one table under one budget controller.
 
-    Every workload becomes an :class:`~repro.sampling.adaptive.
-    AdaptiveSession` (all configs in lockstep); the
-    :class:`~repro.sampling.controller.TableController` then escalates
+    Each workload becomes an :class:`~repro.sampling.adaptive.
+    AdaptiveSession` with all ``configs`` in lockstep, so they sample
+    the same windows and every config of one region window can share a
+    batched trace walk.  Fixed sampling starts each session at its
+    region cap (``req.regions``, default
+    :data:`~repro.sampling.regions.DEFAULT_REGIONS`), so it never
+    escalates; adaptive sampling starts small and the
+    :class:`~repro.sampling.controller.TableController` escalates
     whichever workload has the worst CI-to-target ratio until the whole
-    table meets the target.  A workload whose trace cannot be captured
-    falls back to full simulations at session-construction time -- the
-    rest of the table still goes through the controller.
+    table meets the target.  A single cell is a one-workload,
+    one-config table.
+
+    Returns one :class:`WorkloadRun` per config, in ``configs`` order,
+    for each workload.  A workload whose trace cannot be captured or
+    parsed (``OSError``, :class:`~repro.trace.format.TraceFormatError`)
+    falls back to full simulation at session-construction time and says
+    so in :attr:`WorkloadRun.fallback_reason` -- the rest of the table
+    still goes through the controller; with ``fallback=False`` the
+    error propagates instead.  Anything else (bad parameters, simulator
+    bugs) always propagates.  ``store`` overrides the trace store the
+    sessions capture into.
     """
-    from ..sampling.adaptive import AdaptiveSession, DEFAULT_CI_TARGET
+    from ..sampling.adaptive import (  # runner <-> sampling
+        DEFAULT_CI_TARGET,
+        DEFAULT_START_REGIONS,
+        AdaptiveSession,
+    )
     from ..sampling.controller import TableController
+    from ..sampling.regions import DEFAULT_REGIONS
     instructions, skip = _budget(req)
     ci_target = DEFAULT_CI_TARGET if req.ci_target is None else req.ci_target
-    controller = TableController(ci_target,
-                                 paired=req.paired is not False)
-    cfgs = list(configs.values())
-    fallback: "Dict[str, list[WorkloadRun]]" = {}
-    for profile in profiles:
+    if req.sampling == "fixed":
+        cap = start = req.regions or DEFAULT_REGIONS
+    else:
+        cap, start = req.regions, DEFAULT_START_REGIONS
+    controller = TableController(ci_target)
+    rows: "Dict[str, list[WorkloadRun]]" = {}
+    for profile in {p.name: p for p in profiles}.values():
         try:
             controller.add(profile.name, AdaptiveSession(
-                profile, cfgs, instructions=instructions, skip=skip,
+                profile, configs, instructions=instructions, skip=skip,
                 ci_target=ci_target, measure=req.measure,
                 **({} if req.warmup is None else {"warmup": req.warmup}),
-                detail=req.detail, regions=req.regions,
+                detail=req.detail, start_regions=start, regions=cap,
                 max_fraction=req.max_fraction,
                 checkpoint_interval=req.checkpoint_interval,
-                executor=executor))
+                executor=executor, store=store))
         except (OSError, TraceFormatError) as exc:
-            fulls = executor.run([SimJob(profile, cfg, instructions, skip)
-                                  for cfg in cfgs])
+            if not fallback:
+                raise
+            fulls = executor.run([SimJob.make(profile, cfg, instructions,
+                                              skip) for cfg in configs])
             reason = f"{type(exc).__name__}: {exc}"
-            fallback[profile.name] = [
+            rows[profile.name] = [
                 WorkloadRun(profile.name, full=full, fallback_reason=reason)
                 for full in fulls]
     controller.run()
-    table = controller.results()
-    results_by_config: "Dict[str, Dict[str, WorkloadRun]]" = \
-        {config_name: {} for config_name in configs}
-    for profile in profiles:
-        cells = [WorkloadRun(profile.name, sampled=run)
-                 for run in table[profile.name]] \
-            if profile.name in table else fallback[profile.name]
-        for config_name, cell in zip(configs, cells):
-            results_by_config[config_name][profile.name] = cell
-    return results_by_config
+    for name, runs in controller.results().items():
+        rows[name] = [WorkloadRun(name, sampled=run) for run in runs]
+    return rows
 
 
 @dataclass
@@ -338,14 +318,13 @@ class PairedRun:
     schedule the speedup CI is the paired jackknife
     (:mod:`repro.sampling.paired`) -- common-mode window variance
     cancels, so it is much tighter than combining the two CPI CIs in
-    quadrature; quadrature remains the fallback for genuinely different
-    schedules (or ``use_paired=False``).
+    quadrature; quadrature remains the fallback for a pair with a
+    full-simulation cell (or genuinely different schedules).
     """
 
     name: str
     base_cell: WorkloadRun
     variant_cell: WorkloadRun
-    use_paired: bool = True
 
     @property
     def base(self) -> Optional[SimulationResult]:
@@ -369,13 +348,11 @@ class PairedRun:
     def paired(self):
         """The paired speedup estimate, when pairing applies.
 
-        Requires two sampled cells over the identical region schedule
-        (and ``use_paired``); None otherwise.  Its point estimate
-        equals :attr:`speedup` -- pairing changes the error claim, not
-        the headline number.
+        Requires two sampled cells over the identical region schedule;
+        None otherwise.  Its point estimate equals :attr:`speedup` --
+        pairing changes the error claim, not the headline number.
         """
-        if not (self.use_paired and self.base_cell.is_sampled
-                and self.variant_cell.is_sampled):
+        if not (self.base_cell.is_sampled and self.variant_cell.is_sampled):
             return None
         from ..sampling.paired import paired_speedup  # runner <-> sampling
         return paired_speedup(self.base_cell.sampled,
@@ -432,33 +409,33 @@ def run_pair(
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     batch: Optional[int] = None,
-    paired: Optional[bool] = None,
     request: Optional[RunRequest] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> PairedRun:
     """Run base and variant on the identical dynamic instruction stream.
 
-    With a sampled mode both sides estimate from the *same* windows of
-    the same recorded trace (the plans derive from the trace alone, not
-    the machine), so the paired-stream property the full path guarantees
-    carries over to the sampled one -- and the speedup CI is the paired
-    jackknife over those shared windows unless ``paired`` resolves off.
-    Either way both sides go through the executor in one submission, so
-    pairs that share a warm class run as one batched trace walk.  ``executor`` overrides the executor (e.g. to read its cache
-    stats afterwards).
+    With a sampled mode the pair is a one-row table: both sides estimate
+    from the *same* windows of the same recorded trace, escalating in
+    lockstep under the table criterion (the paired speedup CI), so the
+    paired-stream property the full path guarantees carries over to the
+    sampled one and the speedup CI is the paired jackknife over those
+    shared windows -- exactly what :func:`run_suite` reports for the
+    same workload.  Either way both sides go through the executor in
+    one submission, so pairs that share a warm class run as one batched
+    trace walk.  ``executor`` overrides the executor (e.g. to read its
+    cache stats afterwards).
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache,
-                         sampling=sampling, ci_target=ci_target, batch=batch,
-                         paired=paired)
+                         sampling=sampling, ci_target=ci_target, batch=batch)
     profile = get_profile(workload) if isinstance(workload, str) else workload
     runner = executor if executor is not None \
         else _executor_for(req.jobs, req.cache, req.batch)
     if req.sampling != "off":
-        base_cell, variant_cell = _sampled_row(
-            profile, [base_config, variant_config], req, runner)
-        return PairedRun(profile.name, base_cell, variant_cell,
-                         use_paired=req.paired is not False)
+        base_cell, variant_cell = _sampled_table(
+            [profile], [base_config, variant_config], req,
+            runner)[profile.name]
+        return PairedRun(profile.name, base_cell, variant_cell)
     instructions, skip = _budget(req)
     base, variant = runner.run([
         SimJob(profile, base_config, instructions, skip),
@@ -479,8 +456,6 @@ def run_suite(
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     batch: Optional[int] = None,
-    paired: Optional[bool] = None,
-    table_budget: Optional[bool] = None,
     request: Optional[RunRequest] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> "Dict[str, Dict[str, SimulationResult]] | Dict[str, Dict[str, WorkloadRun]]":
@@ -492,33 +467,25 @@ def run_suite(
     ``REPRO_JOBS``) independent simulations run in parallel and
     configs sharing a warm class walk each trace once
     (:mod:`repro.batch`).  The sampled modes return
-    :class:`WorkloadRun` cells instead -- each workload's configs
-    sample the same windows and submit together, so every config of one
-    region window becomes one batched trace walk.  Adaptive sampling
-    additionally routes through the whole-table budget controller
-    (unless ``table_budget`` resolves off): escalation spends where the
-    table's CI-to-target ratio is worst instead of driving every cell
-    to its own target.  ``executor`` overrides the executor used either
-    way (e.g. to read its cache stats afterwards).
+    :class:`WorkloadRun` cells instead, from one table under the budget
+    controller (:func:`_sampled_table`): each workload's configs sample
+    the same windows and submit together, so every config of one region
+    window becomes one batched trace walk, and adaptive escalation
+    spends where the table's CI-to-target ratio is worst.  ``executor``
+    overrides the executor used either way (e.g. to read its cache
+    stats afterwards).
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache,
-                         sampling=sampling, ci_target=ci_target, batch=batch,
-                         paired=paired, table_budget=table_budget)
+                         sampling=sampling, ci_target=ci_target, batch=batch)
     names = list(workloads) if workloads is not None else sorted(spec2006_profiles())
     profiles = [get_profile(name) for name in names]
     runner = executor if executor is not None \
         else _executor_for(req.jobs, req.cache, req.batch)
-    if req.sampling == "adaptive" and req.table_budget is not False:
-        return _sampled_table(profiles, configs, req, runner)
     if req.sampling != "off":
-        results_by_config: "Dict[str, Dict[str, WorkloadRun]]" = \
-            {config_name: {} for config_name in configs}
-        for profile in profiles:
-            row = _sampled_row(profile, list(configs.values()), req, runner)
-            for config_name, cell in zip(configs, row):
-                results_by_config[config_name][profile.name] = cell
-        return results_by_config
+        rows = _sampled_table(profiles, list(configs.values()), req, runner)
+        return {config_name: {name: rows[name][i] for name in names}
+                for i, config_name in enumerate(configs)}
     instructions, skip = _budget(req)
     batch = [
         SimJob(profile, config, instructions, skip)

@@ -17,17 +17,15 @@ keyword vocabulary:
 ``batch``
     max replay configs sharing one batched trace walk
     (None -> ``REPRO_BATCH`` -> 16; 0/1 disables batching);
-``paired``
-    report sampled comparisons with the common-regions paired CI
-    (None -> ``REPRO_PAIRED`` -> on; off combines in quadrature);
-``table_budget``
-    adaptive suites spend the escalation budget table-wide -- on the
-    workload with the worst CI-to-target ratio -- instead of driving
-    every cell to its own target (None -> ``REPRO_TABLE_BUDGET`` -> on);
 ``request``
     a :class:`RunRequest` bundling all of the above -- explicit
     keywords override its fields, the environment fills what is left,
     and library defaults apply last.
+
+Every sampled estimate -- :func:`run_workload`'s cell, :func:`run_pair`'s
+row, :func:`run_suite`'s table and :func:`sample_workload` -- runs as one
+table under a :class:`TableController`, one :class:`AdaptiveSession` per
+workload.
 
 Quick start::
 
@@ -56,15 +54,10 @@ from .analysis.topdown import (
 from .batch import run_batch
 from .core.config import ProcessorConfig, RunRequest
 from .exec import SweepExecutor
-from .sampling.adaptive import (
-    AdaptiveRun,
-    AdaptiveSession,
-    sample_workload_adaptive,
-    sample_workload_adaptive_many,
-)
+from .sampling.adaptive import AdaptiveRun, AdaptiveSession
 from .sampling.controller import TableController
 from .sampling.paired import PairedEstimate, paired_speedup
-from .sampling.run import SampledRun, sample_workload, sample_workload_many
+from .sampling.run import SampledRun, sample_workload
 
 __all__ = [
     "AdaptiveRun",
@@ -87,7 +80,4 @@ __all__ = [
     "run_suite",
     "run_workload",
     "sample_workload",
-    "sample_workload_adaptive",
-    "sample_workload_adaptive_many",
-    "sample_workload_many",
 ]

@@ -30,7 +30,9 @@ and warm checkpoints still persist unless ``REPRO_CACHE=0``.
 whole-span metrics from sampled regions instead of simulating everything,
 annotating every figure with its ~95% CI; ``--sampling adaptive`` keeps
 adding regions until the CI half-width falls below ``--ci-target`` (or
-``REPRO_CI_TARGET``).  ``--batch N`` (or
+``REPRO_CI_TARGET``).  Every sampled figure -- a cell, a pair, a suite
+row -- comes from one table under one budget controller, so ``compare``
+and ``suite`` report the same speedup for a workload.  ``--batch N`` (or
 ``REPRO_BATCH``) lets up to N replay configs of one workload share a
 single batched trace walk (DESIGN.md §12); 0 disables batching.
 These shared flags are declared once per *flag family*
@@ -38,7 +40,8 @@ These shared flags are declared once per *flag family*
 explicit flag > environment > default.
 
 Input errors -- an unknown workload, a non-positive ``-n`` or negative
-``--skip``, a bad ``REPRO_SAMPLING`` / ``REPRO_CI_TARGET`` /
+``--skip``, ``--ci-target`` (or ``REPRO_CI_TARGET``) without adaptive
+sampling, a bad ``REPRO_SAMPLING`` / ``REPRO_CI_TARGET`` /
 ``REPRO_JOBS`` / ``REPRO_BATCH`` value, a ``trace record`` store
 directory that cannot be created, or a ``trace record`` into a
 memory-only store (``REPRO_CACHE=0`` without ``--dir``) -- exit 2 with
@@ -61,7 +64,6 @@ from .analysis import (
     suite_table_rows,
 )
 from .api import (
-    AdaptiveRun,
     PairedRun,
     RunRequest,
     WorkloadRun,
@@ -224,15 +226,6 @@ def _sampling_flags(parser: argparse.ArgumentParser) -> None:
                         help="relative CI half-width adaptive sampling "
                              "drives toward (default: REPRO_CI_TARGET, "
                              "else 0.05)")
-    parser.add_argument("--no-paired", action="store_true",
-                        help="combine sampled comparison CIs in quadrature "
-                             "instead of the common-regions paired "
-                             "jackknife (default: paired, or REPRO_PAIRED)")
-    parser.add_argument("--no-table-budget", action="store_true",
-                        help="adaptive suites: drive every cell to its own "
-                             "CI target instead of spending the budget on "
-                             "the table's worst CI-to-target ratio "
-                             "(default: table-wide, or REPRO_TABLE_BUDGET)")
 
 
 def _shared_parent() -> argparse.ArgumentParser:
@@ -297,9 +290,6 @@ def _request_from_args(args) -> RunRequest:
         warmup=getattr(args, "warmup", None),
         detail=getattr(args, "detail", None),
         max_fraction=getattr(args, "fraction", None),
-        paired=False if getattr(args, "no_paired", False) else None,
-        table_budget=False if getattr(args, "no_table_budget", False)
-        else None,
     )
     # The CLI's classic budget applies only to commands that expose
     # budget flags, and only when no flag supplied one.
@@ -309,6 +299,13 @@ def _request_from_args(args) -> RunRequest:
             else None,
             skip=CLI_SKIP if flags.skip is None else None)
     return flags
+
+
+def _sampling_request(args) -> RunRequest:
+    """The sampling mode and CI target the flags and environment resolve
+    to; a combination no run can have raises :class:`ValueError`."""
+    return RunRequest(sampling=args.sampling,
+                      ci_target=args.ci_target).resolved()
 
 
 def _pct(value: float) -> str:
@@ -376,7 +373,8 @@ def _cmd_run(args) -> int:
                           request=_request_from_args(args))
     if isinstance(result, WorkloadRun):
         if result.sampled is not None:
-            return _print_sampled_run(result)
+            return _print_sampled_run(result,
+                                      _sampling_request(args).sampling)
         _note_fallback(result)
         result = result.full
     print(result.summary())
@@ -395,7 +393,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _print_sampled_run(cell: WorkloadRun) -> int:
+def _print_sampled_run(cell: WorkloadRun, mode: str) -> int:
     run = cell.sampled
     rows = [
         ["sampled CPI", f"{run.cpi.point:.4f}"],
@@ -405,7 +403,7 @@ def _print_sampled_run(cell: WorkloadRun) -> int:
         ["coverage", f"{run.coverage:.1%}"],
         ["misspec penalty/branch", f"{run.misspec_penalty.point:.1f} cycles"],
     ]
-    if isinstance(run, AdaptiveRun):
+    if mode == "adaptive":
         rows += [
             ["CI target", _pct(run.ci_target)],
             ["converged", "yes" if run.converged else
@@ -486,8 +484,7 @@ def _suite_configs(args) -> "tuple[ProcessorConfig, ProcessorConfig]":
     return base, variant
 
 
-def _render_suite_table(names, results, use_paired: bool,
-                        executor: SweepExecutor) -> int:
+def _render_suite_table(names, results, executor: SweepExecutor) -> int:
     """Render a base-vs-variant suite result table."""
     sampled_mode = any(isinstance(cell, WorkloadRun)
                        for cell in results["base"].values())
@@ -500,7 +497,7 @@ def _render_suite_table(names, results, use_paired: bool,
             _note_fallback(variant_r, f"{name} variant")
             speedup = variant_r.ipc / base_r.ipc
             branch_mpki, llc_mpki = _cell_mpki(base_r)
-            pair = PairedRun(name, base_r, variant_r, use_paired=use_paired)
+            pair = PairedRun(name, base_r, variant_r)
             ci_txt = "exact" if pair.ci_method == "exact" \
                 else _pct(pair.speedup_relative_ci)
         else:
@@ -538,12 +535,9 @@ def _cmd_suite(args) -> int:
     # from the persistent cache, and fans misses over --jobs -- and its
     # hit/miss summary below covers every cell, sampled or not.
     executor = _executor_from_args(args)
-    req = _request_from_args(args)
     results = run_suite({"base": base, "variant": variant}, names,
-                        request=req, executor=executor)
-    return _render_suite_table(names, results,
-                               use_paired=req.resolved().paired is not False,
-                               executor=executor)
+                        request=_request_from_args(args), executor=executor)
+    return _render_suite_table(names, results, executor=executor)
 
 
 def _cmd_report(args) -> int:
@@ -734,17 +728,14 @@ def _cmd_trace(args) -> int:
 
 def _cmd_sample(args) -> int:
     from .sampling import CPI_ERROR_GATE, sampled_vs_full_error
-    strategy = args.strategy
-    # The sample command always samples; its --sampling flag only picks
-    # the scheduler family (fixed -> simpoint, adaptive -> escalation).
+    # The sample command always samples: --sampling (or REPRO_SAMPLING)
+    # picks the schedule, and an unset mode means fixed.
     if args.sampling == "off":
         print("error: the sample command always samples; use 'run' for a "
               "full simulation", file=sys.stderr)
         return 2
-    if args.sampling == "adaptive":
-        strategy = "adaptive"
-    elif args.sampling == "fixed" and strategy == "adaptive":
-        strategy = "simpoint"
+    request = _sampling_request(args)
+    mode = "fixed" if request.sampling == "off" else request.sampling
     # Validate the region arithmetic up front: a zero or negative count
     # would otherwise surface as an opaque failure deep in trace capture
     # or region scheduling.
@@ -776,13 +767,13 @@ def _cmd_sample(args) -> int:
         run = sample_workload(
             name, config,
             instructions=args.instructions, skip=args.skip,
-            strategy=strategy, measure=args.measure,
+            sampling=mode, measure=args.measure,
             warmup=args.warmup, detail=args.detail, regions=args.regions,
             max_fraction=args.fraction,
             checkpoint_interval=args.interval,
-            ci_target=args.ci_target if strategy == "adaptive" else None,
+            ci_target=request.ci_target,
             jobs=args.jobs, cache=_cache_flag(args))
-        if isinstance(run, AdaptiveRun):
+        if mode == "adaptive":
             marks = " -> ".join(f"{r.regions}:{_pct(r.relative_ci)}"
                                 for r in run.rounds)
             state = "converged" if run.converged else "cap"
@@ -989,11 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timed span of the full run being estimated")
     p_smp.add_argument("--skip", type=_non_negative_int, default=2_000,
                        help="instructions before the timed span")
-    p_smp.add_argument("--strategy", default="simpoint",
-                       choices=["simpoint", "systematic", "adaptive"],
-                       help="region scheduler: clustered representatives, "
-                            "evenly spaced windows, or variance-driven "
-                            "escalation (DESIGN.md §11)")
     p_smp.add_argument("--measure", type=int, default=None,
                        help="timed records per region (default: 1024)")
     p_smp.add_argument("--warmup", type=int, default=None,
@@ -1003,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timed-but-discarded warm records per region "
                             "(default: measure/4)")
     p_smp.add_argument("--regions", type=int, default=None,
-                       help="cap on representatives (default: 8 simpoint, "
+                       help="cap on representatives (default: 8 fixed, "
                             "16 adaptive)")
     p_smp.add_argument("--fraction", type=float, default=None,
                        help="max fraction of the span simulated "
@@ -1097,9 +1083,27 @@ def _bad_machine(args) -> Optional[str]:
     return None
 
 
+def _bad_request(args) -> Optional[str]:
+    """Why the sampling flags and environment describe no run, or None.
+
+    Checked before the command runs, as :func:`_bad_machine` is, so a
+    ``--ci-target`` (or ``REPRO_CI_TARGET``) without adaptive sampling,
+    or an unusable ``REPRO_SAMPLING`` / ``REPRO_CI_TARGET`` value, exits
+    2 with one ``error:`` line.
+    """
+    if not hasattr(args, "sampling"):  # a command without sampling flags
+        return None
+    try:
+        _sampling_request(args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    error = _unknown_workload(args) or _bad_machine(args)
+    error = _unknown_workload(args) or _bad_machine(args) \
+        or _bad_request(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1108,7 +1112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
     except EnvValueError as exc:
-        # An unusable REPRO_SAMPLING / REPRO_CI_TARGET / REPRO_PAIRED /
-        # REPRO_TABLE_BUDGET / REPRO_JOBS / REPRO_BATCH value.
+        # An unusable REPRO_JOBS / REPRO_BATCH value (the sampling
+        # variables are checked up front, in _bad_request).
         print(f"error: {exc}", file=sys.stderr)
         return 2

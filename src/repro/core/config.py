@@ -229,12 +229,12 @@ SAMPLING_MODES = ("off", "fixed", "adaptive")
 
 
 class EnvValueError(ValueError):
-    """An environment variable a run reads (``REPRO_SAMPLING``,
-    ``REPRO_CI_TARGET``, ``REPRO_PAIRED`` and ``REPRO_TABLE_BUDGET`` in
-    :meth:`RunRequest.resolved`, ``REPRO_JOBS`` and ``REPRO_BATCH`` in
-    :mod:`repro.exec.executor`, ``REPRO_BENCH_INSTRUCTIONS`` and
-    ``REPRO_BENCH_SKIP`` in :func:`repro.analysis.bench_budget`) holds an
-    unusable value; the message names the variable and the value."""
+    """An environment variable a run reads (``REPRO_SAMPLING`` and
+    ``REPRO_CI_TARGET`` in :meth:`RunRequest.resolved`, ``REPRO_JOBS``
+    and ``REPRO_BATCH`` in :mod:`repro.exec.executor`,
+    ``REPRO_BENCH_INSTRUCTIONS`` and ``REPRO_BENCH_SKIP`` in
+    :func:`repro.analysis.bench_budget`) holds an unusable value; the
+    message names the variable and the value."""
 
 
 def env_int(name: str, default: Optional[int], minimum: int) -> Optional[int]:
@@ -252,25 +252,6 @@ def env_int(name: str, default: Optional[int], minimum: int) -> Optional[int]:
         pass
     kind = "positive" if minimum == 1 else "non-negative"
     raise EnvValueError(f"{name}={raw!r} is not a {kind} integer")
-
-
-def env_flag(name: str) -> Optional[bool]:
-    """Environment variable ``name`` as a switch, or None when it is
-    unset: ``0``, ``false``, ``off``, ``no`` or empty is False and ``1``,
-    ``true``, ``on`` or ``yes`` is True (case-insensitive, stripped);
-    any other value raises :class:`EnvValueError` naming the variable
-    and the value."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    value = raw.strip().lower()
-    if value in ("", "0", "false", "off", "no"):
-        return False
-    if value in ("1", "true", "on", "yes"):
-        return True
-    raise EnvValueError(
-        f"{name}={raw!r} is not a switch (expected 1/true/on/yes or "
-        f"0/false/off/no)")
 
 
 @dataclass(frozen=True)
@@ -322,13 +303,6 @@ class RunRequest:
     max_fraction: Optional[float] = None
     #: Trace checkpoint spacing for sampled replays.
     checkpoint_interval: Optional[int] = None
-    #: Report sampled comparisons with the common-regions paired CI
-    #: (None -> ``REPRO_PAIRED`` -> on).  Off falls back to quadrature.
-    paired: Optional[bool] = None
-    #: Spend the adaptive suite budget table-wide -- escalate whichever
-    #: workload has the worst CI-to-target ratio -- instead of each cell
-    #: chasing its own target (None -> ``REPRO_TABLE_BUDGET`` -> on).
-    table_budget: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.sampling is not None and self.sampling not in SAMPLING_MODES:
@@ -358,12 +332,11 @@ class RunRequest:
     def resolved(self) -> "RunRequest":
         """This request with unset fields filled from the environment.
 
-        Reads ``REPRO_SAMPLING``, ``REPRO_CI_TARGET``, ``REPRO_PAIRED``
-        and ``REPRO_TABLE_BUDGET`` (per call, so tests and benches can
-        flip them); explicit field values always win.  The returned
-        request re-validates, so e.g. an environment sampling mode of
-        ``off`` combined with an explicit ``ci_target`` fails here
-        instead of being silently ignored.  An unusable environment
+        Reads ``REPRO_SAMPLING`` and ``REPRO_CI_TARGET`` (per call, so
+        tests and benches can flip them); explicit field values always
+        win.  The returned request re-validates, so e.g. an environment
+        sampling mode of ``off`` combined with an explicit ``ci_target``
+        fails here instead of being silently ignored.  An unusable environment
         value raises :class:`EnvValueError`.
         """
         updates = {}
@@ -385,12 +358,6 @@ class RunRequest:
                     raise EnvValueError(
                         f"REPRO_CI_TARGET={raw!r} is not a positive number")
                 updates["ci_target"] = value
-        for name, env in (("paired", "REPRO_PAIRED"),
-                          ("table_budget", "REPRO_TABLE_BUDGET")):
-            if getattr(self, name) is None:
-                value = env_flag(env)
-                if value is not None:
-                    updates[name] = value
         return replace(self, **updates) if updates else self
 
     def with_overrides(self, **kwargs) -> "RunRequest":

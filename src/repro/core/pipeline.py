@@ -736,8 +736,8 @@ class Pipeline:
         self.renamer.restore(branch.checkpoint)
         branch.checkpoint = None
 
-        self._next_trace_seq = branch.trace_seq + 1
-        self._next_mem_seq = self.trace.mem_rank(branch.trace_seq + 1)
+        # Fetch already stands one record past the branch: the wrong
+        # path it ran since moves neither trace cursor.
         self._wrong_path_pc = None
         self._fetch_resume_cycle = cycle + self.config.recovery_penalty
         self._fetch_stall_reason = "recovery"

@@ -1,31 +1,31 @@
-"""SimPoint/SMARTS-style sampled simulation over recorded traces.
+"""SimPoint-style sampled simulation over recorded traces.
 
-See DESIGN.md §10.  Public surface:
+See DESIGN.md §10 and §11.  One engine serves every sampled estimate: an
+:class:`~repro.sampling.adaptive.AdaptiveSession` per workload, all its
+configs in lockstep, driven by a
+:class:`~repro.sampling.controller.TableController`.  Public surface:
 
-* :func:`~repro.sampling.regions.plan_representative_regions` --
-  SimPoint-style planning: cluster the span's windows on trace-derived
-  behavior signatures (:mod:`repro.sampling.signature`) and schedule
-  one weighted representative per cluster;
-* :func:`~repro.sampling.regions.plan_regions` /
-  :class:`~repro.sampling.regions.RegionPlan` -- systematic
-  (SMARTS-style) evenly spaced windows over the same span;
-* :func:`~repro.sampling.run.sample_workload` /
-  :class:`~repro.sampling.run.SampledRun` -- fan the windows out as
-  independently cached exec jobs and aggregate;
-* :func:`~repro.sampling.adaptive.sample_workload_adaptive` /
-  :class:`~repro.sampling.adaptive.AdaptiveRun` -- variance-driven
-  escalation: start from a small representative set and split clusters
-  until the CI half-width meets ``ci_target`` or the region cap;
+* :class:`~repro.sampling.adaptive.AdaptiveSession` -- tile the span
+  into windows, cluster them on trace-derived behavior signatures
+  (:mod:`repro.sampling.signature`), simulate one weighted
+  representative per cluster, and split clusters one lockstep round at
+  a time; fixed sampling is a session whose starting set is its region
+  cap, so it never escalates;
+* :class:`~repro.sampling.controller.TableController` -- whole-table
+  budget control: escalate whichever workload has the worst
+  CI-to-target ratio until the table meets the target;
+* :func:`~repro.sampling.run.sample_workload` -- one fixed or adaptive
+  cell (a one-cell table), returned as an
+  :class:`~repro.sampling.adaptive.AdaptiveRun`;
+* :class:`~repro.sampling.regions.Region` /
+  :class:`~repro.sampling.regions.RegionPlan` -- the weighted windows a
+  run simulated;
 * :class:`~repro.sampling.aggregate.SampledEstimate` -- weighted
   whole-span point estimate with per-region spread (reuses
   :class:`~repro.analysis.robustness.SweepSummary`'s n>=2 honesty rule);
 * :func:`~repro.sampling.paired.paired_speedup` /
   :class:`~repro.sampling.paired.PairedEstimate` -- common-regions
-  paired-jackknife speedup CI over two runs' shared windows;
-* :class:`~repro.sampling.controller.TableController` /
-  :class:`~repro.sampling.adaptive.AdaptiveSession` -- whole-table
-  budget control: escalate whichever workload has the worst
-  CI-to-target ratio until the table meets the target.
+  paired-jackknife speedup CI over two runs' shared windows.
 """
 
 from .adaptive import (
@@ -36,8 +36,6 @@ from .adaptive import (
     AdaptiveRound,
     AdaptiveRun,
     AdaptiveSession,
-    sample_workload_adaptive,
-    sample_workload_adaptive_many,
 )
 from .controller import TableController
 from .paired import (
@@ -62,16 +60,12 @@ from .regions import (
     DEFAULT_WARMUP,
     Region,
     RegionPlan,
-    plan_regions,
-    plan_representative_regions,
 )
 from .run import (
     CPI_ERROR_GATE,
     SampledRun,
     acquire_span_trace,
-    region_jobs,
     sample_workload,
-    sample_workload_many,
     sampled_vs_full_error,
 )
 from .signature import (
@@ -108,14 +102,8 @@ __all__ = [
     "cluster_windows",
     "estimate_cpi",
     "estimate_misspec_penalty",
-    "plan_regions",
-    "plan_representative_regions",
-    "region_jobs",
     "sample_workload",
-    "sample_workload_adaptive",
-    "sample_workload_adaptive_many",
     "paired_speedup",
-    "sample_workload_many",
     "sampled_vs_full_error",
     "shared_schedule",
     "signature_distance",

@@ -1,19 +1,17 @@
-"""Adaptive variance-driven sampling: escalate until the CI converges.
+"""The sampling engine: one session per workload, every config in lockstep.
 
-Fixed-count SimPoint planning (:func:`~repro.sampling.regions.
-plan_representative_regions`) spends ``DEFAULT_REGIONS`` representatives
-on every workload, however its behavior is distributed -- wasteful on a
-homogeneous trace whose estimate is tight after three windows, and
-under-provisioned on a phase-heavy one that still swings past the
-accuracy gate at eight.  The adaptive scheduler lets each workload's own
-spread set its budget (Constantinou et al. document exactly this
-cross-workload variance in misprediction behavior):
+An :class:`AdaptiveSession` tiles a workload's timed span into windows,
+summarizes each by a trace-derived behavior signature
+(:mod:`repro.sampling.signature`), clusters them, and simulates one
+weighted representative per cluster for every config it holds.  Every
+sampled estimate goes through one -- a single cell is a session of one
+config -- and :class:`~repro.sampling.controller.TableController`
+decides how far each session escalates:
 
-1. cluster the span's windows on their behavior signatures and simulate
-   a *small* starting set of representatives (one exec-job batch through
-   the cached parallel executor);
-2. re-aggregate; if the weighted estimate's ~95% CI half-width is within
-   ``ci_target`` of the point, stop -- converged;
+1. cluster the span's windows and simulate the starting set of
+   representatives (one exec-job batch through the cached parallel
+   executor);
+2. re-aggregate; if the table's criterion meets ``ci_target``, stop;
 3. otherwise *split* the most behaviorally dispersed clusters: the
    member farthest from its medoid becomes a new representative and the
    cluster's population is re-divided between the two, so every previous
@@ -21,10 +19,18 @@ cross-workload variance in misprediction behavior):
 4. fan the new representatives out as the next batch and repeat until
    convergence, the region cap, or no cluster left to split.
 
+Fixed (SimPoint) sampling is the same session with its starting set at
+its region cap (``start_regions == regions``, default
+:data:`~repro.sampling.regions.DEFAULT_REGIONS`): it never escalates.
+Adaptive sampling starts from :data:`DEFAULT_START_REGIONS` and lets each
+workload's own spread set its budget, up to :data:`DEFAULT_ADAPTIVE_CAP`
+(Constantinou et al. document exactly this cross-workload variance in
+misprediction behavior).
+
 Everything is deterministic -- seeding, dispersion ranking, farthest-
 member selection and tie-breaks -- so a (trace, parameters) pair always
 escalates through the same region sequence and therefore the same
-cached job keys.  The convergence metric is
+cached job keys.  The per-cell convergence metric is
 :attr:`SampledEstimate.relative_error`: the delete-one jackknife CI of
 the weighted ratio estimate, floored by the tiling-truncation bias
 allowance (see :mod:`repro.sampling.aggregate`).
@@ -83,7 +89,7 @@ DEFAULT_ADAPTIVE_CAP = 16
 
 @dataclass(frozen=True)
 class AdaptiveRound:
-    """One escalation step's aggregate state, for reporting."""
+    """One round's aggregate state, for reporting."""
 
     regions: int  #: representatives simulated so far
     simulated_records: int  #: timed records (measure + detail) so far
@@ -92,10 +98,10 @@ class AdaptiveRound:
 
 @dataclass(frozen=True)
 class AdaptiveRun(SampledRun):
-    """A :class:`SampledRun` produced by the escalation loop."""
+    """A :class:`SampledRun` produced by a session (fixed ones included)."""
 
     ci_target: float = DEFAULT_CI_TARGET
-    converged: bool = False  #: CI target met (vs cap / nothing to split)
+    converged: bool = False  #: the table's criterion met ``ci_target``
     rounds: Tuple[AdaptiveRound, ...] = ()
 
     @property
@@ -173,57 +179,33 @@ def _window_region(index: int, measure: int, skip: int,
 
 @dataclass
 class _EscalationState:
-    """One config's private escalation state in a lockstep multi run."""
+    """One config's simulated regions and round history in a session."""
 
     base: ProcessorConfig
-    clusters: List[_Cluster]
     simulated: Dict[int, SimulationResult]
     rounds: List[AdaptiveRound]
-    converged: bool = False
-    active: bool = True
-
-
-def _validate_schedule_params(ci_target: float, start_regions: int,
-                              batch: int, regions: Optional[int],
-                              instructions: int, skip: int) -> None:
-    """The parameter checks that precede any trace or profile work."""
-    if ci_target <= 0:
-        raise ValueError("ci_target must be positive")
-    if start_regions < 2:
-        raise ValueError("start_regions must be at least 2 (a single "
-                         "region supports no CI claim)")
-    if batch < 1:
-        raise ValueError("batch must be positive")
-    if regions is not None and regions < start_regions:
-        raise ValueError("regions cap must cover the starting set")
-    if instructions < 1:
-        raise ValueError("instructions must be positive")
-    if skip < 0:
-        raise ValueError("skip must be non-negative")
 
 
 class AdaptiveSession:
-    """One workload's lockstep escalation state across several configs.
+    """One workload's sampling state across several configs, in lockstep.
 
-    Owns everything the escalation loop walks -- the trace-derived
-    window signatures, each config's cluster set, the simulated regions
-    and the per-round history -- and exposes it at two grains:
+    Owns everything the escalation walks -- the trace-derived window
+    signatures, the cluster set every config shares, each config's
+    simulated regions and per-round history -- and moves one round at a
+    time: :meth:`measure_all` simulates what is pending and records a
+    round, :meth:`escalate_all` splits clusters.  Splitting is
+    signature-driven, not result-driven, so one cluster set serves every
+    config and the schedules stay window-for-window aligned for the
+    paired estimator (:mod:`repro.sampling.paired`).  When to stop is
+    the caller's decision (:class:`~repro.sampling.controller.
+    TableController`).
 
-    * :meth:`run_per_cell` -- the classic loop: every config escalates
-      until its *own* CPI CI meets ``ci_target`` (or the cap binds).
-      :func:`sample_workload_adaptive_many` is exactly this.
-    * :meth:`measure_all` / :meth:`escalate_all` -- one round at a
-      time, all configs advancing in strict lockstep regardless of
-      their individual CPI CIs, for an external budget controller
-      (:mod:`repro.sampling.controller`) that decides *where* the next
-      batch is spent.  Lockstep keeps every config on the identical
-      region schedule, which is what keeps the windows shared for the
-      paired estimator (:mod:`repro.sampling.paired`).
-
-    Both grains walk the same deterministic split sequence and submit
-    the same region jobs, so their cache keys are interchangeable: a
-    controller-driven table re-uses (and pre-warms) the entries a
-    standalone adaptive run would hit, and vice versa.
+    The starting set is ``start_regions`` representatives, clamped to
+    the region cap: ``regions`` (default :data:`DEFAULT_ADAPTIVE_CAP`),
+    further bounded by the ``max_fraction`` simulated-records budget and
+    by the number of windows.  A session whose starting set already
+    reaches its cap never escalates -- fixed sampling.  ``ci_target`` is
+    recorded on the runs; the controller owns the stop rule.
     """
 
     def __init__(self,
@@ -244,14 +226,21 @@ class AdaptiveSession:
                  jobs: Optional[int] = None,
                  cache: "Optional[bool]" = None,
                  store: Optional[TraceStore] = None) -> None:
-        _validate_schedule_params(ci_target, start_regions, batch, regions,
-                                  instructions, skip)
+        # Parameter checks precede any trace or profile work.
+        if ci_target <= 0:
+            raise ValueError("ci_target must be positive")
+        if start_regions < 1:
+            raise ValueError("start_regions must be positive")
+        if batch < 1:
+            raise ValueError("batch must be positive")
+        if regions is not None and regions < 1:
+            raise ValueError("regions must be positive")
+        if instructions < 1:
+            raise ValueError("instructions must be positive")
+        if skip < 0:
+            raise ValueError("skip must be non-negative")
         if not configs:
-            raise ValueError("an adaptive session needs at least one config")
-        self.profile = get_profile(workload) if isinstance(workload, str) \
-            else workload
-        bases = [config or ProcessorConfig.cortex_a72_like()
-                 for config in configs]
+            raise ValueError("a sampling session needs at least one config")
         max_fraction = DEFAULT_MAX_FRACTION if max_fraction is None \
             else max_fraction
         if not 0 < max_fraction <= 1:
@@ -268,6 +257,10 @@ class AdaptiveSession:
         if warmup is not None and warmup < 0:
             raise ValueError("warmup must be non-negative")
 
+        self.profile = get_profile(workload) if isinstance(workload, str) \
+            else workload
+        bases = [config or ProcessorConfig.cortex_a72_like()
+                 for config in configs]
         self.instructions = instructions
         self.skip = skip
         self.ci_target = ci_target
@@ -289,25 +282,24 @@ class AdaptiveSession:
         medoids, _ = cluster_windows(self._signatures,
                                      min(start_regions, self.cap))
         assignment = assign_windows(self._signatures, medoids)
-        initial = [(m, [i for i, a in enumerate(assignment) if a == slot])
-                   for slot, m in enumerate(medoids)]
+        self.clusters = [
+            _Cluster(m, [i for i, a in enumerate(assignment) if a == slot])
+            for slot, m in enumerate(medoids)]
         self._runner = executor if executor is not None \
             else SweepExecutor(jobs=jobs, cache=cache)
-        self.states = [_EscalationState(
-            base=base,
-            clusters=[_Cluster(m, list(members)) for m, members in initial],
-            simulated={}, rounds=[]) for base in bases]
-
-    # ------------------------------------------------------------------
-    # Shared round machinery
-    # ------------------------------------------------------------------
+        self.states = [_EscalationState(base=base, simulated={}, rounds=[])
+                       for base in bases]
 
     def _region(self, window: int, weight: int = 1) -> Region:
         return _window_region(window, self._measure, self.skip,
                               self._warmup, self._detail, weight)
 
-    def _planned_records(self, state: _EscalationState) -> int:
-        """Timed records of the state's planned regions, clamps included.
+    def _ordered(self) -> List[_Cluster]:
+        """The clusters in window order (the plan's region order)."""
+        return sorted(self.clusters, key=lambda c: c.medoid)
+
+    def _planned_records(self) -> int:
+        """Timed records of one config's planned regions, clamps included.
 
         Derived from the actual :class:`Region` objects, so the
         early-window ``detail`` clamp (a window too close to record 0
@@ -315,140 +307,93 @@ class AdaptiveSession:
         instead of the nominal ``regions * (measure + detail)``.
         """
         return sum(self._measure + self._region(c.medoid).detail
-                   for c in state.clusters)
-
-    def _simulate_pending(self,
-                          states: "Sequence[_EscalationState]") -> None:
-        """One executor submission for every unsimulated medoid."""
-        requests: List[Tuple[_EscalationState, int]] = []
-        for state in states:
-            requests.extend(
-                (state, c.medoid) for c in state.clusters
-                if c.medoid not in state.simulated)
-        if not requests:
-            return
-        jobs_batch = [
-            SimJob(self.profile,
-                   state.base.with_region(r.start, r.warmup, r.detail),
-                   r.measure, 0)
-            for state, r in ((state, self._region(m))
-                             for state, m in requests)]
-        for (state, m), result in zip(requests, self._runner.run(jobs_batch)):
-            state.simulated[m] = result
-
-    def _evaluate(self, state: _EscalationState) -> float:
-        """Aggregate one state's regions and append its round record."""
-        ordered = sorted(state.clusters, key=lambda c: c.medoid)
-        results = [state.simulated[c.medoid] for c in ordered]
-        weights = [len(c.members) for c in ordered]
-        relative = estimate_cpi(results, weights).relative_error
-        state.rounds.append(AdaptiveRound(
-            regions=len(state.clusters),
-            simulated_records=self._planned_records(state),
-            relative_ci=relative))
-        return relative
-
-    def _split(self, state: _EscalationState) -> bool:
-        """Split up to ``batch`` clusters; False when nothing split."""
-        split_any = False
-        for _ in range(min(self.batch, self.cap - len(state.clusters))):
-            target = _next_split(state.clusters, self._signatures)
-            if target is None:
-                break
-            kept, new = _split_cluster(state.clusters[target],
-                                       self._signatures)
-            state.clusters[target] = kept
-            state.clusters.append(new)
-            split_any = True
-        return split_any
-
-    # ------------------------------------------------------------------
-    # Per-cell loop (the classic adaptive contract)
-    # ------------------------------------------------------------------
-
-    def run_per_cell(self) -> None:
-        """Escalate until every config meets its own CI target or cap."""
-        while any(state.active for state in self.states):
-            self._simulate_pending([s for s in self.states if s.active])
-            for state in self.states:
-                if not state.active:
-                    continue
-                relative = self._evaluate(state)
-                if relative == relative and relative <= self.ci_target:
-                    state.converged = True
-                    state.active = False
-                    continue
-                if len(state.clusters) >= self.cap:
-                    state.active = False
-                    continue
-                if not self._split(state):
-                    state.active = False
-
-    # ------------------------------------------------------------------
-    # Controller interface (lockstep rounds, external stop decision)
-    # ------------------------------------------------------------------
+                   for c in self.clusters)
 
     def measure_all(self) -> None:
-        """Simulate every pending region and record one round per config."""
-        self._simulate_pending(self.states)
+        """Simulate every pending region and record one round per config.
+
+        All configs' new regions go through the executor in one
+        submission, so every config of one region window can share a
+        batched trace walk (:mod:`repro.batch`).
+        """
+        pending = [c.medoid for c in self.clusters
+                   if c.medoid not in self.states[0].simulated]
+        if pending:
+            jobs_batch = [
+                SimJob(self.profile,
+                       state.base.with_region(r.start, r.warmup, r.detail),
+                       r.measure, 0)
+                for state in self.states for r in map(self._region, pending)]
+            results = iter(self._runner.run(jobs_batch))
+            for state in self.states:
+                for m in pending:
+                    state.simulated[m] = next(results)
+        ordered = self._ordered()
+        weights = [len(c.members) for c in ordered]
+        records = self._planned_records()
         for state in self.states:
-            self._evaluate(state)
+            estimate = estimate_cpi([state.simulated[c.medoid]
+                                     for c in ordered], weights)
+            state.rounds.append(AdaptiveRound(
+                regions=len(self.clusters), simulated_records=records,
+                relative_ci=estimate.relative_error))
 
     def escalate_all(self) -> bool:
-        """Split every config's clusters one batch, in lockstep.
+        """Split up to ``batch`` clusters, the same for every config.
 
-        Every config splits identically (splitting is signature-driven,
-        not result-driven), so the schedules stay window-for-window
-        aligned.  Returns False when no config could split -- the cap
-        binds or no cluster has two members -- which closes the session
-        for the controller.  Call :meth:`measure_all` afterwards to
-        simulate the new representatives.
+        Returns False when nothing split -- the cap binds or no cluster
+        has two members -- which closes the session for the controller.
+        Call :meth:`measure_all` afterwards to simulate the new
+        representatives.
         """
         split_any = False
-        for state in self.states:
-            if len(state.clusters) >= self.cap:
-                continue
-            split_any |= self._split(state)
+        for _ in range(min(self.batch, self.cap - len(self.clusters))):
+            target = _next_split(self.clusters, self._signatures)
+            if target is None:
+                break
+            kept, new = _split_cluster(self.clusters[target],
+                                       self._signatures)
+            self.clusters[target] = kept
+            self.clusters.append(new)
+            split_any = True
         return split_any
 
     @property
     def can_escalate(self) -> bool:
         """True while another lockstep round could add regions."""
-        return any(len(state.clusters) < self.cap
-                   and _next_split(state.clusters, self._signatures)
-                   is not None
-                   for state in self.states)
+        return (len(self.clusters) < self.cap
+                and _next_split(self.clusters, self._signatures) is not None)
 
     @property
     def simulated_records(self) -> int:
         """Timed records planned across every config, clamps included."""
-        return sum(self._planned_records(state) for state in self.states)
+        return len(self.states) * self._planned_records()
 
     @property
     def regions(self) -> int:
         """Scheduled regions summed across configs."""
-        return sum(len(state.clusters) for state in self.states)
+        return len(self.states) * len(self.clusters)
 
-    def runs(self, converged: "Optional[Sequence[bool]]" = None
-             ) -> List[AdaptiveRun]:
+    @property
+    def plan(self) -> RegionPlan:
+        """The current region schedule, which every config shares."""
+        return RegionPlan(
+            instructions=self.instructions, skip=self.skip,
+            checkpoint_interval=self._trace.checkpoint_interval,
+            regions=tuple(self._region(c.medoid, len(c.members))
+                          for c in self._ordered()))
+
+    def runs(self, converged: bool = False) -> List[AdaptiveRun]:
         """The per-config :class:`AdaptiveRun`\\ s for the current state.
 
-        ``converged`` overrides the per-state flags (the controller
-        judges convergence on the *table's* criterion, not each cell's
-        own CPI CI).
+        ``converged`` is the caller's verdict (the controller judges it
+        on the *table's* criterion, not each cell's own CPI CI).
         """
+        plan = self.plan
+        weights = [r.weight for r in plan.regions]
         runs = []
-        flags = [state.converged for state in self.states] \
-            if converged is None else list(converged)
-        for state, flag in zip(self.states, flags):
-            ordered = sorted(state.clusters, key=lambda c: c.medoid)
-            plan = RegionPlan(
-                instructions=self.instructions, skip=self.skip,
-                checkpoint_interval=self._trace.checkpoint_interval,
-                regions=tuple(self._region(c.medoid, len(c.members))
-                              for c in ordered))
-            results = tuple(state.simulated[c.medoid] for c in ordered)
-            weights = [r.weight for r in plan.regions]
+        for state in self.states:
+            results = tuple(state.simulated[c.medoid] for c in self._ordered())
             runs.append(AdaptiveRun(
                 workload=self.profile.name,
                 config=state.base,
@@ -457,90 +402,10 @@ class AdaptiveSession:
                 cpi=estimate_cpi(results, weights),
                 misspec_penalty=estimate_misspec_penalty(results, weights),
                 ci_target=self.ci_target,
-                converged=flag,
+                converged=converged,
                 rounds=tuple(state.rounds),
             ))
         return runs
-
-
-def sample_workload_adaptive_many(
-        workload: Union[str, WorkloadProfile],
-        configs: "Sequence[Optional[ProcessorConfig]]",
-        instructions: int = 20_000,
-        skip: int = 2_000,
-        ci_target: float = DEFAULT_CI_TARGET,
-        measure: Optional[int] = None,
-        warmup: Optional[int] = DEFAULT_WARMUP,
-        detail: Optional[int] = None,
-        start_regions: int = DEFAULT_START_REGIONS,
-        batch: int = DEFAULT_BATCH,
-        regions: Optional[int] = None,
-        max_fraction: Optional[float] = None,
-        checkpoint_interval: Optional[int] = None,
-        executor: Optional[SweepExecutor] = None,
-        jobs: Optional[int] = None,
-        cache: "Optional[bool]" = None,
-        store: Optional[TraceStore] = None) -> List[AdaptiveRun]:
-    """Escalate several configs of one workload in lockstep rounds.
-
-    Splitting is signature-driven and therefore config-independent, so
-    every config escalates through the *same* region sequence; only the
-    stop decision (its own CI) differs.  Running the loops in lockstep
-    lets each round submit every still-escalating config's new region
-    jobs as one executor call -- all configs of one region window
-    become one batched trace walk (:mod:`repro.batch`).  Each returned
-    :class:`AdaptiveRun` is identical to what a separate
-    :func:`sample_workload_adaptive` call for that config would
-    produce (same deterministic schedule, same cached job keys).
-    """
-    _validate_schedule_params(ci_target, start_regions, batch, regions,
-                              instructions, skip)
-    if not configs:
-        return []
-    session = AdaptiveSession(
-        workload, configs, instructions=instructions, skip=skip,
-        ci_target=ci_target, measure=measure, warmup=warmup, detail=detail,
-        start_regions=start_regions, batch=batch, regions=regions,
-        max_fraction=max_fraction, checkpoint_interval=checkpoint_interval,
-        executor=executor, jobs=jobs, cache=cache, store=store)
-    session.run_per_cell()
-    return session.runs()
-
-
-def sample_workload_adaptive(
-        workload: Union[str, WorkloadProfile],
-        config: Optional[ProcessorConfig] = None,
-        instructions: int = 20_000,
-        skip: int = 2_000,
-        ci_target: float = DEFAULT_CI_TARGET,
-        measure: Optional[int] = None,
-        warmup: Optional[int] = DEFAULT_WARMUP,
-        detail: Optional[int] = None,
-        start_regions: int = DEFAULT_START_REGIONS,
-        batch: int = DEFAULT_BATCH,
-        regions: Optional[int] = None,
-        max_fraction: Optional[float] = None,
-        checkpoint_interval: Optional[int] = None,
-        executor: Optional[SweepExecutor] = None,
-        jobs: Optional[int] = None,
-        cache: "Optional[bool]" = None,
-        store: Optional[TraceStore] = None) -> AdaptiveRun:
-    """Sampled estimate whose region count follows the workload's variance.
-
-    Parameters mirror :func:`~repro.sampling.run.sample_workload`;
-    ``regions`` caps the representatives (default
-    :data:`DEFAULT_ADAPTIVE_CAP`, further bounded by the
-    ``max_fraction`` simulated-records budget), ``ci_target`` is the
-    relative CI half-width that stops the escalation, and
-    ``start_regions``/``batch`` shape the schedule.  See the module
-    docstring for the algorithm.
-    """
-    return sample_workload_adaptive_many(
-        workload, [config], instructions=instructions, skip=skip,
-        ci_target=ci_target, measure=measure, warmup=warmup, detail=detail,
-        start_regions=start_regions, batch=batch, regions=regions,
-        max_fraction=max_fraction, checkpoint_interval=checkpoint_interval,
-        executor=executor, jobs=jobs, cache=cache, store=store)[0]
 
 
 __all__ = [
@@ -550,6 +415,4 @@ __all__ = [
     "DEFAULT_START_REGIONS",
     "AdaptiveRound",
     "AdaptiveRun",
-    "sample_workload_adaptive",
-    "sample_workload_adaptive_many",
 ]

@@ -4,9 +4,8 @@ Each simulated region yields ordinary :class:`~repro.core.stats.SimStats`
 over its measured window.  The whole-span point estimate of a ratio
 metric is the ratio of the summed numerators and denominators -- e.g.
 CPI = sum(w * cycles) / sum(w * committed) -- where ``w`` is the
-region's weight: 1 for systematic plans (every window stands for its
-own stride) and the cluster population for SimPoint plans (each
-representative stands for every window of its behavior cluster).
+region's weight, its cluster population (each representative stands
+for every window of its behavior cluster).
 
 Spread comes from the per-region values through
 :class:`~repro.analysis.robustness.SweepSummary`, inheriting its honesty

@@ -1,32 +1,27 @@
-"""Whole-table budget control for adaptive sampled suites.
+"""Budget control for sampled tables: the one way sampling stops.
 
-The per-cell adaptive loop (:mod:`repro.sampling.adaptive`) spends until
-*every* ``(config, workload)`` cell's own CPI CI meets the target -- a
-sensible contract for one cell, but wasteful for a table whose
-deliverable is a column of *speedups*: on shared windows the paired
-estimator (:mod:`repro.sampling.paired`) usually meets the target with
-far fewer regions than either side's CPI needs, and the workloads that
-remain loose differ wildly (Constantinou et al.'s cross-workload
-variance).  Uniform escalation buys precision where the table already
-has it.
+Every sampled estimate is a table: each workload is an
+:class:`~repro.sampling.adaptive.AdaptiveSession` escalating all its
+configs in lockstep (so windows stay shared and the paired estimator
+stays applicable), and :class:`TableController` decides where the next
+escalation batch goes.  A single cell is a table of one session with one
+config; fixed sampling is a session that cannot escalate.
 
-:class:`TableController` spends the budget where the table is weakest
-instead.  Each workload is an :class:`~repro.sampling.adaptive.
-AdaptiveSession` escalating all its configs in lockstep (so windows stay
-shared and the paired estimator stays applicable); after every round the
-controller re-scores all still-open workloads by their worst
-CI-to-target ratio -- the paired speedup CI of each variant against the
-first config when pairing is on, the per-cell CPI CIs otherwise -- and
-the single worst workload receives the next escalation batch.  The loop
-stops when every workload meets the target or nothing can escalate
-(region caps, nothing left to split).
+A table's deliverable is a column of *speedups*: on shared windows the
+paired estimator (:mod:`repro.sampling.paired`) usually meets the target
+with far fewer regions than either side's CPI needs, and the workloads
+that remain loose differ wildly (Constantinou et al.'s cross-workload
+variance).  So after every round the controller re-scores all
+still-open workloads by their worst CI-to-target ratio -- the paired
+speedup CI of each variant against the first config, or the CPI CI of a
+one-config session -- and the single worst workload receives the next
+batch.  The loop stops when every workload meets the target or nothing
+can escalate (region caps, nothing left to split).
 
 Determinism and cache identity are preserved: the controller never
 alters *what* a session simulates, only *how far* each one walks its own
-deterministic split sequence.  Every schedule it produces is a prefix of
-the standalone per-cell schedule, so all region jobs hit the same
-content-addressed cache entries a ``sample_workload_adaptive_many`` call
-would create.
+deterministic split sequence, so every region job hits the same
+content-addressed cache entries on a re-run.
 """
 
 from __future__ import annotations
@@ -50,11 +45,10 @@ class TableController:
     convergence judged on the *table's* criterion.
     """
 
-    def __init__(self, ci_target: float, paired: bool = True) -> None:
+    def __init__(self, ci_target: float) -> None:
         if ci_target <= 0:
             raise ValueError("ci_target must be positive")
         self.ci_target = ci_target
-        self.paired = paired
         self._names: List[str] = []
         self._sessions: Dict[str, AdaptiveSession] = {}
 
@@ -71,14 +65,14 @@ class TableController:
     def _criterion(self, session: AdaptiveSession) -> float:
         """The workload's worst relative CI under the table's criterion.
 
-        With pairing on and at least two configs: the paired speedup CI
-        of every variant against the first config (the deliverable of a
-        comparison table).  Otherwise: the worst per-cell CPI CI.  An
-        undefined CI (too few shared windows, degenerate estimate) is
-        +inf -- an open claim the controller must keep spending on.
+        With at least two configs: the paired speedup CI of every
+        variant against the first config (the deliverable of a
+        comparison table).  With one: that cell's CPI CI.  An undefined
+        CI (too few shared windows, degenerate estimate) is +inf -- an
+        open claim the controller must keep spending on.
         """
         runs = session.runs()
-        if self.paired and len(runs) >= 2:
+        if len(runs) >= 2:
             rels = []
             for variant in runs[1:]:
                 estimate = paired_speedup(runs[0], variant)
@@ -128,15 +122,13 @@ class TableController:
 
         Every config of one workload shares a flag: the table either
         met its criterion for that workload (the paired speedup CIs, or
-        every cell's CPI CI) or it did not -- per-cell CPI convergence
+        a lone cell's CPI CI) or it did not -- per-cell CPI convergence
         would claim precision the controller deliberately did not buy.
         """
         out = {}
         for name in self._names:
             session = self._sessions[name]
-            flag = self._ratio(session) <= 1.0
-            out[name] = session.runs(
-                converged=[flag] * len(session.states))
+            out[name] = session.runs(converged=self._ratio(session) <= 1.0)
         return out
 
     @property

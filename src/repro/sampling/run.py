@@ -1,15 +1,17 @@
-"""Sampled workload runs: plan, fan out region jobs, aggregate.
+"""Sampled workload runs: the run record, the span trace, one-cell runs.
 
 :func:`sample_workload` is the sampling analogue of
 :func:`repro.analysis.runner.run_workload`: instead of one simulation
-over the whole timed span it schedules (warmup, measure) windows
-(:mod:`repro.sampling.regions`), runs each as an independent
+over the whole timed span it simulates weighted (warmup, measure)
+windows (:mod:`repro.sampling.regions`), each an independent
 :class:`~repro.exec.jobs.SimJob` through a
 :class:`~repro.exec.executor.SweepExecutor` -- the region rides inside
 the job's :class:`~repro.core.config.ProcessorConfig`, so every window
 has its own content-addressed job key and caches like any other
 simulation -- and combines the per-window stats into whole-span
-estimates (:mod:`repro.sampling.aggregate`).
+estimates (:mod:`repro.sampling.aggregate`).  It is a one-cell table of
+the sampling engine (:mod:`repro.sampling.adaptive`,
+:mod:`repro.sampling.controller`).
 
 The trace is captured once up front into the shared
 :class:`~repro.trace.store.TraceStore` (covering the furthest region
@@ -21,18 +23,17 @@ cold parallel start record it exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
-from ..core.config import ProcessorConfig
+from ..core.config import ProcessorConfig, RunRequest
 from ..core.pipeline import replay_reach
 from ..core.simulator import SimulationResult
 from ..exec.executor import SweepExecutor
-from ..exec.jobs import SimJob
 from ..trace.store import TraceStore, shared_store
 from ..workloads.generator import build_program
 from ..workloads.profiles import WorkloadProfile, get_profile
-from .aggregate import SampledEstimate, estimate_cpi, estimate_misspec_penalty
-from .regions import RegionPlan, plan_regions, plan_representative_regions
+from .aggregate import SampledEstimate
+from .regions import RegionPlan
 
 #: Sampled CPI must land within this relative error of the full run --
 #: SimPoint's headline accuracy, and the CI gate's threshold.
@@ -64,23 +65,6 @@ class SampledRun:
         return self.plan.coverage
 
 
-def region_jobs(workload: Union[str, WorkloadProfile],
-                config: Optional[ProcessorConfig],
-                plan: RegionPlan) -> List[SimJob]:
-    """One replay job per scheduled region, in plan order.
-
-    Each job's config carries the region via ``with_region``, so its
-    exec job key -- and therefore its persistent cache entry -- is
-    specific to (workload, config, window): re-sampling with an
-    overlapping plan reuses the windows it shares.
-    """
-    profile = get_profile(workload) if isinstance(workload, str) else workload
-    base = config or ProcessorConfig.cortex_a72_like()
-    return [SimJob(profile, base.with_region(r.start, r.warmup, r.detail),
-                   r.measure, 0)
-            for r in plan.regions]
-
-
 def acquire_span_trace(profile: WorkloadProfile, instructions: int,
                        skip: int, checkpoint_interval: Optional[int] = None,
                        store: Optional[TraceStore] = None,
@@ -89,7 +73,7 @@ def acquire_span_trace(profile: WorkloadProfile, instructions: int,
     """Capture (or load) the trace covering one sampled span.
 
     Acquisition happens once, up front, before any region jobs fan out:
-    the planners read the trace, and pool workers then find it on disk
+    the session reads the trace, and pool workers then find it on disk
     instead of re-recording (the store's cross-process claim makes even
     a cold parallel start record it exactly once).  The capture covers
     the whole span plus the widest fetch reach
@@ -107,101 +91,11 @@ def acquire_span_trace(profile: WorkloadProfile, instructions: int,
            if checkpoint_interval is not None else {}))
 
 
-def sample_workload_many(workload: Union[str, WorkloadProfile],
-                         configs: "Sequence[Optional[ProcessorConfig]]",
-                         instructions: int = 20_000,
-                         skip: int = 2_000,
-                         strategy: str = "simpoint",
-                         measure: Optional[int] = None,
-                         warmup: Optional[int] = None,
-                         detail: Optional[int] = None,
-                         regions: Optional[int] = None,
-                         max_fraction: Optional[float] = None,
-                         checkpoint_interval: Optional[int] = None,
-                         ci_target: Optional[float] = None,
-                         executor: Optional[SweepExecutor] = None,
-                         jobs: Optional[int] = None,
-                         cache: "Optional[bool]" = None,
-                         store: Optional[TraceStore] = None
-                         ) -> List[SampledRun]:
-    """:func:`sample_workload` for several configs of one workload.
-
-    The plan derives from the trace alone, so every config samples the
-    *same* windows; submitting all configs' region jobs in one executor
-    call lets the batched replay path (:mod:`repro.batch`) walk each
-    region window once for every config sharing its warm class.
-    Returns one :class:`SampledRun` per config, in ``configs`` order --
-    each identical to what a separate :func:`sample_workload` call
-    would produce.
-    """
-    if strategy not in ("simpoint", "systematic", "adaptive"):
-        raise ValueError(f"unknown sampling strategy: {strategy}")
-    if ci_target is not None and strategy != "adaptive":
-        raise ValueError("ci_target applies to the adaptive strategy")
-    if not configs:
-        return []
-    profile = get_profile(workload) if isinstance(workload, str) else workload
-    if strategy == "adaptive":
-        from .adaptive import DEFAULT_CI_TARGET, sample_workload_adaptive_many
-        return sample_workload_adaptive_many(
-            profile, configs, instructions=instructions, skip=skip,
-            ci_target=DEFAULT_CI_TARGET if ci_target is None else ci_target,
-            measure=measure,
-            **({} if warmup is None else {"warmup": warmup}),
-            detail=detail, regions=regions, max_fraction=max_fraction,
-            checkpoint_interval=checkpoint_interval,
-            executor=executor, jobs=jobs, cache=cache, store=store)
-    plan_kwargs = {}
-    if measure is not None:
-        plan_kwargs["measure"] = measure
-    if warmup is not None:
-        plan_kwargs["warmup"] = warmup
-    if detail is not None:
-        plan_kwargs["detail"] = detail
-    if regions is not None:
-        if strategy != "simpoint":
-            raise ValueError("regions cap applies to the simpoint strategy")
-        plan_kwargs["regions"] = regions
-    if max_fraction is not None:
-        plan_kwargs["max_fraction"] = max_fraction
-    if checkpoint_interval is not None:
-        plan_kwargs["checkpoint_interval"] = checkpoint_interval
-
-    trace = acquire_span_trace(profile, instructions, skip,
-                               checkpoint_interval, store, configs)
-
-    if strategy == "simpoint":
-        plan = plan_representative_regions(trace, instructions, skip,
-                                           **plan_kwargs)
-    else:
-        plan = plan_regions(instructions, skip, **plan_kwargs)
-
-    batch = [job for config in configs
-             for job in region_jobs(profile, config, plan)]
-    runner = executor if executor is not None \
-        else SweepExecutor(jobs=jobs, cache=cache)
-    flat = runner.run(batch)
-    weights = [r.weight for r in plan.regions]
-    per_config = len(plan.regions)
-    runs = []
-    for i, config in enumerate(configs):
-        results = flat[i * per_config:(i + 1) * per_config]
-        runs.append(SampledRun(
-            workload=profile.name,
-            config=config or ProcessorConfig.cortex_a72_like(),
-            plan=plan,
-            results=tuple(results),
-            cpi=estimate_cpi(results, weights),
-            misspec_penalty=estimate_misspec_penalty(results, weights),
-        ))
-    return runs
-
-
 def sample_workload(workload: Union[str, WorkloadProfile],
                     config: Optional[ProcessorConfig] = None,
                     instructions: int = 20_000,
                     skip: int = 2_000,
-                    strategy: str = "simpoint",
+                    sampling: str = "fixed",
                     measure: Optional[int] = None,
                     warmup: Optional[int] = None,
                     detail: Optional[int] = None,
@@ -216,27 +110,38 @@ def sample_workload(workload: Union[str, WorkloadProfile],
     """Estimate a full run's metrics from sampled regions.
 
     ``instructions``/``skip`` describe the *full* run being estimated;
-    the plan simulates at most ``max_fraction`` of its timed records.
-    ``strategy`` picks the scheduler: ``"simpoint"`` (default) clusters
-    the span's windows on trace-derived behavior signatures and
-    simulates one weighted representative per cluster;
-    ``"systematic"`` spaces unweighted windows evenly (SMARTS-style);
-    ``"adaptive"`` (:mod:`repro.sampling.adaptive`) starts from a small
-    representative set and escalates until the estimate's CI half-width
-    drops below ``ci_target`` (relative; default
+    the regions simulate at most ``max_fraction`` of its timed records.
+    ``sampling`` picks the schedule: ``"fixed"`` (default) clusters the
+    span's windows on trace-derived behavior signatures and simulates
+    one weighted representative per cluster, ``regions`` of them
+    (default :data:`~repro.sampling.regions.DEFAULT_REGIONS`);
+    ``"adaptive"`` starts from a small representative set and splits
+    clusters until the estimate's CI half-width drops below
+    ``ci_target`` (relative; default
     :data:`~repro.sampling.adaptive.DEFAULT_CI_TARGET`) or the region
-    cap is hit -- returning an :class:`~repro.sampling.adaptive.
-    AdaptiveRun`.
+    cap ``regions`` (default :data:`~repro.sampling.adaptive.
+    DEFAULT_ADAPTIVE_CAP`) binds.  Either way the result is an
+    :class:`~repro.sampling.adaptive.AdaptiveRun`.  A trace that cannot
+    be captured or parsed raises instead of falling back.
     ``store`` overrides the trace store used for the up-front capture
     (pool workers always resolve theirs from the environment, so pass a
     custom store only together with ``jobs=1``).
     """
-    return sample_workload_many(
-        workload, [config], instructions=instructions, skip=skip,
-        strategy=strategy, measure=measure, warmup=warmup, detail=detail,
-        regions=regions, max_fraction=max_fraction,
-        checkpoint_interval=checkpoint_interval, ci_target=ci_target,
-        executor=executor, jobs=jobs, cache=cache, store=store)[0]
+    from ..analysis.runner import _sampled_table  # runner <-> sampling
+    if sampling not in ("fixed", "adaptive"):
+        raise ValueError(f"sampling must be 'fixed' or 'adaptive', "
+                         f"not {sampling!r}")
+    request = RunRequest(
+        instructions=instructions, skip=skip, sampling=sampling,
+        ci_target=ci_target, regions=regions, measure=measure,
+        warmup=warmup, detail=detail, max_fraction=max_fraction,
+        checkpoint_interval=checkpoint_interval)
+    profile = get_profile(workload) if isinstance(workload, str) else workload
+    runner = executor if executor is not None \
+        else SweepExecutor(jobs=jobs, cache=cache)
+    cell, = _sampled_table([profile], [config], request, runner, store,
+                           fallback=False)[profile.name]
+    return cell.sampled
 
 
 def sampled_vs_full_error(sampled: SampledRun,
@@ -249,8 +154,6 @@ def sampled_vs_full_error(sampled: SampledRun,
 __all__ = [
     "CPI_ERROR_GATE",
     "SampledRun",
-    "region_jobs",
     "sample_workload",
-    "sample_workload_many",
     "sampled_vs_full_error",
 ]

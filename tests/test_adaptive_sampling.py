@@ -1,7 +1,8 @@
 """Adaptive variance-driven sampling, the run facade, and RunRequest.
 
-Covers the escalation loop's contract (deterministic schedule, CI-target
-convergence, region-cap respect), the jackknife/floor error model behind
+Covers the escalation contract of a one-cell table (deterministic
+schedule, CI-target convergence, region-cap respect), the jackknife/floor
+error model behind
 its stopping rule, the ``RunRequest`` precedence chain (explicit > env >
 default), the sampled suite's honesty (full-budget goldens inside the
 reported CIs, loud fallback when a trace is unavailable), and the
@@ -20,9 +21,10 @@ from repro.sampling import (
     CI_RELATIVE_FLOOR,
     DEFAULT_CI_TARGET,
     AdaptiveRun,
+    AdaptiveSession,
+    TableController,
     estimate_cpi,
     sample_workload,
-    sample_workload_adaptive,
 )
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
@@ -84,13 +86,19 @@ class TestErrorModel:
 
 class TestAdaptiveEscalation:
     def _run(self, name, **kwargs):
+        """One adaptive cell: a one-config table."""
         kwargs.setdefault("instructions", 6000)
         kwargs.setdefault("skip", 1000)
         kwargs.setdefault("max_fraction", 1.0)
         kwargs.setdefault("jobs", 1)
         kwargs.setdefault("cache", False)
         kwargs.setdefault("store", TraceStore(persistent=False))
-        return sample_workload_adaptive(name, BASE, **kwargs)
+        kwargs.setdefault("ci_target", DEFAULT_CI_TARGET)
+        session = AdaptiveSession(name, [BASE], **kwargs)
+        controller = TableController(kwargs["ci_target"])
+        controller.add(name, session)
+        controller.run()
+        return controller.results()[name][0]
 
     def test_returns_adaptive_run_with_rounds(self):
         run = self._run("mcf")
@@ -141,22 +149,31 @@ class TestAdaptiveEscalation:
         with pytest.raises(ValueError):
             self._run("mcf", ci_target=0.0)
         with pytest.raises(ValueError):
-            self._run("mcf", start_regions=1)
+            self._run("mcf", start_regions=0)
         with pytest.raises(ValueError):
             self._run("mcf", batch=0)
         with pytest.raises(ValueError):
-            self._run("mcf", regions=2, start_regions=3)
+            self._run("mcf", regions=0)
+
+    def test_cap_below_start_clamps_the_starting_set(self):
+        run = self._run("sjeng", ci_target=1e-6, regions=2,
+                        start_regions=3)
+        assert len(run.plan.regions) == 2
+        assert len(run.rounds) == 1
+        run = self._run("sjeng", regions=1)
+        assert len(run.plan.regions) == 1
+        assert math.isnan(run.relative_ci)  # one region: no CI claim
 
     def test_strategy_dispatch_from_sample_workload(self):
         run = sample_workload("mcf", BASE, instructions=6000, skip=1000,
-                              strategy="adaptive", jobs=1, cache=False,
+                              sampling="adaptive", jobs=1, cache=False,
                               store=TraceStore(persistent=False))
         assert isinstance(run, AdaptiveRun)
         assert run.ci_target == DEFAULT_CI_TARGET
 
     def test_ci_target_requires_adaptive(self):
         with pytest.raises(ValueError):
-            sample_workload("mcf", strategy="simpoint", ci_target=0.05)
+            sample_workload("mcf", sampling="fixed", ci_target=0.05)
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +300,8 @@ class TestSampledRunners:
     def test_fallback_is_loud_and_full(self, isolated_store, monkeypatch):
         def refuse(*args, **kwargs):
             raise OSError("trace store unavailable")
-        monkeypatch.setattr("repro.sampling.run.acquire_span_trace", refuse)
+        monkeypatch.setattr("repro.sampling.adaptive.acquire_span_trace",
+                            refuse)
         cell = api.run_workload("mcf", BASE, instructions=800, skip=400,
                                 cache=False, sampling="fixed")
         assert not cell.is_sampled

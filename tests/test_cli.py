@@ -195,17 +195,40 @@ class TestCommands:
         assert f"{variable}={value!r}" in err
 
 
-    def test_switch_typo_exits_two_in_a_fresh_process(self):
-        # A typo in a switch is refused, not read as "on".
+class TestSamplingFlags:
+    @pytest.mark.parametrize("argv,env", [
+        (["run", "mcf", "--sampling", "fixed", "--ci-target", "0.05"], {}),
+        (["suite", "--workloads", "mcf", "--sampling", "fixed",
+          "--ci-target", "0.05"], {}),
+        (["sample", "mcf", "--ci-target", "0.05"], {}),
+        (["run", "mcf", "--ci-target", "0.05"], {"REPRO_SAMPLING": "fixed"}),
+    ], ids=["run", "suite", "sample", "environment"])
+    def test_ci_target_without_adaptive_exits_two(self, argv, env):
+        # Checked before the command runs: one error line, no traceback,
+        # no simulation.
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("REPRO_SAMPLING", "REPRO_CI_TARGET")}
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "sjeng", "-n", "500",
-             "--skip", "500"], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC), REPRO_PAIRED="of"),
+            [sys.executable, "-m", "repro", *argv], capture_output=True,
+            text=True, env=dict(base, PYTHONPATH=str(SRC), **env),
             timeout=300)
         assert proc.returncode == 2
         err = proc.stderr.strip()
         assert len(err.splitlines()) == 1  # one line, no traceback
-        assert err.startswith("error:") and "REPRO_PAIRED='of'" in err
+        assert err.startswith("error:") and "adaptive" in err
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
+    def test_region_cap_of_one_samples_one_region(self, sampling, capsys,
+                                                  isolated_store):
+        # A cap below the adaptive starting set clamps it, as it always
+        # bounded the fixed plan: one region, and no CI claim.
+        assert main(["sample", "mcf", "--sampling", sampling,
+                     "--regions", "1", "--no-cache"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("mcf"))
+        cells = [cell.strip() for cell in row.split("|")]
+        assert cells[2:5] == ["n/a", "n/a", "1"]  # 95% CI, rel CI, regions
 
 
 class TestVerifyCommand:
@@ -244,12 +267,8 @@ class TestVerifyCommand:
         args = build_parser().parse_args(["sample", "mcf"])
         assert args.workloads == ["mcf"]
         assert args.instructions == 60_000
-        assert args.strategy == "simpoint"
+        assert args.sampling is None  # fixed, unless REPRO_SAMPLING says
         assert not args.check_full
-
-    def test_sample_rejects_bogus_strategy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sample", "--strategy", "psychic"])
 
     def test_sample_estimates(self, capsys, isolated_store):
         assert main(["sample", "mcf", "-n", "6000", "--skip", "1000",

@@ -206,19 +206,19 @@ def test_no_run_fetches_past_its_reach(workload, pubs, tmp_path,
         assert end <= seq < end + replay_reach(job.config)
 
 
-@pytest.mark.parametrize("strategy", ["systematic", "adaptive"])
-def test_sampled_span_acquires_for_its_widest_config(strategy, tmp_path,
+@pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
+def test_sampled_span_acquires_for_its_widest_config(sampling,
                                                      isolated_store):
     """A sampled span is captured once, for the widest machine that will
     replay its regions."""
-    from repro.sampling import sample_workload_many
+    from repro.analysis.runner import run_suite
+    from repro.trace.store import shared_store
 
-    store = TraceStore(root=tmp_path, persistent=False)
     machines = size_models()
-    configs = [machines["small"], machines["huge"]]
-    sample_workload_many("mcf", configs, instructions=4000, skip=1000,
-                         strategy=strategy, jobs=1, cache=False,
-                         store=store)
+    run_suite({"small": machines["small"], "huge": machines["huge"]},
+              ["mcf"], instructions=4000, skip=1000, sampling=sampling,
+              jobs=1, cache=False)
+    store = shared_store()
     profile = get_profile("mcf")
     info = store.describe(build_program(profile), profile.mem_seed)
     assert info["records"] == 1000 + 4000 + replay_reach(machines["huge"])

@@ -6,8 +6,8 @@ schedules, honest NaN/None degeneracy), the corrected
 ``AdaptiveRound.simulated_records`` accounting (plan-derived, clamps
 included), the :class:`TableController` spend policy (worst
 CI-to-target ratio first, deterministic ties, table-judged convergence
-flags), the ``paired``/``table_budget`` request knobs, and the CLI
-surface (``--ci-target`` validation, spend summaries, opt-out flags).
+flags), and the CLI surface (``--ci-target`` validation, spend
+summaries).
 """
 
 import math
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
-from repro.core.config import EnvValueError, ProcessorConfig, RunRequest
+from repro.core.config import ProcessorConfig
 from repro.sampling import (
     CI_RELATIVE_FLOOR,
     AdaptiveSession,
@@ -184,16 +184,6 @@ class TestPairedRunMethod:
         assert pair.speedup_relative_ci < math.sqrt(
             bc.relative_ci ** 2 + vc.relative_ci ** 2)
 
-    def test_use_paired_false_falls_back_to_quadrature(self):
-        from repro.analysis.runner import PairedRun
-
-        bc, vc = self._cells()
-        pair = PairedRun("w", bc, vc, use_paired=False)
-        assert pair.paired is None
-        assert pair.ci_method == "quadrature"
-        assert pair.speedup_relative_ci == pytest.approx(math.sqrt(
-            bc.relative_ci ** 2 + vc.relative_ci ** 2))
-
     def test_mixed_full_and_sampled_pair_is_quadrature(self):
         # A sampled cell against a full simulation cannot pair; the
         # full side contributes zero sampling error.
@@ -221,6 +211,14 @@ class TestPairedRunMethod:
 # Adaptive records accounting (the overcount fix)
 # ----------------------------------------------------------------------
 
+def _escalate_fully(name, session):
+    """Drive ``session`` as a one-workload table to its region cap."""
+    controller = TableController(session.ci_target)
+    controller.add(name, session)
+    controller.run()
+    return controller.results()[name]
+
+
 class TestRecordsAccounting:
     def test_simulated_records_reflect_the_detail_clamp(self):
         # With skip=0 the span's first window starts at record 0: no
@@ -232,8 +230,7 @@ class TestRecordsAccounting:
             "mcf", [None], instructions=4096, skip=0, measure=512,
             max_fraction=1.0, ci_target=1e-6, jobs=1, cache=False,
             store=store)
-        session.run_per_cell()
-        run = session.runs()[0]
+        run, = _escalate_fully("mcf", session)
         first = min(run.plan.regions, key=lambda r: r.start)
         assert first.start == 0 and first.detail == 0
         planned = sum(r.measure + r.detail for r in run.plan.regions)
@@ -250,8 +247,7 @@ class TestRecordsAccounting:
             "sjeng", [None], instructions=8192, skip=2048, measure=1024,
             max_fraction=1.0, ci_target=1e-6, jobs=1, cache=False,
             store=store)
-        session.run_per_cell()
-        run = session.runs()[0]
+        run, = _escalate_fully("sjeng", session)
         per_region = 1024 + 256
         for record in run.rounds:
             assert record.simulated_records == record.regions * per_region
@@ -304,11 +300,10 @@ class _FakeSession:
     def regions(self):
         return self.round + 1
 
-    def runs(self, converged=None):
+    def runs(self, converged=False):
         rel = self.schedule[self.round]
-        flag = bool(converged[0]) if converged else False
         return [SimpleNamespace(
-            cpi=SimpleNamespace(relative_error=rel), converged=flag)]
+            cpi=SimpleNamespace(relative_error=rel), converged=converged)]
 
 
 class TestTableController:
@@ -328,7 +323,7 @@ class TestTableController:
         # "tight" is already inside the target: zero escalations.  The
         # controller alternates between the two loose workloads as the
         # worst ratio flips, stopping each exactly when it converges.
-        controller = TableController(0.05, paired=False)
+        controller = TableController(0.05)
         tight = _FakeSession([0.01])
         loose = _FakeSession([0.20, 0.08, 0.04])
         looser = _FakeSession([0.30, 0.06, 0.02])
@@ -344,7 +339,7 @@ class TestTableController:
         # Identical schedules: max() keeps the first maximum, so the
         # first-added workload receives the batch first every round --
         # the determinism the cache identity story relies on.
-        controller = TableController(0.05, paired=False)
+        controller = TableController(0.05)
         log = []
         first = _FakeSession([0.20, 0.01], name="first", log=log)
         second = _FakeSession([0.20, 0.01], name="second", log=log)
@@ -355,7 +350,7 @@ class TestTableController:
         assert log == ["first", "second"]
 
     def test_capped_workload_stops_without_converging(self):
-        controller = TableController(0.05, paired=False)
+        controller = TableController(0.05)
         capped = _FakeSession([0.40, 0.30])
         controller.add("capped", capped)
         controller.run()
@@ -364,7 +359,7 @@ class TestTableController:
         assert not results["capped"][0].converged
 
     def test_results_flags_follow_the_table_criterion(self):
-        controller = TableController(0.05, paired=False)
+        controller = TableController(0.05)
         controller.add("good", _FakeSession([0.01]))
         controller.add("bad", _FakeSession([0.40]))
         controller.run()
@@ -377,15 +372,13 @@ class TestTableControllerEndToEnd:
     def test_lockstep_schedules_stay_shared_and_prefix(self):
         # A controller-stopped session's schedule must (a) keep both
         # configs window-for-window aligned so pairing applies, and
-        # (b) be a subset of the standalone full escalation's medoids
-        # -- the same content-addressed region jobs, just fewer.
-        from repro.sampling import sample_workload_adaptive_many
-
+        # (b) be a subset of each config's uncapped one-config table's
+        # medoids -- the same content-addressed region jobs, just fewer.
         store = TraceStore(persistent=False)
         configs = [BASE, BASE.with_overrides(recovery_penalty=12)]
         kwargs = dict(instructions=8192, skip=2048, measure=1024,
                       max_fraction=1.0, jobs=1, cache=False, store=store)
-        controller = TableController(0.5, paired=True)
+        controller = TableController(0.5)
         controller.add("mcf", AdaptiveSession("mcf", configs,
                                               ci_target=0.5, **kwargs))
         controller.run()
@@ -395,52 +388,11 @@ class TestTableControllerEndToEnd:
         assert runs[0].converged and runs[1].converged
         assert estimate.relative_error <= 0.5
 
-        full = sample_workload_adaptive_many(
-            "mcf", configs, ci_target=1e-6, **kwargs)
-        full_starts = {r.start for r in full[0].plan.regions}
         controller_starts = {r.start for r in runs[0].plan.regions}
-        assert controller_starts <= full_starts
-
-
-# ----------------------------------------------------------------------
-# RunRequest knobs and environment resolution
-# ----------------------------------------------------------------------
-
-class TestRequestKnobs:
-    def test_defaults_stay_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAIRED", raising=False)
-        monkeypatch.delenv("REPRO_TABLE_BUDGET", raising=False)
-        resolved = RunRequest().resolved()
-        assert resolved.paired is None
-        assert resolved.table_budget is None
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("0", False), ("false", False), ("off", False), ("", False),
-        ("no", False), ("1", True), ("on", True), ("true", True),
-        ("yes", True)])
-    def test_env_resolution(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_PAIRED", raw)
-        monkeypatch.setenv("REPRO_TABLE_BUDGET", raw)
-        resolved = RunRequest().resolved()
-        assert resolved.paired is expected
-        assert resolved.table_budget is expected
-
-    @pytest.mark.parametrize("variable", ["REPRO_PAIRED",
-                                          "REPRO_TABLE_BUDGET"])
-    @pytest.mark.parametrize("raw", ["of", "2", "bogus"])
-    def test_env_typo_rejected(self, monkeypatch, variable, raw):
-        monkeypatch.delenv("REPRO_PAIRED", raising=False)
-        monkeypatch.delenv("REPRO_TABLE_BUDGET", raising=False)
-        monkeypatch.setenv(variable, raw)
-        with pytest.raises(EnvValueError, match=f"{variable}={raw!r}"):
-            RunRequest().resolved()
-
-    def test_explicit_field_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAIRED", "1")
-        monkeypatch.setenv("REPRO_TABLE_BUDGET", "1")
-        resolved = RunRequest(paired=False, table_budget=False).resolved()
-        assert resolved.paired is False
-        assert resolved.table_budget is False
+        for config in configs:
+            full, = _escalate_fully("mcf", AdaptiveSession(
+                "mcf", [config], ci_target=1e-6, **kwargs))
+            assert controller_starts <= {r.start for r in full.plan.regions}
 
 
 # ----------------------------------------------------------------------
@@ -459,18 +411,6 @@ class TestCliFlags:
     def test_positive_ci_target_accepted(self):
         args = build_parser().parse_args(["suite", "--ci-target", "0.03"])
         assert args.ci_target == pytest.approx(0.03)
-
-    def test_opt_out_flags_map_to_request(self):
-        from repro.cli import _request_from_args
-
-        args = build_parser().parse_args(
-            ["suite", "--no-paired", "--no-table-budget"])
-        req = _request_from_args(args)
-        assert req.paired is False
-        assert req.table_budget is False
-        defaults = _request_from_args(build_parser().parse_args(["suite"]))
-        assert defaults.paired is None
-        assert defaults.table_budget is None
 
 
 class TestCliSpendSummary:

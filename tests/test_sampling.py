@@ -1,8 +1,8 @@
 """Sampled simulation: region planning, aggregation, end-to-end accuracy.
 
-The subsystem's contract: a plan is deterministic pure data, each region
-runs as an ordinary independently-cached exec job, and the weighted
-aggregate estimates the full run's metrics.  The keystone correctness
+The subsystem's contract: a session's plan is deterministic pure data,
+each region runs as an ordinary independently-cached exec job, and the
+weighted aggregate estimates the full run's metrics.  The keystone correctness
 test is single-region bit-identity -- a region spanning the whole timed
 window must reproduce the full replay run exactly, so any sampling error
 comes from *coverage*, never from the region machinery.
@@ -15,18 +15,16 @@ import pytest
 
 from repro.core.config import ProcessorConfig
 from repro.core.simulator import simulate
-from repro.exec.jobs import job_key
+from repro.exec.jobs import SimJob, job_key
 from repro.sampling import (
     DEFAULT_MAX_FRACTION,
     DEFAULT_REGIONS,
     DEFAULT_WARMUP,
+    AdaptiveSession,
     Region,
     cluster_windows,
     estimate_cpi,
     estimate_misspec_penalty,
-    plan_regions,
-    plan_representative_regions,
-    region_jobs,
     sample_workload,
     sampled_vs_full_error,
     signature_distance,
@@ -73,76 +71,48 @@ class TestRegion:
         assert len(keys) == 3
 
 
-class TestSystematicPlan:
-    def test_coverage_honors_budget(self):
-        for n in (1000, 5000, 60_000, 1_000_000):
-            plan = plan_regions(n, skip=2000)
-            assert plan.coverage <= DEFAULT_MAX_FRACTION + 1e-9
-            assert plan.regions  # never empty
-            assert plan.simulated_records \
-                == plan.measured_records + plan.detailed_records
-
-    def test_windows_stay_inside_span(self):
-        plan = plan_regions(10_000, skip=500, measure=400)
-        for region in plan.regions:
-            assert region.start >= 500
-            assert region.end <= 500 + 10_000
-            assert region.warmup + region.detail <= region.start
-
-    def test_tiny_span_shrinks_window(self):
-        plan = plan_regions(30, skip=0, measure=1024)
-        assert len(plan.regions) == 1
-        assert plan.simulated_records <= 10  # 1/3 of 30
-
-    def test_full_prefix_warmup_when_uncapped(self):
-        plan = plan_regions(9000, skip=1000, warmup=None)
-        for region in plan.regions:
-            assert region.warmup + region.detail == region.start
-
-    def test_warmup_cap_applies(self):
-        plan = plan_regions(60_000, skip=2000, warmup=100)
-        assert all(r.warmup <= 100 for r in plan.regions)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_regions(0)
-        with pytest.raises(ValueError):
-            plan_regions(100, skip=-1)
-        with pytest.raises(ValueError):
-            plan_regions(100, max_fraction=0)
-        with pytest.raises(ValueError):
-            plan_regions(100, warmup=-5)
-
-
 class TestSimPointPlan:
+    """Fixed sampling: a session started at its region cap."""
+
     @pytest.fixture(scope="class")
-    def trace(self):
-        profile = get_profile("sjeng")
-        return capture_trace(build_program(profile), profile.mem_seed,
-                             26_000)
+    def store(self):
+        return TraceStore(persistent=False)
 
-    def test_deterministic(self, trace):
-        a = plan_representative_regions(trace, 20_000, skip=2000)
-        b = plan_representative_regions(trace, 20_000, skip=2000)
-        assert a == b
+    @staticmethod
+    def _plan(store, workload="sjeng", instructions=20_000, skip=2000,
+              **kwargs):
+        return AdaptiveSession(
+            workload, [BASE], instructions=instructions, skip=skip,
+            start_regions=DEFAULT_REGIONS, regions=DEFAULT_REGIONS,
+            jobs=1, cache=False, store=store, **kwargs).plan
 
-    def test_weights_cover_every_window(self, trace):
-        plan = plan_representative_regions(trace, 20_000, skip=2000,
-                                           measure=1000)
+    def test_deterministic(self, store):
+        assert self._plan(store) == self._plan(store)
+
+    def test_weights_cover_every_window(self, store):
+        plan = self._plan(store, measure=1000)
         assert sum(r.weight for r in plan.regions) == 20_000 // 1000
         assert len(plan.regions) <= DEFAULT_REGIONS
         assert plan.coverage <= DEFAULT_MAX_FRACTION + 1e-9
         assert all(r.warmup <= DEFAULT_WARMUP for r in plan.regions)
 
-    def test_short_trace_rejected(self, trace):
-        with pytest.raises(ValueError):
-            plan_representative_regions(trace, len(trace) + 1)
-
-    def test_distinct_job_keys_per_region(self, trace):
-        plan = plan_representative_regions(trace, 20_000, skip=2000)
-        jobs = region_jobs("sjeng", BASE, plan)
+    def test_distinct_job_keys_per_region(self, store):
+        plan = self._plan(store)
+        jobs = [SimJob.make("sjeng", BASE.with_region(r.start, r.warmup,
+                                                      r.detail),
+                            r.measure, 0) for r in plan.regions]
         keys = {job_key(job) for job in jobs}
         assert len(keys) == len(plan.regions)
+
+    def test_tiny_span_shrinks_window(self, store):
+        plan = self._plan(store, instructions=30, skip=0)
+        assert len(plan.regions) == 1
+        assert plan.simulated_records <= 10  # 1/3 of 30
+
+    def test_full_prefix_warmup_when_uncapped(self, store):
+        plan = self._plan(store, instructions=9000, skip=1000, warmup=None)
+        for region in plan.regions:
+            assert region.warmup + region.detail == region.start
 
 
 # ----------------------------------------------------------------------
@@ -240,18 +210,15 @@ class TestSampleWorkload:
         assert region.stats.committed == full.stats.committed
         assert region.stats.mispredictions == full.stats.mispredictions
 
-    @pytest.mark.parametrize("strategy", ["simpoint", "systematic"])
-    def test_strategies_produce_estimates(self, strategy):
+    @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
+    def test_strategies_produce_estimates(self, sampling):
         run = sample_workload("mcf", BASE, instructions=6000, skip=1000,
-                              strategy=strategy, jobs=1, cache=False,
+                              sampling=sampling, jobs=1, cache=False,
                               store=TraceStore(persistent=False))
         assert run.coverage <= DEFAULT_MAX_FRACTION + 1e-9
         assert len(run.results) == len(run.plan.regions)
         assert run.cpi.point > 0
-        if strategy == "simpoint":
-            assert all(r.weight >= 1 for r in run.plan.regions)
-        else:
-            assert all(r.weight == 1 for r in run.plan.regions)
+        assert all(r.weight >= 1 for r in run.plan.regions)
 
     def test_sampled_cpi_near_full_run(self):
         """Accuracy smoke at a small budget (the bench gates 3% at 60k)."""
@@ -266,9 +233,6 @@ class TestSampleWorkload:
         assert sampled_vs_full_error(run, full) <= 0.05
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            sample_workload("mcf", strategy="psychic")
-
-    def test_regions_cap_requires_simpoint(self):
-        with pytest.raises(ValueError):
-            sample_workload("mcf", strategy="systematic", regions=4)
+        for sampling in ("psychic", "off"):  # sample_workload always samples
+            with pytest.raises(ValueError):
+                sample_workload("mcf", sampling=sampling)

@@ -241,6 +241,28 @@ class TestTraceSequence:
                                      "trace-sequence-continuity")
         assert "expected" in violation.detail
 
+    @pytest.mark.parametrize("config", [BASE, PUBS], ids=["base", "pubs"])
+    @pytest.mark.parametrize("workload", ["sjeng", "gcc", "lbm", "mcf"])
+    def test_recovery_finds_the_cursors_past_the_branch(self, workload,
+                                                        config, monkeypatch):
+        """Recovery moves neither trace cursor: fetch already stands one
+        record past the mispredicted branch, and the wrong path it ran
+        since reads no trace record."""
+        real_recover = Pipeline._recover
+        recoveries = []
+
+        def recover(self, branch):
+            assert self._next_trace_seq == branch.trace_seq + 1
+            assert self._next_mem_seq == self.trace.mem_rank(
+                self._next_trace_seq)
+            recoveries.append(branch.trace_seq)
+            real_recover(self, branch)
+
+        monkeypatch.setattr(Pipeline, "_recover", recover)
+        pipeline = Pipeline(build_program(get_profile(workload)), config)
+        pipeline.run(2000, skip_instructions=2000)
+        assert recoveries
+
     @pytest.mark.parametrize("mutant", ["recover-rewinds-too-far",
                                         "fetch-stops-advancing",
                                         "seat-ranks-one-late"])
