@@ -111,7 +111,7 @@ class TopdownBreakdown:
         """Weighted whole-span breakdown over sampled regions.
 
         Every counter scales by its region's plan weight -- the same
-        rule :func:`repro.sampling.weighted_counter` applies to CPI's
+        rule :func:`repro.sampling.weighted_ratio` applies to CPI's
         numerator and denominator, so sampled topdown fractions are as
         honest as the sampled CPI they sit next to.
         """

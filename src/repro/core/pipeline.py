@@ -43,9 +43,10 @@ This is valid because, while a uop is IQ-resident, each source's ready
 cycle makes exactly one transition (unscheduled -> a fixed cycle): sources
 cannot be re-renamed under a resident consumer (their registers are freed
 only at the commit of a younger writer, which retires after the consumer),
-and recovery only squashes uops younger than the branch.  The shifting and
-circular organizations compact entry positions on release, so they keep
-the legacy full-scan loop (slots there are not stable handles).
+and recovery only squashes uops younger than the branch.  Every IQ
+organization hands out an entry handle at dispatch that stays valid until
+the entry issues, and ascending handle order is its select priority, so
+the ready set serves all four.
 """
 
 from __future__ import annotations
@@ -256,11 +257,7 @@ class Pipeline:
         self._entry_pc = program.entry_pc
         self._l1i_hit = cfg.memory.l1i.hit_latency
         self._events: Dict[int, List[Uop]] = {}
-        # Incremental ready-set state (see the module docstring).  Entry
-        # handles are stable only in the random organizations (single or
-        # distributed); shifting/circular compact positions on release, so
-        # they fall back to the legacy full-scan issue loop.
-        self._incremental_issue = cfg.distributed_iq or cfg.iq_organization == "random"
+        # Incremental ready-set state (see the module docstring).
         self._wakeup: Dict[int, List[Uop]] = {}  # phys reg -> waiting uops
         self._ready_now: List[Uop] = []  # ready_at <= cycle, unissued
         self._ready_buckets: Dict[int, List[Uop]] = {}  # cycle -> uops
@@ -370,9 +367,7 @@ class Pipeline:
         the next one to do -- dispatch placed nothing, fetch did not run,
         no uop waits to issue and the ROB head has not completed -- the
         loop jumps over the quiet cycles that follow
-        (:meth:`_fast_forward`).  The scan issue path of the compacting
-        IQs re-checks every entry's sources each cycle, so it steps
-        cycle by cycle.
+        (:meth:`_fast_forward`).
         """
         self._commit_limit = commit_limit
         stats = self.stats
@@ -382,7 +377,6 @@ class Pipeline:
             self._commit, self._writeback, self._issue, self._dispatch,
             self._fetch)
         rob = self.rob._entries
-        may_jump = self._incremental_issue
         cycle = self.cycle
         while stats.committed < commit_limit:
             cycle += 1
@@ -400,7 +394,7 @@ class Pipeline:
                 raise DeadlockError(
                     f"no completion{phase} after {cycle} cycles "
                     f"({stats.committed} committed)")
-            if idle is not None and not fetched and may_jump \
+            if idle is not None and not fetched \
                     and not self._ready_now \
                     and not (rob and rob[0].completed) \
                     and stats.committed < commit_limit:
@@ -751,20 +745,17 @@ class Pipeline:
     def _issue(self) -> None:
         """Issue from the incrementally-maintained ready set.
 
-        Equivalent to :meth:`_issue_scan` (validated by the golden-stats
-        tests) without touching the uops that cannot issue this cycle:
-        per-cycle work is O(ready + granted), not O(IQ occupancy).  A
-        granted producer wakes its register's waiters (registered at
-        dispatch): its ready cycle is at least ``cycle + 1`` (latencies
-        are >= 1), so a fully-woken consumer always lands in a future
-        bucket, never in the current cycle's already-drained one --
-        exactly matching the scan loop, which could not have seen the
-        value ready this cycle either.  Waiters squashed since
-        registering are dropped lazily.
+        The requests are the IQ-resident uops whose sources are all
+        ready by this cycle and whose store dependence (if any) has
+        issued, found without touching the uops that cannot issue this
+        cycle: per-cycle work is O(ready + granted), not O(IQ
+        occupancy).  A granted producer wakes its register's waiters
+        (registered at dispatch): its ready cycle is at least
+        ``cycle + 1`` (latencies are >= 1), so a fully-woken consumer
+        always lands in a future bucket, never in the current cycle's
+        already-drained one.  Waiters squashed since registering are
+        dropped lazily.
         """
-        if not self._incremental_issue:
-            self._issue_scan()
-            return
         cycle = self.cycle
         ready = self._ready_now
         buckets = self._ready_buckets
@@ -789,8 +780,7 @@ class Pipeline:
             self._ready_now = live
             return
         # Dispatch order into the ready set is not slot order; the select
-        # logic's position priority needs ascending slots/handles (the
-        # order the scan loop produced by construction).
+        # logic's position priority needs ascending handles.
         requests.sort(key=_slot_of)
         granted = self.select_logic.select(requests)
         iq_release = self.iq.release
@@ -830,36 +820,6 @@ class Pipeline:
                 bucket.append(uop)
         self._ready_now = [] if len(granted) == len(live) \
             else [u for u in live if u.issue_cycle < 0]
-
-    def _issue_scan(self) -> None:
-        """Legacy full-IQ scan, kept for the compacting organizations."""
-        cycle = self.cycle
-        renamer = self.renamer
-        requests = []
-        for slot, uop in self.iq.occupied():
-            dep = uop.store_dep
-            if dep is not None and not (dep.issued or dep.squashed):
-                continue
-            if renamer.sources_ready(uop, cycle):
-                requests.append((slot, uop))
-        if not requests:
-            self.select_logic.stats.cycles += 1
-            return
-        granted = self.select_logic.select(requests)
-        # Release highest slots first: in the shifting queue, removing an
-        # entry compacts the positions above it, so descending order keeps
-        # the remaining grant slots valid.
-        for slot, _ in sorted(granted, reverse=True):
-            self.iq.release(slot)
-            if self.age_matrix is not None:
-                self.age_matrix.remove(slot)
-        for slot, uop in granted:
-            uop.issue_cycle = cycle
-            uop.iq_slot = -1
-            lat = self._execution_latency(uop)
-            if uop.dest_phys >= 0:
-                renamer.set_ready(uop.dest_phys, cycle + lat)
-            self._events.setdefault(cycle + lat, []).append(uop)
 
     def _execution_latency(self, uop: Uop) -> int:
         """Cycles from issue to writeback (loads access the hierarchy)."""
@@ -924,7 +884,6 @@ class Pipeline:
             tracker = self.slice_tracker
             mode_switch = self.mode_switch
             stall_policy = cfg.pubs.stall_policy
-        incremental = self._incremental_issue
         ready_cycle = renamer.ready_cycle
         wakeup = self._wakeup
         dispatched = retired = 0
@@ -996,35 +955,34 @@ class Pipeline:
                 lsq.insert(uop)
             if age_matrix is not None:
                 age_matrix.insert(slot)
-            if incremental:
-                # Register with the ready set: sources with a known ready
-                # cycle contribute to ``ready_at``; each source whose
-                # producer has not issued yet adds a pending count and a
-                # wakeup registration (duplicate source registers count
-                # -- and are later woken -- once per occurrence).
-                ready_at = pending = 0
-                for phys in uop.src_phys:
-                    rc = ready_cycle[phys]
-                    if rc == NEVER:
-                        pending += 1
-                        waiters = wakeup.get(phys)
-                        if waiters is None:
-                            wakeup[phys] = [uop]
-                        else:
-                            waiters.append(uop)
-                    elif rc > ready_at:
-                        ready_at = rc
-                uop.ready_at = ready_at  # partial max while pending
-                uop.pending_srcs = pending
-                if not pending:
-                    if ready_at <= cycle:
-                        self._ready_now.append(uop)
+            # Register with the ready set: sources with a known ready
+            # cycle contribute to ``ready_at``; each source whose
+            # producer has not issued yet adds a pending count and a
+            # wakeup registration (duplicate source registers count
+            # -- and are later woken -- once per occurrence).
+            ready_at = pending = 0
+            for phys in uop.src_phys:
+                rc = ready_cycle[phys]
+                if rc == NEVER:
+                    pending += 1
+                    waiters = wakeup.get(phys)
+                    if waiters is None:
+                        wakeup[phys] = [uop]
                     else:
-                        bucket = self._ready_buckets.get(ready_at)
-                        if bucket is None:
-                            self._ready_buckets[ready_at] = [uop]
-                        else:
-                            bucket.append(uop)
+                        waiters.append(uop)
+                elif rc > ready_at:
+                    ready_at = rc
+            uop.ready_at = ready_at  # partial max while pending
+            uop.pending_srcs = pending
+            if not pending:
+                if ready_at <= cycle:
+                    self._ready_now.append(uop)
+                else:
+                    bucket = self._ready_buckets.get(ready_at)
+                    if bucket is None:
+                        self._ready_buckets[ready_at] = [uop]
+                    else:
+                        bucket.append(uop)
             if uop.on_correct_path:
                 retired += 1
             dispatched += 1

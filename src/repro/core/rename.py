@@ -124,19 +124,6 @@ class Renamer:
             self._free_fp.append(phys)
         uop.prev_phys = -1
 
-    # ------------------------------------------------------------------
-    # Ready state
-    # ------------------------------------------------------------------
-
-    def set_ready(self, phys: int, cycle: int) -> None:
-        self.ready_cycle[phys] = cycle
-
-    def sources_ready(self, uop: Uop, cycle: int) -> bool:
-        for phys in uop.src_phys:
-            if self.ready_cycle[phys] > cycle:
-                return False
-        return True
-
     def invariant_free_disjoint(self) -> bool:
         """Sanity: no register is simultaneously free and mapped (tests)."""
         free = set(self._free_int) | set(self._free_fp)

@@ -64,10 +64,6 @@ class Uop:
         #: Number of sources still awaiting a producer's issue.
         self.pending_srcs = 0
 
-    @property
-    def issued(self) -> bool:
-        return self.issue_cycle >= 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         path = "C" if self.on_correct_path else "W"
         return (

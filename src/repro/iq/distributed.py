@@ -78,14 +78,6 @@ class DistributedIssueQueue:
     def priority_dispatches(self) -> int:
         return sum(q.priority_dispatches for q in self.queues.values())
 
-    def is_full(self) -> bool:
-        return all(q.is_full() for q in self.queues.values())
-
-    def has_free(self, priority: bool, fu: Optional[FuClass] = None) -> bool:
-        if fu is None:
-            return any(q.has_free(priority) for q in self.queues.values())
-        return self.queues[fu].has_free(priority)
-
     # ------------------------------------------------------------------
     # Dispatch / release -- same protocol as IssueQueue, composite handles
     # ------------------------------------------------------------------
@@ -120,10 +112,6 @@ class DistributedIssueQueue:
         for fu, queue in self.queues.items():
             for slot, uop in queue.occupied():
                 yield (fu.value, slot), uop
-
-    def at(self, handle: Handle):
-        fu_value, slot = handle
-        return self.queues[FuClass(fu_value)].at(slot)
 
 
 @dataclass

@@ -18,25 +18,34 @@ These organizations exist in the reproduction so the paper's Sec. III-B1
 claims can be measured (``benchmarks/bench_ablation_iq_orgs.py``): shifting
 beats random in IPC, and the circular queue suffers from holes and
 wrap-around.  They expose the same protocol as :class:`IssueQueue`
-(``dispatch`` / ``release`` / ``flush`` / ``occupied``) so the pipeline can
-swap them in; neither supports a PUBS partition (the paper applies PUBS to
-the random queue only).
+(``dispatch`` / ``release`` / ``flush`` / ``occupied``), and every entry
+handle ``dispatch`` returns is stable until its ``release``: ascending
+handle order is each queue's select-priority order, which is what the
+pipeline's ready set sorts its requests by.  Neither supports a PUBS
+partition (the paper applies PUBS to the random queue only).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class ShiftingQueue:
-    """Age-compacting IQ: physical position == age rank, always."""
+    """Age-compacting IQ: physical position == age rank, always.
+
+    An entry's handle is the queue's dispatch count when it entered.
+    Entries join at the tail and the compaction circuit keeps the rest in
+    order when one leaves, so an entry's physical position is its
+    handle's rank among the live handles: ascending handle order *is*
+    position order, and a handle never needs rewriting.
+    """
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("IQ size must be positive")
         self.size = size
         self.priority_entries = 0
-        self._entries: List[object] = []  # index 0 = oldest
+        self._entries: Dict[int, object] = {}  # handle -> uop, oldest first
         self.dispatches = 0
         self.priority_dispatches = 0
 
@@ -47,45 +56,30 @@ class ShiftingQueue:
     def is_full(self) -> bool:
         return len(self._entries) >= self.size
 
-    def has_free(self, priority: bool) -> bool:
-        return not self.is_full()
-
     def dispatch(self, uop: object, priority: bool = False) -> Optional[int]:
-        """Append at the tail (youngest); returns the current position."""
+        """Append at the tail (youngest); returns the entry's handle."""
         if self.is_full():
             return None
-        self._entries.append(uop)
+        handle = self.dispatches
+        self._entries[handle] = uop
         self.dispatches += 1
-        return len(self._entries) - 1
+        return handle
 
     def dispatch_uniform(self, uop: object) -> Optional[int]:
         return self.dispatch(uop)
 
-    def release(self, slot: int) -> None:
-        """Remove the entry at ``slot``; younger entries compact down.
-
-        This models the compaction circuit: the physical position of every
-        younger instruction decreases, keeping age order intact.
-        """
-        if not 0 <= slot < len(self._entries):
-            raise ValueError(f"releasing an empty IQ slot: {slot}")
-        self._entries.pop(slot)
-
-    def release_uop(self, uop: object) -> None:
-        """Release by identity (positions shift, so callers track uops)."""
-        self._entries.remove(uop)
+    def release(self, handle: int) -> None:
+        """Remove an entry; younger entries compact down in age order."""
+        if self._entries.pop(handle, None) is None:
+            raise ValueError(f"releasing an empty IQ entry: {handle}")
 
     def flush(self, keep) -> None:
-        self._entries = [u for u in self._entries if keep(u)]
+        self._entries = {handle: uop for handle, uop in self._entries.items()
+                         if keep(uop)}
 
     def occupied(self) -> Iterator[Tuple[int, object]]:
-        """(position, uop) oldest-first == highest-priority-first."""
-        return enumerate(self._entries)
-
-    def at(self, slot: int) -> Optional[object]:
-        if 0 <= slot < len(self._entries):
-            return self._entries[slot]
-        return None
+        """(handle, uop) oldest-first == highest-priority-first."""
+        return iter(self._entries.items())
 
 
 class CircularQueue:
@@ -97,6 +91,7 @@ class CircularQueue:
     inefficiency the paper describes).  Select priority is physical
     position, so the wrapped portion of the queue -- physically below the
     head -- is mis-prioritized (the "reversed issue priority" problem).
+    An entry's handle is its physical slot: entries never move.
     """
 
     def __init__(self, size: int):
@@ -110,11 +105,9 @@ class CircularQueue:
         self._live = 0  # slots between head and tail (incl. holes)
         self.dispatches = 0
         self.priority_dispatches = 0
-
-    @property
-    def occupancy(self) -> int:
-        """Valid instructions (excludes holes)."""
-        return sum(1 for s in self._slots if s is not None)
+        #: Valid instructions (holes excluded), kept by dispatch, release
+        #: and flush: the pipeline samples it every cycle.
+        self.occupancy = 0
 
     @property
     def reserved(self) -> int:
@@ -124,9 +117,6 @@ class CircularQueue:
     def is_full(self) -> bool:
         return self._live >= self.size
 
-    def has_free(self, priority: bool) -> bool:
-        return not self.is_full()
-
     def dispatch(self, uop: object, priority: bool = False) -> Optional[int]:
         if self.is_full():
             return None
@@ -134,6 +124,7 @@ class CircularQueue:
         self._slots[slot] = uop
         self._tail = (self._tail + 1) % self.size
         self._live += 1
+        self.occupancy += 1
         self.dispatches += 1
         return slot
 
@@ -146,6 +137,7 @@ class CircularQueue:
         if self._slots[slot] is None:
             raise ValueError(f"releasing an empty IQ slot: {slot}")
         self._slots[slot] = None
+        self.occupancy -= 1
         self._reclaim()
 
     def _reclaim(self) -> None:
@@ -157,6 +149,7 @@ class CircularQueue:
         for slot, uop in enumerate(self._slots):
             if uop is not None and not keep(uop):
                 self._slots[slot] = None
+                self.occupancy -= 1
         self._reclaim()
 
     def occupied(self) -> Iterator[Tuple[int, object]]:
@@ -165,6 +158,3 @@ class CircularQueue:
         for slot, uop in enumerate(self._slots):
             if uop is not None:
                 yield slot, uop
-
-    def at(self, slot: int) -> Optional[object]:
-        return self._slots[slot]

@@ -66,15 +66,6 @@ class IssueQueue:
     def free_normal_count(self) -> int:
         return len(self._free_normal)
 
-    def is_full(self) -> bool:
-        return self.occupancy == self.size
-
-    def has_free(self, priority: bool) -> bool:
-        """Whether a dispatch into the given partition can proceed."""
-        if priority:
-            return bool(self._free_priority)
-        return bool(self._free_normal)
-
     # ------------------------------------------------------------------
     # Dispatch / release
     # ------------------------------------------------------------------
@@ -151,6 +142,3 @@ class IssueQueue:
         for slot, uop in enumerate(self._slots):
             if uop is not None:
                 yield slot, uop
-
-    def at(self, slot: int) -> Optional[object]:
-        return self._slots[slot]

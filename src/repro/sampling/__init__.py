@@ -49,7 +49,6 @@ from .aggregate import (
     SampledEstimate,
     estimate_cpi,
     estimate_misspec_penalty,
-    weighted_counter,
     weighted_ratio,
 )
 from .regions import (
@@ -107,7 +106,6 @@ __all__ = [
     "sampled_vs_full_error",
     "shared_schedule",
     "signature_distance",
-    "weighted_counter",
     "weighted_ratio",
     "window_signature",
 ]

@@ -152,20 +152,6 @@ def weighted_ratio(results: Sequence[SimulationResult],
     return scale * _ratio(total_num, total_den)
 
 
-def weighted_counter(results: Sequence[SimulationResult],
-                     weights: "Sequence[int] | None",
-                     fn: Callable[[SimulationResult], float]) -> float:
-    """Weighted whole-span total of a per-region counter.
-
-    The counter analogue of :func:`weighted_ratio`: each region's raw
-    count scales by its plan weight, so topdown slot buckets (and any
-    other additive counter) aggregate with the same honesty as CPI --
-    a SimPoint representative stands for its whole cluster.
-    """
-    weights = _region_weights(results, weights)
-    return float(sum(w * fn(r) for w, r in zip(weights, results)))
-
-
 def estimate_cpi(results: Sequence[SimulationResult],
                  weights: "Sequence[int] | None" = None) -> SampledEstimate:
     """Whole-span cycles-per-instruction from per-region windows."""

@@ -11,12 +11,12 @@ A table's deliverable is a column of *speedups*: on shared windows the
 paired estimator (:mod:`repro.sampling.paired`) usually meets the target
 with far fewer regions than either side's CPI needs, and the workloads
 that remain loose differ wildly (Constantinou et al.'s cross-workload
-variance).  So after every round the controller re-scores all
-still-open workloads by their worst CI-to-target ratio -- the paired
-speedup CI of each variant against the first config, or the CPI CI of a
-one-config session -- and the single worst workload receives the next
-batch.  The loop stops when every workload meets the target or nothing
-can escalate (region caps, nothing left to split).
+variance).  So the controller scores every workload by its worst
+CI-to-target ratio -- the paired speedup CI of each variant against the
+first config, or the CPI CI of a one-config session -- re-scores a
+workload whenever it escalates, and hands the next batch to the single
+worst open one.  The loop stops when every workload meets the target or
+nothing can escalate (region caps, nothing left to split).
 
 Determinism and cache identity are preserved: the controller never
 alters *what* a session simulates, only *how far* each one walks its own
@@ -93,25 +93,29 @@ class TableController:
     def run(self) -> None:
         """Escalate the worst open workload until the table converges.
 
-        Each round: measure everything pending, score every workload
-        still above target that can still grow, and hand the next
-        lockstep batch to the single worst one.  ``max`` keeps the
-        first maximum, and the candidate list follows insertion order,
-        so the spend sequence is deterministic.
+        Each round: among the workloads still above target that can
+        still grow, hand the next lockstep batch to the single worst
+        one.  ``max`` keeps the first maximum, and the candidate list
+        follows insertion order, so the spend sequence is deterministic.
+        A workload's score depends on its own runs alone, so each is
+        scored once after the first measurement and then only when it
+        escalates.
         """
+        sessions = self._sessions
         for name in self._names:
-            self._sessions[name].measure_all()
+            sessions[name].measure_all()
+        scores = {name: self._ratio(sessions[name]) for name in self._names}
         while True:
             candidates = [name for name in self._names
-                          if self._ratio(self._sessions[name]) > 1.0
-                          and self._sessions[name].can_escalate]
+                          if scores[name] > 1.0
+                          and sessions[name].can_escalate]
             if not candidates:
                 return
-            worst = max(candidates,
-                        key=lambda name: self._ratio(self._sessions[name]))
-            session = self._sessions[worst]
+            worst = max(candidates, key=scores.__getitem__)
+            session = sessions[worst]
             session.escalate_all()
             session.measure_all()
+            scores[worst] = self._ratio(session)
 
     # ------------------------------------------------------------------
     # Results and spend accounting

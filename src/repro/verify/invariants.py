@@ -18,7 +18,8 @@ Built-in invariants:
     The three window structures agree: ROB/LSQ entries are in fetch order
     and within capacity, the LSQ holds exactly the ROB's in-flight memory
     uops, and the IQ's occupancy equals the ROB's dispatched-but-unissued
-    population, entry by entry.
+    population, entry by entry, each entry under the handle its uop was
+    dispatched with (every IQ organization's handles are stable).
 ``priority-partition-bounds``
     The PUBS split free lists are well-formed: priority slots stay below
     ``priority_entries`` (per queue in the distributed organization), both
@@ -64,7 +65,6 @@ from typing import Callable, Dict, Iterable, Tuple
 
 from ..branch.confidence import ResettingConfidenceCounter
 from ..iq.distributed import DistributedIssueQueue
-from ..iq.ordered import ShiftingQueue
 from ..iq.queue import IssueQueue
 from ..pubs.tables import BrsliceTab, ConfTab, DefTab, Pointer
 from .violations import InvariantViolation
@@ -278,10 +278,6 @@ def check_occupancy_agreement(pipeline) -> None:
             name,
             f"IQ occupancy {iq.occupancy} disagrees with the ROB's "
             f"dispatched-unissued population {iq_resident}", cycle=cycle)
-    # The shifting queue compacts positions on every release, so a uop's
-    # dispatch-time handle is stale by design (the scan issue path re-reads
-    # positions from occupied(); iq_slot only flags IQ residence there).
-    stable_handles = not isinstance(iq, ShiftingQueue)
     occupied = 0
     for slot, uop in iq.occupied():
         occupied += 1
@@ -297,7 +293,7 @@ def check_occupancy_agreement(pipeline) -> None:
             raise InvariantViolation(
                 name, "IQ entry holds an already-issued uop", cycle=cycle,
                 uop=uop, snapshot={"slot": slot})
-        if stable_handles and uop.iq_slot != slot:
+        if uop.iq_slot != slot:
             raise InvariantViolation(
                 name,
                 f"IQ entry {slot} holds a uop whose handle says "
@@ -390,8 +386,6 @@ def check_confidence_counters(pipeline) -> None:
 def check_scheduler_wakeup(pipeline) -> None:
     """Incremental ready-set bookkeeping matches pending-source counts."""
     name = "scheduler-wakeup-consistency"
-    if not pipeline._incremental_issue:
-        return
     cycle = pipeline.cycle
     num_phys = pipeline.renamer.num_phys
     registrations: Dict[int, int] = {}

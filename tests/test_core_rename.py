@@ -29,9 +29,9 @@ class TestInitialState:
     def test_initial_registers_ready(self):
         r = Renamer(128, 128)
         uop = _uop(_addi(int_reg(1), int_reg(2)))
-        assert r.sources_ready(uop, cycle=0) or not uop.src_phys  # pre-rename
         r.rename(uop)
-        assert r.sources_ready(uop, cycle=0)
+        assert uop.src_phys
+        assert all(r.ready_cycle[phys] <= 0 for phys in uop.src_phys)
 
     def test_minimum_sizes_enforced(self):
         with pytest.raises(ValueError):
@@ -120,10 +120,10 @@ class TestCommitAndSquash:
         r.rename(uop)
         consumer = _uop(_addi(int_reg(3), int_reg(1)), seq=1)
         r.rename(consumer)
-        assert not r.sources_ready(consumer, cycle=100)
-        r.set_ready(uop.dest_phys, 50)
-        assert not r.sources_ready(consumer, cycle=49)
-        assert r.sources_ready(consumer, cycle=50)
+        assert consumer.src_phys == (uop.dest_phys,)
+        assert r.ready_cycle[uop.dest_phys] == NEVER  # producer in flight
+        r.ready_cycle[uop.dest_phys] = 50  # the producer issues
+        assert r.ready_cycle[consumer.src_phys[0]] == 50
 
 
 @given(st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=80))

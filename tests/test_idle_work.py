@@ -40,6 +40,8 @@ CONFIGS = {
         PubsConfig(stall_policy=False, priority_entries=4)),
     "distributed": BASE.with_overrides(distributed_iq=True).with_pubs(),
     "age-matrix": BASE.with_age_matrix(),
+    "shifting": BASE.with_overrides(iq_organization="shifting"),
+    "circular": BASE.with_overrides(iq_organization="circular"),
     "smt": BASE.with_pubs().with_smt(),
     # Two L1I lines: fetch stalls on I-misses while the front-end head
     # is still too young to dispatch.

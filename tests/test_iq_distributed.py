@@ -49,7 +49,7 @@ class TestDispatchRouting:
         for i in range(mult_size):
             assert diq.dispatch(FakeUop(i, FuClass.IMULT), False) is not None
         assert diq.dispatch(FakeUop(99, FuClass.IMULT), False) is None
-        assert not diq.is_full()
+        assert diq.occupancy == mult_size < diq.size
         assert diq.dispatch(FakeUop(100, FuClass.IALU), False) is not None
 
     def test_release_by_handle(self):
@@ -79,8 +79,8 @@ class TestDispatchRouting:
         diq.dispatch(FakeUop(1, FuClass.FPU), False)
         entries = list(diq.occupied())
         assert len(entries) == 2
-        for handle, uop in entries:
-            assert diq.at(handle) is uop
+        for (fu_value, slot), uop in entries:
+            assert dict(diq.queues[FuClass(fu_value)].occupied())[slot] is uop
 
 
 class TestDistributedSelect:

@@ -14,20 +14,14 @@ class TestShiftingQueue:
         assert [u for _, u in q.occupied()] == ["a", "b", "c"]
 
     def test_compaction_on_release(self):
+        """Release keeps the rest in age order."""
         q = ShiftingQueue(8)
-        for uop in "abcd":
-            q.dispatch(uop)
-        q.release(1)  # remove "b"
+        handles = {uop: q.dispatch(uop) for uop in "abcd"}
+        q.release(handles["b"])
         assert [u for _, u in q.occupied()] == ["a", "c", "d"]
-        # Positions are contiguous after compaction.
-        assert [slot for slot, _ in q.occupied()] == [0, 1, 2]
-
-    def test_release_by_identity(self):
-        q = ShiftingQueue(4)
-        q.dispatch("a")
-        q.dispatch("b")
-        q.release_uop("a")
-        assert [u for _, u in q.occupied()] == ["b"]
+        # The survivors keep their handles, in ascending (position) order.
+        assert [h for h, _ in q.occupied()] == \
+            [handles["a"], handles["c"], handles["d"]]
 
     def test_capacity(self):
         q = ShiftingQueue(2)
@@ -48,16 +42,26 @@ class TestShiftingQueue:
         with pytest.raises(ValueError):
             q.release(0)
 
-    def test_oldest_always_at_slot_zero(self):
+    def test_release_of_an_absent_handle_raises(self):
+        q = ShiftingQueue(4)
+        handle = q.dispatch("a")
+        q.dispatch("b")
+        q.release(handle)
+        with pytest.raises(ValueError):
+            q.release(handle)  # already released
+        with pytest.raises(ValueError):
+            q.release(handle + 99)  # never handed out
+        assert [u for _, u in q.occupied()] == ["b"]
+
+    def test_first_occupied_entry_is_the_oldest(self):
         """The defining property: position priority == age priority."""
         q = ShiftingQueue(8)
-        for i in range(6):
-            q.dispatch(i)
-        q.release(0)
-        q.release(2)
+        handles = [q.dispatch(i) for i in range(6)]
+        q.release(handles[0])
+        q.release(handles[3])
         remaining = [u for _, u in q.occupied()]
         assert remaining == sorted(remaining)
-        assert q.at(0) == min(remaining)
+        assert next(q.occupied())[1] == min(remaining)
 
 
 class TestCircularQueue:
@@ -103,6 +107,7 @@ class TestCircularQueue:
             q.dispatch(v)
         q.flush(keep=lambda u: u < 5)
         assert q.occupancy == 2
+        assert [u for _, u in q.occupied()] == [1, 2]
 
     def test_release_empty_slot(self):
         q = CircularQueue(4)
@@ -124,8 +129,8 @@ def test_property_shifting_queue_stays_age_sorted(ops):
             q.dispatch(counter)
             counter += 1
         elif op == "r" and q.occupancy:
-            slot = rng.randrange(q.occupancy)
-            q.release(slot)
+            handle, _ = rng.choice(list(q.occupied()))
+            q.release(handle)
         ages = [u for _, u in q.occupied()]
         assert ages == sorted(ages)
 
@@ -150,3 +155,4 @@ def test_property_circular_queue_invariants(ops):
             if live:
                 q.release(rng.choice(live))
         assert 0 <= q.occupancy <= q.reserved <= 8
+        assert q.occupancy == len(list(q.occupied()))

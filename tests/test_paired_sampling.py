@@ -349,6 +349,31 @@ class TestTableController:
         assert first.escalations == 1 and second.escalations == 1
         assert log == ["first", "second"]
 
+    def test_each_session_is_scored_once_per_measurement(self,
+                                                         monkeypatch):
+        # A score depends only on its own session's runs: one score per
+        # session after the first measurement, then one per escalation.
+        calls = []
+        real = TableController._criterion
+
+        def criterion(self, session):
+            calls.append(session)
+            return real(self, session)
+
+        monkeypatch.setattr(TableController, "_criterion", criterion)
+        controller = TableController(0.05)
+        sessions = [_FakeSession([0.01]), _FakeSession([0.20, 0.08, 0.04]),
+                    _FakeSession([0.30, 0.06, 0.02]),
+                    _FakeSession([0.40, 0.30])]
+        for i, session in enumerate(sessions):
+            controller.add(f"w{i}", session)
+        controller.run()
+        escalations = sum(s.escalations for s in sessions)
+        assert escalations == 5
+        assert len(calls) == len(sessions) + escalations
+        for session in sessions:
+            assert calls.count(session) == 1 + session.escalations
+
     def test_capped_workload_stops_without_converging(self):
         controller = TableController(0.05)
         capped = _FakeSession([0.40, 0.30])

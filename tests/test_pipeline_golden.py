@@ -5,10 +5,10 @@ The hot-path optimizations in ``core/pipeline.py``, ``iq/queue.py`` and
 hard requirement: **bit-identical** behaviour.  These goldens were captured
 from the pre-optimization simulator on fixed-seed workloads covering every
 scheduling path -- the random queue with and without PUBS, the age matrix,
-the distributed IQ, and the shifting organization (which keeps the legacy
-scan-based issue loop).  Any timing-visible change to the scheduler must
-reproduce these counters exactly or consciously update them (and bump
-``repro.exec.serialize.CACHE_SCHEMA_VERSION`` alongside).
+the distributed IQ, the shifting organization and the circular one (whose
+lingering holes block dispatch on astar).  Any timing-visible change to the
+scheduler must reproduce these counters exactly or consciously update
+them (and bump ``repro.exec.serialize.CACHE_SCHEMA_VERSION`` alongside).
 """
 
 import dataclasses
@@ -28,6 +28,8 @@ CONFIGS = {
                       BASE.with_overrides(distributed_iq=True).with_pubs()),
     "gobmk_shift": ("gobmk",
                     BASE.with_overrides(iq_organization="shifting")),
+    "astar_circular": ("astar",
+                       BASE.with_overrides(iq_organization="circular")),
 }
 
 INSTRUCTIONS = 3000
@@ -129,6 +131,24 @@ GOLDEN_STATS = {
         "iq_occupancy_sum": 80867, "llc_misses": 1, "l1d_misses": 180, "l1i_misses": 0,
         "smt_injections": 0,
     },
+    "astar_circular": {
+        "cycles": 5451, "committed": 3000, "fetched": 9698,
+        "wrong_path_fetched": 6695, "cond_branches": 215,
+        "mispredictions": 82, "btb_misses_taken": 0,
+        "missspec_penalty_cycles": 3786, "missspec_frontend_cycles": 1634,
+        "missspec_iq_wait_cycles": 2070, "missspec_execute_cycles": 82,
+        "dispatch_stall_cycles": 2245, "rob_full_stall_cycles": 0,
+        "iq_full_stall_cycles": 940, "lsq_full_stall_cycles": 0,
+        "regs_full_stall_cycles": 1305, "priority_stall_cycles": 0,
+        "priority_dispatches": 0, "unconfident_dispatches": 0,
+        "td_retire_slots": 3003, "td_wrongpath_slots": 4552,
+        "td_recovery_slots": 4920, "td_fe_fetch_slots": 782,
+        "td_fe_l1i_slots": 0, "td_be_rob_slots": 0,
+        "td_be_iq_slots": 3359, "td_be_lsq_slots": 0,
+        "td_be_regs_slots": 5188, "td_be_priority_slots": 0,
+        "iq_occupancy_sum": 49423, "llc_misses": 21, "l1d_misses": 219, "l1i_misses": 0,
+        "smt_injections": 0,
+    },
 }
 
 #: Derived/side-structure metrics (floats; still deterministic).
@@ -148,6 +168,9 @@ GOLDEN_EXTRA = {
     "gobmk_shift": {"predictor_accuracy": 0.7327586206896552,
                     "select_avg_grants": 1.5335929892891917,
                     "iq_priority_dispatches": 0},
+    "astar_circular": {"predictor_accuracy": 0.6121883656509695,
+                       "select_avg_grants": 1.2285819115758576,
+                       "iq_priority_dispatches": 0},
 }
 
 

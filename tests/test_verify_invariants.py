@@ -113,6 +113,18 @@ class TestOccupancyAgreement:
         violation = expect_violation(base_pipeline, "rob-iq-lsq-agreement")
         assert "handle" in violation.detail or "disagrees" in violation.detail
 
+    def test_stale_handle_on_a_shifting_pipeline_detected(self):
+        """Shifting-queue handles are stable too: an entry whose uop
+        names another live entry's handle is caught."""
+        pipeline = warmed_pipeline(
+            BASE.with_overrides(iq_organization="shifting"))
+        default_registry().run(pipeline)
+        (first, uop), (second, _) = list(pipeline.iq.occupied())[:2]
+        uop.iq_slot = second
+        violation = expect_violation(pipeline, "rob-iq-lsq-agreement")
+        assert f"IQ entry {first} holds a uop whose handle says {second}" \
+            in violation.detail
+
     def test_squashed_uop_lingering_in_iq_detected(self, base_pipeline):
         _, uop = next(iter(base_pipeline.iq.occupied()))
         uop.squashed = True
@@ -200,7 +212,6 @@ class TestConfidenceCounterRange:
 
 class TestSchedulerWakeup:
     def test_phantom_pending_source_detected(self, base_pipeline):
-        assert base_pipeline._incremental_issue
         _, uop = next(iter(base_pipeline.iq.occupied()))
         uop.pending_srcs += 1  # claims a wakeup that was never registered
         violation = expect_violation(base_pipeline,
@@ -214,11 +225,16 @@ class TestSchedulerWakeup:
                                      "scheduler-wakeup-consistency")
         assert "negative" in violation.detail
 
-    def test_skipped_for_scan_based_organizations(self):
+    @pytest.mark.parametrize("organization", ["shifting", "circular"])
+    def test_phantom_pending_source_detected_on_ordered_queues(
+            self, organization):
         pipeline = warmed_pipeline(
-            BASE.with_overrides(iq_organization="shifting"))
-        assert not pipeline._incremental_issue
-        default_registry().run(pipeline)  # wakeup check is a no-op there
+            BASE.with_overrides(iq_organization=organization))
+        default_registry().run(pipeline)
+        _, uop = next(iter(pipeline.iq.occupied()))
+        uop.pending_srcs += 1
+        violation = expect_violation(pipeline, "scheduler-wakeup-consistency")
+        assert "pending_srcs" in violation.detail
 
 
 class TestTraceSequence:
