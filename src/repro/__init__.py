@@ -40,7 +40,6 @@ from .core import (
     ProcessorConfig,
     SimStats,
     SimulationResult,
-    SmtConfig,
     simulate,
     size_models,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ProcessorConfig",
     "SimStats",
     "SimulationResult",
-    "SmtConfig",
     "simulate",
     "size_models",
     "ResultCache",

@@ -9,79 +9,82 @@ them *exactly* on an executed instruction window, providing ground truth
 for tests and a workload-characterization tool (average slice size/depth,
 the fraction of the dynamic stream inside branch slices -- the quantity
 that sizes the priority partition).
-
-Graphs are :class:`networkx.DiGraph` with dynamic sequence numbers as nodes
-and producer -> consumer edges for register dataflow.  networkx is the
-optional ``analysis`` extra: it is imported by the functions that build or
-walk a graph, so ``import repro`` works without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..isa.executor import DynamicOp, FunctionalExecutor
 from ..isa.instruction import Program
 
-if TYPE_CHECKING:
-    import networkx as nx
 
-
-def build_dataflow_graph(records: Iterable[DynamicOp]) -> "nx.DiGraph":
+@dataclass(frozen=True)
+class DataflowGraph:
     """The dynamic register-dataflow graph of an executed window.
 
-    Node ``seq`` carries attributes ``pc`` and ``is_branch``; an edge
-    ``p -> c`` means instruction ``c`` reads a register whose last writer
-    in the window is ``p``.  Memory dependences are *not* edges (the paper
-    defines slices over register dataflow tracked by ``def_tab``).
+    Nodes are dynamic sequence numbers.  ``producers[c]`` holds every
+    ``p`` with an edge ``p -> c``: instruction ``c`` reads a register
+    whose last writer in the window is ``p``, so ``p < c``.  Memory
+    dependences are *not* edges (the paper defines slices over register
+    dataflow tracked by ``def_tab``).  ``branches`` lists the conditional
+    branches in program order.
     """
-    import networkx as nx
-    graph = nx.DiGraph()
+
+    producers: Dict[int, Tuple[int, ...]]
+    branches: Tuple[int, ...]
+
+
+def build_dataflow_graph(records: Iterable[DynamicOp]) -> DataflowGraph:
+    """The dynamic register-dataflow graph of an executed window."""
+    producers: Dict[int, Tuple[int, ...]] = {}
+    branches: List[int] = []
     last_writer: Dict[int, int] = {}
     for record in records:
         inst = record.inst
-        graph.add_node(record.seq, pc=inst.pc,
-                       is_branch=inst.is_conditional_branch)
-        for src in inst.srcs:
-            producer = last_writer.get(src)
-            if producer is not None:
-                graph.add_edge(producer, record.seq)
+        producers[record.seq] = tuple(
+            last_writer[src] for src in inst.srcs if src in last_writer)
+        if inst.is_conditional_branch:
+            branches.append(record.seq)
         if inst.dest is not None:
             last_writer[inst.dest] = record.seq
-    return graph
+    return DataflowGraph(producers, tuple(branches))
 
 
-def dynamic_slice(graph: "nx.DiGraph", seq: int) -> Set[int]:
+def dynamic_slice(graph: DataflowGraph, seq: int) -> Set[int]:
     """The slice rooted at node ``seq``: its ancestors plus itself."""
-    import networkx as nx
-    if seq not in graph:
+    if seq not in graph.producers:
         raise KeyError(f"no instruction with seq {seq} in the window")
-    members = set(nx.ancestors(graph, seq))
-    members.add(seq)
+    members = {seq}
+    stack = [seq]
+    while stack:
+        for producer in graph.producers[stack.pop()]:
+            if producer not in members:
+                members.add(producer)
+                stack.append(producer)
     return members
 
 
-def branch_slices(graph: "nx.DiGraph") -> Dict[int, Set[int]]:
+def branch_slices(graph: DataflowGraph) -> Dict[int, Set[int]]:
     """All branch slices in the window, keyed by branch seq."""
-    return {
-        seq: dynamic_slice(graph, seq)
-        for seq, data in graph.nodes(data=True)
-        if data["is_branch"]
-    }
+    return {seq: dynamic_slice(graph, seq) for seq in graph.branches}
 
 
-def slice_depth(graph: "nx.DiGraph", seq: int) -> int:
+def slice_depth(graph: DataflowGraph, seq: int) -> int:
     """Length of the longest dependence chain ending at ``seq``.
 
     This is the number of extra cycles a one-cycle-per-step issue delay
     adds to the branch's resolution -- the paper's five-instruction-chain
-    example in Sec. I.
+    example in Sec. I.  A producer's seq is below its consumers', so
+    walking the slice in seq order meets every producer before the
+    members that read it.
     """
-    import networkx as nx
-    members = dynamic_slice(graph, seq)
-    sub = graph.subgraph(members)
-    return int(nx.dag_longest_path_length(sub))
+    depth: Dict[int, int] = {}
+    for node in sorted(dynamic_slice(graph, seq)):
+        depth[node] = max((depth[p] + 1 for p in graph.producers[node]),
+                          default=0)
+    return depth[seq]
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,6 @@ def _machine_from_args(args) -> ProcessorConfig:
                 priority_entries=args.priority_entries,
                 stall_policy=not args.non_stall,
             ))
-        if args.smt:
-            flags = f"--smt-interleave {args.smt_interleave}"
-            cfg = cfg.with_smt(interleave=args.smt_interleave)
     except ValueError as exc:
         raise ValueError(f"{flags}: {exc}") from None
     return cfg
@@ -123,13 +120,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="IQ organization (Sec. III-B1)")
     parser.add_argument("--distributed", action="store_true",
                         help="distribute the IQ per FU class (Sec. III-C2)")
-    parser.add_argument("--smt", action="store_true",
-                        help="enable the SMT-interference co-runner "
-                             "(pollutes predictor/BTB/PUBS tables)")
-    parser.add_argument("--smt-interleave", type=int, default=64,
-                        metavar="N",
-                        help="commits between co-runner bursts "
-                             "(default 64; smaller = more interference)")
 
 
 def _positive_float(text: str) -> float:

@@ -7,7 +7,6 @@ from .pipeline import DeadlockError, Pipeline, build_predictor
 from .rename import RenameError, Renamer
 from .rob import ReorderBuffer
 from .simulator import SimulationResult, simulate
-from .smt import SmtConfig, SmtInterference
 from .stats import (
     D_BP_BRANCH_MPKI_THRESHOLD,
     MEMORY_INTENSIVE_LLC_MPKI_THRESHOLD,
@@ -29,8 +28,6 @@ __all__ = [
     "ReorderBuffer",
     "SimulationResult",
     "simulate",
-    "SmtConfig",
-    "SmtInterference",
     "D_BP_BRANCH_MPKI_THRESHOLD",
     "MEMORY_INTENSIVE_LLC_MPKI_THRESHOLD",
     "SimStats",

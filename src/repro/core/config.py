@@ -23,7 +23,6 @@ from typing import Dict, Optional
 from ..iq.select import FuPool
 from ..memory.hierarchy import MemoryConfig
 from ..pubs.config import PubsConfig
-from .smt import SmtConfig
 
 
 @dataclass(frozen=True)
@@ -127,13 +126,6 @@ class ProcessorConfig:
     verify_level: str = "off"
     #: Cycle interval between invariant sweeps at ``verify_level="full"``.
     verify_interval: int = 256
-    #: SMT-interference co-runner (:mod:`repro.core.smt`): when enabled, a
-    #: second context's branches pollute the shared predictor, BTB and PUBS
-    #: confidence/slice tables on a configurable interleave.  Part of the
-    #: configuration hash, so interference sweeps cache like any other
-    #: config axis; excluded from the batch signature and warm-checkpoint
-    #: keys because injection happens only during the timed phase.
-    smt: SmtConfig = field(default_factory=SmtConfig)
 
     def __post_init__(self) -> None:
         for n in ("fetch_width", "decode_width", "issue_width", "commit_width",
@@ -203,14 +195,6 @@ class ProcessorConfig:
                 f"unknown frontend mode: {mode!r} (the live front end was "
                 "removed; trace replay is the only timed front end)")
         return self
-
-    def with_smt(self, smt: SmtConfig = None, **knobs) -> "ProcessorConfig":
-        """This machine with SMT interference enabled.
-
-        ``knobs`` override individual :class:`SmtConfig` fields when no
-        explicit config is given (e.g. ``with_smt(interleave=32)``).
-        """
-        return replace(self, smt=smt or SmtConfig(enabled=True, **knobs))
 
     def with_region(self, start: int, warmup: int,
                     detail: int = 0) -> "ProcessorConfig":

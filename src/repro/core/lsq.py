@@ -38,13 +38,6 @@ class LoadStoreQueue:
     def __iter__(self):
         return iter(self._entries)
 
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.size
-
-    @property
-    def free_entries(self) -> int:
-        return self.size - len(self._entries)
-
     def insert(self, uop: Uop) -> None:
         """Dispatch-time entry allocation (in fetch order)."""
         entries = self._entries

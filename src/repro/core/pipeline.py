@@ -286,14 +286,6 @@ class Pipeline:
             self.verifier = PipelineVerifier(
                 self, cfg.verify_level, cfg.verify_interval,
                 mem_seed=mem_seed)
-        #: SMT-interference co-runner (repro.core.smt): None when disabled
-        #: -- the uncontended hot path pays one attribute check per commit.
-        #: Injects only during timed commits (never the warm phase), so
-        #: injection points depend on the commit stream alone.
-        self._smt = None
-        if cfg.smt.enabled:
-            from .smt import SmtInterference
-            self._smt = SmtInterference(cfg.smt)
 
     # ==================================================================
     # Public driver
@@ -647,7 +639,6 @@ class Pipeline:
             renamer = self.renamer
             limit = self._commit_limit
             verifier = self.verifier
-            smt = self._smt
             for _ in range(self.config.commit_width):
                 if limit is not None and stats.committed >= limit:
                     break
@@ -671,8 +662,6 @@ class Pipeline:
                         inst.pc, correct=not uop.mispredicted
                     )
                 stats.committed += 1
-                if smt is not None:
-                    smt.on_commit(self)
                 if verifier is not None:
                     verifier.on_commit(uop)
                 if self.commit_hook is not None:

@@ -55,22 +55,6 @@ class Renamer:
         ]
 
     # ------------------------------------------------------------------
-    # Capacity
-    # ------------------------------------------------------------------
-
-    def can_rename(self, uop: Uop) -> bool:
-        dest = uop.inst.dest
-        return dest is None or bool(self.free_lists[dest])
-
-    @property
-    def free_int_count(self) -> int:
-        return len(self._free_int)
-
-    @property
-    def free_fp_count(self) -> int:
-        return len(self._free_fp)
-
-    # ------------------------------------------------------------------
     # Rename / checkpoint / recovery / commit
     # ------------------------------------------------------------------
 
@@ -123,8 +107,3 @@ class Renamer:
         else:
             self._free_fp.append(phys)
         uop.prev_phys = -1
-
-    def invariant_free_disjoint(self) -> bool:
-        """Sanity: no register is simultaneously free and mapped (tests)."""
-        free = set(self._free_int) | set(self._free_fp)
-        return not free.intersection(self.map)

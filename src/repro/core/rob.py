@@ -23,13 +23,6 @@ class ReorderBuffer:
     def __iter__(self):
         return iter(self._entries)
 
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.size
-
-    @property
-    def free_entries(self) -> int:
-        return self.size - len(self._entries)
-
     def append(self, uop: Uop) -> None:
         entries = self._entries
         if len(entries) >= self.size:

@@ -73,10 +73,6 @@ class SimStats:
     l1d_misses: int = 0
     l1i_misses: int = 0
 
-    # SMT interference (repro.core.smt): co-runner branches resolved
-    # against the shared predictor/BTB/confidence tables this run.
-    smt_injections: int = 0
-
     # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------

@@ -52,7 +52,9 @@ from typing import Any
 #: topdown-cycle-accounting invariant, so every key rolls over.
 #: v7: trace replay became the only timed front end -- ProcessorConfig
 #: and SimulationResult lost frontend_mode, so every key rolls over.
-CACHE_SCHEMA_VERSION = 7
+#: v8: the SMT co-runner is gone -- ProcessorConfig lost its smt block
+#: and SimStats its smt_injections counter, so every key rolls over.
+CACHE_SCHEMA_VERSION = 8
 
 
 def canonicalize(obj: Any) -> Any:

@@ -55,18 +55,6 @@ class IssueQueue:
         self.occupancy = 0
 
     # ------------------------------------------------------------------
-    # Capacity queries
-    # ------------------------------------------------------------------
-
-    @property
-    def free_priority_count(self) -> int:
-        return len(self._free_priority)
-
-    @property
-    def free_normal_count(self) -> int:
-        return len(self._free_normal)
-
-    # ------------------------------------------------------------------
     # Dispatch / release
     # ------------------------------------------------------------------
 

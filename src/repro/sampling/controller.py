@@ -40,7 +40,7 @@ class TableController:
     :class:`AdaptiveSession` yourself -- its constructor acquires the
     trace, so per-workload capture failures surface at add time where
     the caller can fall back that one workload without losing the
-    table).  :meth:`run` drives the whole table to the target;
+    table).  :meth:`run` drives the whole table to the target; then
     :meth:`results` returns each workload's per-config runs with
     convergence judged on the *table's* criterion.
     """
@@ -51,6 +51,8 @@ class TableController:
         self.ci_target = ci_target
         self._names: List[str] = []
         self._sessions: Dict[str, AdaptiveSession] = {}
+        #: Each workload's CI-to-target ratio as :meth:`run` left it.
+        self._scores: Dict[str, float] = {}
 
     def add(self, name: str, session: AdaptiveSession) -> None:
         if name in self._sessions:
@@ -104,7 +106,8 @@ class TableController:
         sessions = self._sessions
         for name in self._names:
             sessions[name].measure_all()
-        scores = {name: self._ratio(sessions[name]) for name in self._names}
+        self._scores = scores = {name: self._ratio(sessions[name])
+                                 for name in self._names}
         while True:
             candidates = [name for name in self._names
                           if scores[name] > 1.0
@@ -128,12 +131,11 @@ class TableController:
         met its criterion for that workload (the paired speedup CIs, or
         a lone cell's CPI CI) or it did not -- per-cell CPI convergence
         would claim precision the controller deliberately did not buy.
+        The flags reuse the scores :meth:`run` ended on.
         """
-        out = {}
-        for name in self._names:
-            session = self._sessions[name]
-            out[name] = session.runs(converged=self._ratio(session) <= 1.0)
-        return out
+        return {name: self._sessions[name].runs(
+                    converged=self._scores[name] <= 1.0)
+                for name in self._names}
 
     @property
     def simulated_records(self) -> int:

@@ -57,7 +57,6 @@ METRICS: Dict[str, MetricFn] = {
                                        r.stats.cycles),
     "avg_missspec_iq_wait": lambda r: r.stats.avg_missspec_iq_wait,
     "unconfident_branch_rate": lambda r: r.tracker_stats.unconfident_branch_rate,
-    "smt_injections": lambda r: float(r.stats.smt_injections),
     "priority_full_frac": lambda r: _ratio(r.stats.priority_stall_cycles,
                                            r.stats.cycles),
 }

@@ -66,8 +66,11 @@ def build_branch_h2p(bias_bits: int) -> Program:
     Four branch sites test random loaded data through a 4-op ALU chain;
     ``bias_bits`` sets the taken probability to ``2**-bias_bits`` (1 =>
     50/50, unlearnable; larger => increasingly predictable), so
-    misprediction rate falls monotonically as the knob grows.
+    misprediction rate falls monotonically as the knob grows.  The knob
+    is the width of a mask over a 64-bit register, so it stops at 64.
     """
+    if not 0 <= bias_bits <= 64:
+        raise ValueError("branch_h2p bias bits must be in 0..64")
     data_bytes = 16 * KIB  # cache-resident: the branches, not memory, stall
     b = ProgramBuilder(f"stress_branch_h2p_{bias_bits}")
     temps = _TempPool()

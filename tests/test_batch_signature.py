@@ -7,8 +7,8 @@ timing-steering knob each member keeps privately.  The property, over
 randomly drawn configurations:
 
 * any combination of *steering-only* differences (PUBS dispatch policy,
-  window sizes, widths, IQ organization, verification, SMT interference)
-  leaves the signature unchanged -- those jobs batch together;
+  window sizes, widths, IQ organization, verification) leaves the
+  signature unchanged -- those jobs batch together;
 * flipping any single *warm-class* field (profile, budget, region, memory
   geometry, predictor geometry, PUBS table geometry / enablement) splits
   the signature -- those jobs must not share a walk.
@@ -19,7 +19,6 @@ import dataclasses
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import SmtConfig
 from repro.core.config import ProcessorConfig
 from repro.exec.jobs import SimJob, batch_signature
 from repro.pubs import PubsConfig
@@ -49,11 +48,6 @@ steering_knobs = st.fixed_dictionaries({}, optional={
     "priority_entries": st.sampled_from([4, 6, 8]),
     "stall_policy": st.booleans(),
     "mode_switch_enabled": st.booleans(),
-    "smt": st.one_of(
-        st.none(),
-        st.sampled_from([8, 32, 64]).map(
-            lambda interleave: SmtConfig(enabled=True,
-                                         interleave=interleave))),
 })
 
 
@@ -61,12 +55,9 @@ def _steered(knobs) -> ProcessorConfig:
     pubs_fields = {k: knobs.pop(k) for k in
                    ("priority_entries", "stall_policy",
                     "mode_switch_enabled") if k in knobs}
-    smt = knobs.pop("smt", None)
     cfg = BASE.with_pubs(PubsConfig(**pubs_fields))
     if knobs:
         cfg = cfg.with_overrides(**knobs)
-    if smt is not None:
-        cfg = cfg.with_smt(smt)
     return cfg
 
 

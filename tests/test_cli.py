@@ -47,11 +47,13 @@ class TestParser:
         ["suite", "--backend", "inline"],
         ["suite", "--queue-dir", "q"],
         ["run", "sjeng", "--request-file", "f"],
+        ["run", "sjeng", "--smt"],
     ], ids=["serve", "worker", "submit", "status", "backend", "queue-dir",
-            "request-file"])
+            "request-file", "smt"])
     def test_removed_surface_exits_two(self, argv):
         # One local executor runs everything: there is no server, no
-        # shared queue and no serialized request to load.
+        # shared queue and no serialized request to load.  The core
+        # models one thread: there is no SMT co-runner.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -316,11 +318,11 @@ class TestVerifyCommand:
          "--priority-entries", "0"],
         ["run", "sjeng", "--pubs", "--priority-entries", "-1"],
         ["run", "sjeng", "--pubs", "--priority-entries", "999"],
-        ["run", "sjeng", "--smt", "--smt-interleave", "0"],
         ["verify", "--workload", "sjeng", "--interval", "0"],
         ["stress", "run", "branch_h2p", "--knob", "-1"],
         ["stress", "run", "dep_chain", "--knob", "-1"],
         ["stress", "run", "cache_thrash", "--knob", "3"],
+        ["stress", "run", "branch_h2p", "--knob", "65"],
     ])
     def test_non_positive_knobs_rejected_up_front(self, capsys, argv,
                                                   isolated_store):
@@ -437,12 +439,17 @@ class TestCacheStats:
 class TestOptionalDependencies:
     def test_import_and_run_without_networkx_or_numpy(self):
         # A None entry in sys.modules makes ``import name`` raise, as if
-        # the package were not installed.
+        # the package were not installed.  The offline slice analysis
+        # runs too: it needs no graph library.
         script = (
             "import sys\n"
             "sys.modules['networkx'] = sys.modules['numpy'] = None\n"
             "import repro\n"
+            "from repro.analysis import characterize_window\n"
             "from repro.cli import main\n"
+            "stats = characterize_window(repro.build_program(\n"
+            "    repro.get_profile('sjeng')), 500, window=128)\n"
+            "assert stats.branches > 0, stats\n"
             "sys.exit(main(['run', 'sjeng', '-n', '500', '--skip', '500']))\n")
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,

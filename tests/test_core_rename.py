@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NEVER, Renamer, Uop
+from repro.core import NEVER, RenameError, Renamer, Uop
 from repro.isa import NUM_LOGICAL_REGS, Opcode, StaticInst, fp_reg, int_reg
 
 
@@ -23,8 +23,8 @@ class TestInitialState:
 
     def test_free_counts(self):
         r = Renamer(128, 128)
-        assert r.free_int_count == 96
-        assert r.free_fp_count == 96
+        assert len(r.free_lists[int_reg(0)]) == 96
+        assert len(r.free_lists[fp_reg(0)]) == 96
 
     def test_initial_registers_ready(self):
         r = Renamer(128, 128)
@@ -64,27 +64,28 @@ class TestRename:
         assert uop.dest_phys >= 128
 
     def test_no_dest_instruction(self):
-        r = Renamer(128, 128)
+        r = Renamer(32, 32)  # no free register at all
         uop = _uop(StaticInst(0, Opcode.BEQZ, src1=int_reg(1), target=0))
-        assert r.can_rename(uop)
         r.rename(uop)
         assert uop.dest_phys == -1
         assert uop.src_phys == (1,)
 
-    def test_exhaustion_detected_by_can_rename(self):
+    def test_exhaustion_raises_rename_error(self):
         r = Renamer(33, 32)  # one spare int register
-        uop1 = _uop(_addi(int_reg(1), int_reg(2)))
-        assert r.can_rename(uop1)
-        r.rename(uop1)
-        uop2 = _uop(_addi(int_reg(3), int_reg(4)), seq=1)
-        assert not r.can_rename(uop2)
+        r.rename(_uop(_addi(int_reg(1), int_reg(2))))
+        assert not r.free_lists[int_reg(3)]
+        with pytest.raises(RenameError):
+            r.rename(_uop(_addi(int_reg(3), int_reg(4)), seq=1))
 
     def test_fp_exhaustion_independent_of_int(self):
         r = Renamer(128, 33)
         fp_uop = _uop(StaticInst(0, Opcode.FMOVI, dest=fp_reg(0), imm=1))
         r.rename(fp_uop)
-        assert not r.can_rename(_uop(StaticInst(4, Opcode.FMOVI, dest=fp_reg(1), imm=1)))
-        assert r.can_rename(_uop(_addi(int_reg(1), int_reg(2))))
+        with pytest.raises(RenameError):
+            r.rename(_uop(StaticInst(4, Opcode.FMOVI, dest=fp_reg(1), imm=1)))
+        int_uop = _uop(_addi(int_reg(1), int_reg(2)), seq=1)
+        r.rename(int_uop)
+        assert int_uop.dest_phys == 32
 
 
 class TestCommitAndSquash:
@@ -92,9 +93,9 @@ class TestCommitAndSquash:
         r = Renamer(33, 32)
         uop = _uop(_addi(int_reg(1), int_reg(2)))
         r.rename(uop)
-        assert r.free_int_count == 0
+        assert not r.free_lists[int_reg(1)]
         r.release_committed(uop)
-        assert r.free_int_count == 1  # phys 1 (old r1) returned
+        assert list(r.free_lists[int_reg(1)]) == [1]  # old r1 returned
 
     def test_squash_frees_new_mapping_and_restores_map(self):
         r = Renamer(128, 128)
@@ -105,8 +106,9 @@ class TestCommitAndSquash:
         r.release_squashed(uop)
         r.restore(cp)
         assert r.map[1] == cp[1]
-        assert r.free_int_count == 96
-        assert r.invariant_free_disjoint()
+        assert len(r.free_lists[int_reg(0)]) == 96
+        assert set(r.map).isdisjoint(
+            r.free_lists[int_reg(0)] + r.free_lists[fp_reg(0)])
 
     def test_checkpoint_is_immutable_snapshot(self):
         r = Renamer(128, 128)
@@ -135,14 +137,15 @@ def test_property_rename_commit_conserves_registers(dests):
     uops = []
     for i, d in enumerate(dests):
         uop = _uop(_addi(int_reg(d), int_reg((d + 1) % 32), pc=i * 4), seq=i)
-        if not r.can_rename(uop):
+        if not r.free_lists[int_reg(d)]:
             break
         r.rename(uop)
         uops.append(uop)
     for uop in uops:
         r.release_committed(uop)
-    assert r.free_int_count == 96
-    assert r.invariant_free_disjoint()
+    assert len(r.free_lists[int_reg(0)]) == 96
+    assert set(r.map).isdisjoint(
+        r.free_lists[int_reg(0)] + r.free_lists[fp_reg(0)])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=60))
@@ -152,18 +155,19 @@ def test_property_squash_rollback_restores_pool(dests):
     restored."""
     r = Renamer(128, 128)
     cp = r.checkpoint()
-    free_before = r.free_int_count
+    free_before = list(r.free_lists[int_reg(0)])
     map_before = list(r.map)
     uops = []
     for i, d in enumerate(dests):
         uop = _uop(_addi(int_reg(d), int_reg((d + 7) % 32), pc=i * 4), seq=i)
-        if not r.can_rename(uop):
+        if not r.free_lists[int_reg(d)]:
             break
         r.rename(uop)
         uops.append(uop)
     for uop in reversed(uops):
         r.release_squashed(uop)
     r.restore(cp)
-    assert r.free_int_count == free_before
+    assert sorted(r.free_lists[int_reg(0)]) == sorted(free_before)
     assert r.map == map_before
-    assert r.invariant_free_disjoint()
+    assert set(r.map).isdisjoint(
+        r.free_lists[int_reg(0)] + r.free_lists[fp_reg(0)])

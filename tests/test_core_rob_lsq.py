@@ -33,7 +33,7 @@ class TestReorderBuffer:
         rob = ReorderBuffer(2)
         rob.append(_uop(0))
         rob.append(_uop(1))
-        assert rob.is_full() and rob.free_entries == 0
+        assert len(rob) == rob.size
         with pytest.raises(OverflowError):
             rob.append(_uop(2))
 
@@ -70,7 +70,7 @@ class TestLoadStoreQueue:
         lsq = LoadStoreQueue(2)
         lsq.insert(_uop(0, Opcode.LOAD, addr=0x100))
         lsq.insert(_uop(1, Opcode.LOAD, addr=0x200))
-        assert lsq.is_full()
+        assert len(lsq) == lsq.size
         with pytest.raises(OverflowError):
             lsq.insert(_uop(2, Opcode.LOAD, addr=0x300))
 

@@ -42,7 +42,6 @@ CONFIGS = {
     "age-matrix": BASE.with_age_matrix(),
     "shifting": BASE.with_overrides(iq_organization="shifting"),
     "circular": BASE.with_overrides(iq_organization="circular"),
-    "smt": BASE.with_pubs().with_smt(),
     # Two L1I lines: fetch stalls on I-misses while the front-end head
     # is still too young to dispatch.
     "tiny-l1i": BASE.with_overrides(memory=dataclasses.replace(

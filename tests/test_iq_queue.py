@@ -9,13 +9,13 @@ from repro.iq import IssueQueue
 class TestBasicDispatch:
     def test_base_queue_has_no_priority_entries(self):
         iq = IssueQueue(8)
-        assert iq.free_priority_count == 0
-        assert iq.free_normal_count == 8
+        assert len(iq._free_priority) == 0
+        assert len(iq._free_normal) == 8
 
     def test_partition_sizes(self):
         iq = IssueQueue(8, priority_entries=3)
-        assert iq.free_priority_count == 3
-        assert iq.free_normal_count == 5
+        assert len(iq._free_priority) == 3
+        assert len(iq._free_normal) == 5
 
     def test_priority_dispatch_uses_low_slots(self):
         iq = IssueQueue(8, priority_entries=3)
@@ -32,7 +32,7 @@ class TestBasicDispatch:
         assert iq.dispatch("a", True) is not None
         assert iq.dispatch("b", True) is not None
         assert iq.dispatch("c", True) is None  # stall-policy decision point
-        assert iq.free_normal_count == 6  # normal side untouched
+        assert len(iq._free_normal) == 6  # normal side untouched
 
     def test_normal_partition_never_borrows_priority(self):
         iq = IssueQueue(4, priority_entries=2)
@@ -44,7 +44,7 @@ class TestBasicDispatch:
         iq = IssueQueue(4, priority_entries=2)
         slot = iq.dispatch("a", True)
         iq.release(slot)
-        assert iq.free_priority_count == 2
+        assert len(iq._free_priority) == 2
         assert iq.dispatch("b", True) is not None
 
     def test_release_empty_slot_raises(self):
@@ -145,4 +145,4 @@ def test_property_no_slot_leaks(ops):
                 assert slot not in live
                 live.add(slot)
         assert iq.occupancy == len(live)
-        assert iq.occupancy + iq.free_priority_count + iq.free_normal_count == 12
+        assert iq.occupancy + len(iq._free_priority) + len(iq._free_normal) == 12

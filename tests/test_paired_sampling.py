@@ -352,7 +352,8 @@ class TestTableController:
     def test_each_session_is_scored_once_per_measurement(self,
                                                          monkeypatch):
         # A score depends only on its own session's runs: one score per
-        # session after the first measurement, then one per escalation.
+        # session after the first measurement, then one per escalation;
+        # results() reuses the scores run() ended on.
         calls = []
         real = TableController._criterion
 
@@ -368,6 +369,7 @@ class TestTableController:
         for i, session in enumerate(sessions):
             controller.add(f"w{i}", session)
         controller.run()
+        controller.results()
         escalations = sum(s.escalations for s in sessions)
         assert escalations == 5
         assert len(calls) == len(sessions) + escalations

@@ -132,8 +132,8 @@ class TestPubsInteractions:
         stats = pipe.run(2500)
         assert stats.committed == 2500
         iq = pipe.iq
-        assert iq.occupancy + iq.free_priority_count + iq.free_normal_count \
-            == iq.size
+        assert iq.occupancy + len(iq._free_priority) \
+            + len(iq._free_normal) == iq.size
 
     def test_blind_and_nonstall_compose(self):
         cfg = BASE.with_pubs(PubsConfig(blind=True, stall_policy=False))

@@ -57,7 +57,6 @@ GOLDEN_STATS = {
         "td_be_iq_slots": 0, "td_be_lsq_slots": 0,
         "td_be_regs_slots": 455, "td_be_priority_slots": 0,
         "iq_occupancy_sum": 51336, "llc_misses": 1, "l1d_misses": 167, "l1i_misses": 0,
-        "smt_injections": 0,
     },
     "sjeng_pubs": {
         "cycles": 2659, "committed": 3000, "fetched": 4953,
@@ -75,7 +74,6 @@ GOLDEN_STATS = {
         "td_be_iq_slots": 0, "td_be_lsq_slots": 0,
         "td_be_regs_slots": 0, "td_be_priority_slots": 4105,
         "iq_occupancy_sum": 19916, "llc_misses": 1, "l1d_misses": 170, "l1i_misses": 0,
-        "smt_injections": 0,
     },
     "gcc_age": {
         "cycles": 3108, "committed": 3000, "fetched": 6142,
@@ -93,7 +91,6 @@ GOLDEN_STATS = {
         "td_be_iq_slots": 238, "td_be_lsq_slots": 0,
         "td_be_regs_slots": 3939, "td_be_priority_slots": 0,
         "iq_occupancy_sum": 60252, "llc_misses": 4, "l1d_misses": 179, "l1i_misses": 0,
-        "smt_injections": 0,
     },
     "mcf_dist_pubs": {
         "cycles": 25148, "committed": 3000, "fetched": 6033,
@@ -111,7 +108,6 @@ GOLDEN_STATS = {
         "td_be_iq_slots": 269, "td_be_lsq_slots": 0,
         "td_be_regs_slots": 84228, "td_be_priority_slots": 8571,
         "iq_occupancy_sum": 260198, "llc_misses": 314, "l1d_misses": 314, "l1i_misses": 0,
-        "smt_injections": 0,
     },
     "gobmk_shift": {
         "cycles": 3081, "committed": 3000, "fetched": 8765,
@@ -129,7 +125,6 @@ GOLDEN_STATS = {
         "td_be_iq_slots": 549, "td_be_lsq_slots": 0,
         "td_be_regs_slots": 202, "td_be_priority_slots": 0,
         "iq_occupancy_sum": 80867, "llc_misses": 1, "l1d_misses": 180, "l1i_misses": 0,
-        "smt_injections": 0,
     },
     "astar_circular": {
         "cycles": 5451, "committed": 3000, "fetched": 9698,
@@ -147,7 +142,6 @@ GOLDEN_STATS = {
         "td_be_iq_slots": 3359, "td_be_lsq_slots": 0,
         "td_be_regs_slots": 5188, "td_be_priority_slots": 0,
         "iq_occupancy_sum": 49423, "llc_misses": 21, "l1d_misses": 219, "l1i_misses": 0,
-        "smt_injections": 0,
     },
 }
 

@@ -29,21 +29,24 @@ MATRIX = [(workload, tag, config)
 INSTRUCTIONS = 2000
 SKIP = 2000
 
-#: :func:`~tests.digests.result_digest` of each matrix cell as the live
-#: functional front end produced it (2000 timed records after 2000).
+#: :func:`~tests.digests.result_digest` of each matrix cell (2000 timed
+#: records after 2000).  The live functional front end produced these
+#: results.  When ``SimStats`` lost the SMT co-runner's counter (always
+#: 0 here), the pins were re-derived by hashing the same payload with
+#: that key dropped; the full payloads still hashed to the live pins.
 LIVE_DIGESTS = {
     "sjeng-base":
-        "658de6d7299bd77dbdfc7dbbc601685c3cea69b598f0d9b65807475e177bff3b",
+        "5f6317deb1c00ebcb9bf8bf9859021353bd8f6c43d7e6c4836bcf90324a8b52d",
     "sjeng-pubs":
-        "8bb78258a73ccff5d915dac92669ff2b78a384eb48deb8709705d0f5aa5d2cd6",
+        "45b69bb75a1daa17387c74e5234d51480e6c1d3b4ca850a9fca0af6aea8e34c4",
     "gcc-base":
-        "b79c41c315d11f3ac71232d1fd7b6f904a8a03fba5db862e0cb2c94cb2e4907a",
+        "db9731010cc009c7ac14e3d46cb56377c5ad715448350546c42c391d6b31b5ec",
     "gcc-pubs":
-        "bdf2d5b76dec8f86cccf1ab9b7f88b19b7ec8374db493b82d75cdd58efac1de9",
+        "d8405b88f24bf39a367f4592e2defa6a4f08349947166bce158ee10ac621daf5",
     "mcf-base":
-        "7128754d6e8b2bdebc790697a8840f7653ab31880d412e37370ecc7371716d59",
+        "8797fdd6bc91ffc97b0a303d94c17775f03b1863aa7ae96bb377c2ff538f1539",
     "mcf-pubs":
-        "ddf717efbae0081ab4a6334b58ad16a11a01180c9985a0a4bde3430a1f3194e9",
+        "f89b07b9b1b4ca2f823edd5535104c52d0e02137851647d2aec1bd7612dfc0a4",
 }
 
 
